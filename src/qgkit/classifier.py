@@ -18,7 +18,8 @@ from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
 from .data import Example, IWClass, Vocabulary, build_classifier_input
 from .layers import init_bilstm, init_linear, linear, run_bilstm
-from .metrics import ClassScore
+from .metrics import ClassScore, class_scores
+from .persist import ModelConfig
 
 __all__ = [
     "ClassifierConfig",
@@ -36,7 +37,7 @@ NUM_ENTITY_TYPES = 7
 
 
 @dataclass
-class ClassifierConfig:
+class ClassifierConfig(ModelConfig):
     """Hyperparameters plus the three ablation switches.
 
     AT marks the answer span with [ANS] tokens, AE appends the mean
@@ -49,20 +50,10 @@ class ClassifierConfig:
     word_dim: int = 24
     encoder_hidden: int = 32
     entity_embed_dim: int = 5
-    num_classes: int = 8
     epochs: int = 3
     lr: float = 1e-3
     weight_decay: float = 0.01
     seed: int = 0
-
-    def validate(self) -> None:
-        if self.num_classes != 8:
-            raise ValueError("num_classes is fixed at 8")
-        if self.entity_embed_dim < 1:
-            raise ValueError("entity_embed_dim must be at least 1")
-        for name in ("word_dim", "encoder_hidden", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
 
     @property
     def summary_dim(self) -> int:
@@ -82,27 +73,6 @@ class ClassifierConfig:
         if self.use_entity_type:
             parts.append("NER")
         return " + ".join(parts)
-
-    def to_dict(self) -> dict:
-        return {
-            "use_answer_tagging": self.use_answer_tagging,
-            "use_answer_embedding": self.use_answer_embedding,
-            "use_entity_type": self.use_entity_type,
-            "word_dim": self.word_dim,
-            "encoder_hidden": self.encoder_hidden,
-            "entity_embed_dim": self.entity_embed_dim,
-            "num_classes": self.num_classes,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierConfig":
-        config = cls(**d)
-        config.validate()
-        return config
 
 
 @dataclass
@@ -132,7 +102,7 @@ def init_classifier(
             rng, (NUM_ENTITY_TYPES, config.entity_embed_dim),
             fan_in=config.entity_embed_dim, name="entity_embed",
         )
-    tensors.update(init_linear(rng, config.ff_input_dim, config.num_classes, "ff"))
+    tensors.update(init_linear(rng, config.ff_input_dim, len(IWClass), "ff"))
     return ClassifierParams(config=config, tensors=tensors)
 
 
@@ -247,7 +217,7 @@ def train_classifier(
             with Tape() as tape:
                 dist = _class_distribution(ex, config, params.tensors, vocab)
                 loss = ad.cross_entropy(
-                    ad.reshape(dist, (config.num_classes,)), int(ex.iw_class)
+                    ad.reshape(dist, (len(IWClass),)), int(ex.iw_class)
                 )
             backward(tape, loss)
             grads = {k: t.grad for k, t in params.tensors.items()}
@@ -287,21 +257,9 @@ def eval_classifier(
     ]
     golds = [ex.iw_class for ex in dataset]
     hits = sum(1 for p, g in zip(predictions, golds) if p == g)
-    per_class = {}
-    for c in IWClass:
-        support = sum(1 for g in golds if g == c)
-        if support == 0:
-            continue
-        predicted = sum(1 for p in predictions if p == c)
-        correct = sum(1 for p, g in zip(predictions, golds) if p == g == c)
-        per_class[c] = ClassScore(
-            recall=correct / support,
-            precision=correct / predicted if predicted else 0.0,
-            support=support,
-        )
     return ClassifierEval(
         accuracy=hits / len(dataset) if dataset else 0.0,
-        per_class=per_class,
+        per_class={c: s for c, s in class_scores(predictions, golds).items() if s.support},
     )
 
 
@@ -309,7 +267,6 @@ def oracle_classifier(
     gold: IWClass,
     accuracy: float,
     rng: np.random.Generator,
-    confusion: np.ndarray | None = None,
 ) -> IWClass:
     """Gold with probability ``accuracy``, else uniform over the other
     seven classes.
@@ -317,12 +274,9 @@ def oracle_classifier(
     Both random draws are consumed on every call, so the stream position
     after n calls is independent of the outcomes; sweeping different
     accuracy levels against identically seeded streams then reuses the
-    same underlying noise (paired draws).  ``confusion`` is a reserved
-    hook for shaped noise; only the uniform model is implemented."""
+    same underlying noise (paired draws)."""
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError(f"accuracy {accuracy} outside [0, 1]")
-    if confusion is not None:
-        raise NotImplementedError("confusion-matrix noise is not implemented")
     u = rng.random()
     alt = int(rng.integers(0, 7))
     if u < accuracy:

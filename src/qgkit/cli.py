@@ -20,7 +20,7 @@ import configparser
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +64,16 @@ class CLIError(Exception):
 # Config file: flat key=value INI sections, unknown anything is fatal.
 # ---------------------------------------------------------------------------
 
-_CLASSIFIER_DEFAULTS = ClassifierConfig()
-_QG_DEFAULTS = QGConfig()
+_MODEL_CONFIGS = {"classifier": ClassifierConfig, "qg": QGConfig}
+
+
+def _model_schema(cls) -> dict[str, tuple[str, str]]:
+    """One INI key per config field; ``seed`` comes from [run]/--seed."""
+    return {
+        f.name: (type(f.default).__name__, str(f.default).lower())
+        for f in fields(cls) if f.name != "seed"
+    }
+
 
 # section -> key -> (parse kind, default)
 CONFIG_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
@@ -75,29 +83,7 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     "prepare": {
         "cap": ("int", str(DOWNSAMPLE_CAP)),
     },
-    "classifier": {
-        "use_answer_tagging": ("bool", "false"),
-        "use_answer_embedding": ("bool", "false"),
-        "use_entity_type": ("bool", "false"),
-        "word_dim": ("int", str(_CLASSIFIER_DEFAULTS.word_dim)),
-        "encoder_hidden": ("int", str(_CLASSIFIER_DEFAULTS.encoder_hidden)),
-        "entity_embed_dim": ("int", str(_CLASSIFIER_DEFAULTS.entity_embed_dim)),
-        "epochs": ("int", str(_CLASSIFIER_DEFAULTS.epochs)),
-        "lr": ("float", str(_CLASSIFIER_DEFAULTS.lr)),
-        "weight_decay": ("float", str(_CLASSIFIER_DEFAULTS.weight_decay)),
-    },
-    "qg": {
-        "word_dim": ("int", str(_QG_DEFAULTS.word_dim)),
-        "meta_dim": ("int", str(_QG_DEFAULTS.meta_dim)),
-        "encoder_hidden": ("int", str(_QG_DEFAULTS.encoder_hidden)),
-        "decoder_hidden": ("int", str(_QG_DEFAULTS.decoder_hidden)),
-        "epochs": ("int", str(_QG_DEFAULTS.epochs)),
-        "lr": ("float", str(_QG_DEFAULTS.lr)),
-        "weight_decay": ("float", str(_QG_DEFAULTS.weight_decay)),
-        "max_len": ("int", str(_QG_DEFAULTS.max_len)),
-        "insert_iw": ("bool", "true"),
-        "beam_size": ("int", str(_QG_DEFAULTS.beam_size)),
-    },
+    **{kind: _model_schema(cls) for kind, cls in _MODEL_CONFIGS.items()},
     "sweep": {
         "grid": ("str", "0.6,0.7,0.8,0.9,1.0"),
         "seeds": ("str", "0,1,2,3,4"),
@@ -158,41 +144,12 @@ def render_config(cp: configparser.ConfigParser) -> str:
     return buf.getvalue()
 
 
-def _classifier_config(cp: configparser.ConfigParser, seed: int) -> ClassifierConfig:
-    s = cp["classifier"]
-    config = ClassifierConfig(
-        use_answer_tagging=s.getboolean("use_answer_tagging"),
-        use_answer_embedding=s.getboolean("use_answer_embedding"),
-        use_entity_type=s.getboolean("use_entity_type"),
-        word_dim=s.getint("word_dim"),
-        encoder_hidden=s.getint("encoder_hidden"),
-        entity_embed_dim=s.getint("entity_embed_dim"),
-        epochs=s.getint("epochs"),
-        lr=s.getfloat("lr"),
-        weight_decay=s.getfloat("weight_decay"),
-        seed=seed,
-    )
-    config.validate()
-    return config
-
-
-def _qg_config(cp: configparser.ConfigParser, seed: int) -> QGConfig:
-    s = cp["qg"]
-    config = QGConfig(
-        word_dim=s.getint("word_dim"),
-        meta_dim=s.getint("meta_dim"),
-        encoder_hidden=s.getint("encoder_hidden"),
-        decoder_hidden=s.getint("decoder_hidden"),
-        epochs=s.getint("epochs"),
-        lr=s.getfloat("lr"),
-        weight_decay=s.getfloat("weight_decay"),
-        max_len=s.getint("max_len"),
-        insert_iw=s.getboolean("insert_iw"),
-        beam_size=s.getint("beam_size"),
-        seed=seed,
-    )
-    config.validate()
-    return config
+def _model_config(kind: str, cp: configparser.ConfigParser, seed: int):
+    values = {key: _PARSERS[k](cp, kind, key) for key, (k, _) in CONFIG_SCHEMA[kind].items()}
+    try:
+        return _MODEL_CONFIGS[kind].from_dict({**values, "seed": seed})
+    except ValueError as e:
+        raise CLIError(f"config [{kind}]: {e}", code=2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +191,7 @@ def _load_vocab(args) -> Vocabulary:
 
 
 def _load_model_checkpoint(path: str, expected_kind: str, vocab: Vocabulary):
+    """The checkpoint and its parsed config."""
     ck = load_checkpoint(path)
     if ck.kind != expected_kind:
         raise CLIError(f"{path}: expected a {expected_kind} checkpoint, got {ck.kind}")
@@ -242,7 +200,10 @@ def _load_model_checkpoint(path: str, expected_kind: str, vocab: Vocabulary):
             f"vocabulary hash mismatch: checkpoint {path} was trained against a "
             "different vocabulary file"
         )
-    return ck
+    try:
+        return ck, _MODEL_CONFIGS[expected_kind].from_dict(ck.config)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: bad config: {e}")
 
 
 def _emit(out_dir: Path, files: dict[str, str | bytes], command: str,
@@ -327,10 +288,7 @@ def cmd_train(args, cp) -> int:
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
     # config validation is fatal before any data pass
-    if kind == "classifier":
-        config = _classifier_config(cp, seed)
-    else:
-        config = _qg_config(cp, seed)
+    config = _model_config(kind, cp, seed)
     examples = _load_examples(data_path)
     vocab = _load_vocab(args)
     if kind == "classifier":
@@ -387,8 +345,8 @@ def cmd_generate(args, cp) -> int:
     if (args.classifier is None) == (args.oracle is None):
         raise CLIError("provide exactly one of --classifier or --oracle", code=2)
     vocab = _load_vocab(args)
-    qg_ck = _load_model_checkpoint(qg_path, "qg", vocab)
-    qg_params = QGParams(QGConfig.from_dict(qg_ck.config), qg_ck.tensors)
+    qg_ck, qg_config = _load_model_checkpoint(qg_path, "qg", vocab)
+    qg_params = QGParams(qg_config, qg_ck.tensors)
     examples = _load_examples(data_path)
     inputs = {
         Path(data_path).name: sha256_file(data_path),
@@ -396,10 +354,8 @@ def cmd_generate(args, cp) -> int:
         Path(qg_path).name: sha256_file(qg_path),
     }
     if args.classifier is not None:
-        cls_ck = _load_model_checkpoint(args.classifier, "classifier", vocab)
-        predictor = ClassifierParams(
-            ClassifierConfig.from_dict(cls_ck.config), cls_ck.tensors
-        )
+        cls_ck, cls_config = _load_model_checkpoint(args.classifier, "classifier", vocab)
+        predictor = ClassifierParams(cls_config, cls_ck.tensors)
         provenance = "model"
         inputs[Path(args.classifier).name] = sha256_file(args.classifier)
     else:
@@ -499,8 +455,7 @@ def cmd_sweep(args, cp) -> int:
         raise CLIError(f"bad seed list {args.seeds!r}", code=2)
     accuracies = [_parse_accuracy(t) for t in grid]
     vocab = _load_vocab(args)
-    qg_ck = _load_model_checkpoint(qg_path, "qg", vocab)
-    qg_config = QGConfig.from_dict(qg_ck.config)
+    qg_ck, qg_config = _load_model_checkpoint(qg_path, "qg", vocab)
     examples = _load_examples(data_path)
     references = [tokenize(ex.question) for ex in examples]
     metric_names = None
@@ -557,7 +512,7 @@ def cmd_ablate(args, cp) -> int:
     seed = _resolve_seed(args, cp)
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
-    base = _classifier_config(cp, seed)
+    base = _model_config("classifier", cp, seed)
     examples = _load_examples(data_path)
     vocab = _load_vocab(args)
     rows = [["label", "accuracy"]]

@@ -51,7 +51,6 @@ __all__ = [
     "downsample",
     "label_interrogative_class",
     "load_corpus",
-    "save_corpus",
     "tokenize",
     "tokenize_with_offsets",
 ]
@@ -322,10 +321,6 @@ def corpus_text(examples: Iterable[Example]) -> str:
     """JSONL serialization (sorted keys, newline-terminated)."""
     lines = [json.dumps(ex.to_record(), sort_keys=True) for ex in examples]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def save_corpus(examples: Iterable[Example], path: str | Path) -> None:
-    Path(path).write_text(corpus_text(examples), encoding="utf-8")
 
 
 def class_counts(examples: Iterable[Example]) -> dict[IWClass, int]:

@@ -39,6 +39,7 @@ from .data import (
     tokenize,
 )
 from .layers import broadcast_rows, init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
+from .persist import ModelConfig
 
 __all__ = [
     "DecodeStep",
@@ -62,7 +63,7 @@ NUM_META_TAGS = 3
 
 
 @dataclass
-class QGConfig:
+class QGConfig(ModelConfig):
     """Generator hyperparameters.
 
     ``insert_iw`` switches interrogative-word insertion; turning it off
@@ -80,37 +81,6 @@ class QGConfig:
     max_len: int = 30
     insert_iw: bool = True
     beam_size: int = 1
-
-    def validate(self) -> None:
-        for name in ("word_dim", "meta_dim", "encoder_hidden", "decoder_hidden",
-                     "epochs", "max_len", "beam_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "word_dim": self.word_dim,
-            "meta_dim": self.meta_dim,
-            "encoder_hidden": self.encoder_hidden,
-            "decoder_hidden": self.decoder_hidden,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "max_len": self.max_len,
-            "insert_iw": self.insert_iw,
-            "beam_size": self.beam_size,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QGConfig":
-        config = cls(**d)
-        config.validate()
-        return config
 
 
 @dataclass
@@ -236,16 +206,15 @@ def init_decoder_state(
 class DecodeStep:
     """One decoder step's scores and distributions.
 
-    ``raw_attention``/``attention`` are length-n (pre/post softmax);
-    ``copy_scores`` maps each distinct source surface word to its
-    max-capped raw score; ``final_dist`` covers the vocabulary followed
-    by this example's extended ids."""
+    ``raw_attention``/``attention`` are length-n (pre/post softmax); a
+    word's copy score is the maximum raw attention over its segment
+    positions; ``final_dist`` covers the vocabulary followed by this
+    example's extended ids."""
 
     raw_attention: Tensor
     attention: Tensor
     context: Tensor
     generate_scores: Tensor
-    copy_scores: dict[str, float]
     final_dist: Tensor
 
 
@@ -284,17 +253,11 @@ def decode_step(
     final = ad.scatter_sum(
         combined, index_map, vocab_size + len(encoded.source_tokens.oov_words)
     )
-    surfaces = encoded.source_tokens.surfaces
-    copy_scores = {
-        surfaces[seg[0]]: float(maxima.data[k])
-        for k, seg in enumerate(encoded.segments)
-    }
     step = DecodeStep(
         raw_attention=raw,
         attention=ad.reshape(attn_col, (n,)),
         context=context,
         generate_scores=gen_scores,
-        copy_scores=copy_scores,
         final_dist=final,
     )
     return step, (h, c)
@@ -404,28 +367,22 @@ class GenerationResult:
         return " ".join(self.tokens)
 
 
-def _surface(token_id: int, vocab: Vocabulary, oov_words: Sequence[str]) -> str:
-    if token_id < len(vocab):
-        return vocab.token(token_id)
-    return oov_words[token_id - len(vocab)]
-
-
 def _greedy(seq, config, params, vocab, max_len):
     encoded = encode(seq, config, params)
     state = init_decoder_state(encoded, config, params)
     prev = SOS_ID
-    tokens: list[str] = []
+    ids: list[int] = []
     rows: list[np.ndarray] = []
     for _ in range(max_len):
         step, state = decode_step(prev, state, encoded, config, params)
         nxt = int(np.argmax(step.final_dist.data))
         if nxt == EOS_ID:
             break
-        tokens.append(_surface(nxt, vocab, seq.oov_words))
+        ids.append(nxt)
         rows.append(step.attention.data.ravel().copy())
         prev = nxt
     attention = np.vstack(rows) if rows else np.zeros((0, len(seq.surfaces)))
-    return tokens, attention
+    return vocab.decode_extended(ids, seq.oov_words), attention
 
 
 def _beam(seq, config, params, vocab, max_len):
@@ -457,7 +414,7 @@ def _beam(seq, config, params, vocab, max_len):
         candidates.sort(key=lambda b: (b[0], b[1]))
         beams = candidates[: config.beam_size]
     best = min(beams, key=lambda b: (b[0], b[1]))
-    tokens = [_surface(t, vocab, seq.oov_words) for t in best[1]]
+    tokens = vocab.decode_extended(best[1], seq.oov_words)
     attention = np.vstack(best[4]) if best[4] else np.zeros((0, len(seq.surfaces)))
     return tokens, attention
 

@@ -24,6 +24,7 @@ __all__ = [
     "ROUGE_L_BETA",
     "align_tokens",
     "bleu_n",
+    "class_scores",
     "evaluate_generation",
     "iw_recall_precision",
     "lcs_length",
@@ -317,32 +318,36 @@ class IWScores:
         return sum(s.support for s in self.per_class.values())
 
 
+def class_scores(
+    predicted: Sequence[IWClass], gold: Sequence[IWClass]
+) -> dict[IWClass, ClassScore]:
+    """Score every class over aligned label lists.  recall(c) = matches
+    within gold class c / gold support of c; precision(c) = matches
+    within predicted class c / predictions of c; 0.0 when undefined."""
+    per_class = {}
+    for c in IWClass:
+        support = sum(1 for g in gold if g == c)
+        n_predicted = sum(1 for p in predicted if p == c)
+        hits = sum(1 for p, g in zip(predicted, gold) if p == g == c)
+        per_class[c] = ClassScore(
+            recall=hits / support if support else 0.0,
+            precision=hits / n_predicted if n_predicted else 0.0,
+            support=support,
+        )
+    return per_class
+
+
 def iw_recall_precision(
     generated: Sequence[TokenSeq], gold: Sequence[TokenSeq]
 ) -> IWScores:
     """Label both sides with the interrogative-word scan and score per
-    class.  recall(c) = matches within gold class c / gold support of c;
-    precision(c) likewise over the generated side; total is the overall
-    match rate."""
+    class (see ``class_scores``); total is the overall match rate."""
     _check_aligned(generated, gold)
     gen_labels = [label_interrogative_class(q) for q in generated]
     gold_labels = [label_interrogative_class(q) for q in gold]
-    per_class = {}
-    hits_total = 0
-    for c in IWClass:
-        support = sum(1 for g in gold_labels if g == c)
-        predicted = sum(1 for g in gen_labels if g == c)
-        hits = sum(
-            1 for a, b in zip(gen_labels, gold_labels) if a == b == c
-        )
-        hits_total += hits
-        per_class[c] = ClassScore(
-            recall=hits / support if support else 0.0,
-            precision=hits / predicted if predicted else 0.0,
-            support=support,
-        )
-    total = hits_total / len(gold) if gold else 0.0
-    return IWScores(per_class=per_class, total_recall=total)
+    hits = sum(1 for a, b in zip(gen_labels, gold_labels) if a == b)
+    total = hits / len(gold) if gold else 0.0
+    return IWScores(per_class=class_scores(gen_labels, gold_labels), total_recall=total)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,10 @@ save -> load -> save reproduces the file byte for byte.
 Manifests record what produced a set of artifacts: command, config
 snapshot, seeds, input and output hashes.  Timestamps live only here;
 every other artifact is a pure function of its inputs.
+
+``ModelConfig`` is the base of the model config dataclasses: its fields
+are the hyperparameters, and the dict form it gives is the one embedded
+in checkpoints and manifests.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -32,6 +36,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "MANIFEST_NAME",
+    "ModelConfig",
     "atomic_write_bytes",
     "atomic_write_text",
     "checkpoint_bytes",
@@ -51,6 +56,47 @@ MANIFEST_NAME = "manifest.json"
 
 class CheckpointError(ValueError):
     pass
+
+
+class ModelConfig:
+    """Base of the model config dataclasses.
+
+    A field's name, default and the type of its default are the whole
+    definition of a hyperparameter; ``seed`` aside, every int field must
+    be positive."""
+
+    def validate(self) -> None:
+        for f in fields(self):
+            if type(f.default) is int and f.name != "seed" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be positive")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Inverse of ``to_dict``: exactly the field set, each value of its
+        field's type (an int may stand for a float; a bool is not an
+        int), validated.  Raises ValueError."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
+        if not isinstance(d, dict):
+            raise ValueError("config is not a mapping")
+        extra = sorted(set(d) - set(kinds))
+        if extra:
+            raise ValueError(f"unexpected config key {extra[0]!r}")
+        for name, kind in kinds.items():
+            if name not in d:
+                raise ValueError(f"missing config key {name!r}")
+            value = d[name]
+            if not (type(value) is kind or (kind is float and type(value) is int)):
+                raise ValueError(f"config {name} = {value!r} is not a {kind.__name__}")
+        config = cls(**{name: kind(d[name]) for name, kind in kinds.items()})
+        config.validate()
+        return config
 
 
 @dataclass
@@ -99,7 +145,12 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     header_end = 12 + header_len
     if len(blob) < header_end:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(blob[12:header_end].decode("utf-8"))
+    try:
+        header = json.loads(blob[12:header_end].decode("utf-8"))
+        layout = [(e["name"], tuple(int(n) for n in e["shape"])) for e in header["tensors"]]
+        config, vocab_hash = header["config"], header["vocab_hash"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: malformed header: {type(e).__name__}: {e}")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -110,21 +161,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     tensors: dict[str, Tensor] = {}
     offset = header_end
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
+    for name, shape in layout:
         count = int(np.prod(shape)) if shape else 1
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated tensor payload")
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        tensors[entry["name"]] = Tensor(
-            data.reshape(shape).astype(np.float64, copy=True), name=entry["name"]
-        )
+        tensors[name] = Tensor(data.reshape(shape).astype(np.float64, copy=True), name=name)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    return Checkpoint(version=version, kind=kind, config=header["config"],
-                      tensors=tensors, vocab_hash=header["vocab_hash"])
+    return Checkpoint(version=version, kind=kind, config=config,
+                      tensors=tensors, vocab_hash=vocab_hash)
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,14 @@ def trained(corpus, vocab):
 
 
 class TestConfig:
-    def test_class_count_fixed(self):
-        with pytest.raises(ValueError):
-            ClassifierConfig(num_classes=7).validate()
-
     def test_entity_dim_positive(self):
         with pytest.raises(ValueError):
             ClassifierConfig(entity_embed_dim=0).validate()
+
+    @pytest.mark.parametrize("field,bad", [("lr", 0.0), ("weight_decay", -0.1)])
+    def test_rejects_bad_values(self, field, bad):
+        with pytest.raises(ValueError):
+            ClassifierConfig(**{field: bad}).validate()
 
     @pytest.mark.parametrize(
         "flags,label",
@@ -271,11 +272,6 @@ class TestOracle:
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 oracle_classifier(IWClass.What, bad, rng)
-
-    def test_confusion_hook_is_stub(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(NotImplementedError):
-            oracle_classifier(IWClass.What, 0.9, rng, confusion=np.eye(8))
 
     def test_calibration_quick(self):
         rng = np.random.default_rng(4)

@@ -6,6 +6,7 @@ corpus and trains one tiny model of each kind; the slow steps happen
 once."""
 
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -33,8 +34,80 @@ epochs = 2
 """
 
 
+# `qgkit prepare --print-config` with no config file: every section and
+# default, in schema order
+DEFAULT_CONFIG_TEXT = """\
+[run]
+seed = 0
+
+[prepare]
+cap = 4000
+
+[classifier]
+use_answer_tagging = false
+use_answer_embedding = false
+use_entity_type = false
+word_dim = 24
+encoder_hidden = 32
+entity_embed_dim = 5
+epochs = 3
+lr = 0.001
+weight_decay = 0.01
+
+[qg]
+word_dim = 24
+meta_dim = 6
+encoder_hidden = 24
+decoder_hidden = 48
+epochs = 60
+lr = 0.002
+weight_decay = 0.0
+max_len = 30
+insert_iw = true
+beam_size = 1
+
+[sweep]
+grid = 0.6,0.7,0.8,0.9,1.0
+seeds = 0,1,2,3,4
+
+"""
+
+
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def assert_one_error_line(capsys) -> None:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def with_header(blob: bytes, edit) -> bytes:
+    """Checkpoint bytes whose JSON header is replaced by ``edit(header)``
+    (a dict is re-serialized; bytes are used as they are)."""
+    n = struct.unpack("<Q", blob[4:12])[0]
+    header = edit(json.loads(blob[12 : 12 + n]))
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return blob[:4] + struct.pack("<Q", len(raw)) + raw + blob[12 + n :]
+
+
+def edit_config(**changes):
+    """Header edit setting (or, for a None value, deleting) config keys."""
+    def edit(header):
+        for key, value in changes.items():
+            if value is None:
+                del header["config"][key]
+            else:
+                header["config"][key] = value
+        return header
+    return edit
+
+
+def drop_key(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +176,24 @@ class TestConfig:
         ini.write_text("[qg]\nepochs = banana\n")
         assert run("train", "--config", ini, "--kind", "qg",
                    "--data", tmp_path / "missing.jsonl", "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_print_config_is_exact(self, capsys):
+        assert run("prepare", "--print-config") == 0
+        assert capsys.readouterr().out == DEFAULT_CONFIG_TEXT
+
+    @pytest.mark.parametrize("kind,ini", [
+        ("qg", "[qg]\nepochs = 0\n"),
+        ("classifier", "[classifier]\nlr = -1\n"),
+        ("classifier", "[classifier]\nweight_decay = -0.1\n"),
+    ], ids=["qg-epochs", "classifier-lr", "classifier-weight_decay"])
+    def test_out_of_range_value_fatal(self, ws, tmp_path, capsys, kind, ini):
+        path = tmp_path / "c.ini"
+        path.write_text(ini)
+        data = ws["prep"] / ("qg_train.jsonl" if kind == "qg" else "classifier_train.jsonl")
+        assert run("train", "--config", path, "--kind", kind, "--data", data,
+                   "--vocab", ws["prep"] / "vocab.txt", "--out", tmp_path / "o") == 2
+        assert_one_error_line(capsys)
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, tmp_path):
@@ -224,6 +315,28 @@ class TestTrain:
         assert run("train", "--kind", "qg", "--data", ws["prep"] / "qg_train.jsonl",
                    "--vocab", tmp_path / "nope.txt", "--config", ws["ini"],
                    "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("edit", [
+    edit_config(dropout=0.1),
+    edit_config(beam_size=None),
+    edit_config(max_len="30"),
+    edit_config(epochs=True),
+    edit_config(epochs=0),
+    lambda header: b"{not json",
+    drop_key("tensors"),
+], ids=["extra-key", "missing-key", "ill-typed", "bool-as-int", "out-of-range",
+        "bad-json", "no-tensors"])
+def test_bad_checkpoint_fatal(ws, tmp_path, capsys, command, edit):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(with_header(Path(ws["qg"]).read_bytes(), edit))
+    extra = ["--oracle", "1.0"] if command == "generate" else ["--grid", "1.0", "--seeds", "0"]
+    capsys.readouterr()
+    assert run(command, "--qg", bad, "--data", ws["prep"] / "qg_train.jsonl",
+               "--vocab", ws["prep"] / "vocab.txt", "--out", tmp_path / "o", *extra) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 class TestGenerate:

@@ -26,11 +26,11 @@ from qgkit.data import (
     build_classifier_input,
     build_qg_input,
     class_counts,
+    corpus_text,
     detokenize,
     downsample,
     label_interrogative_class,
     load_corpus,
-    save_corpus,
     tokenize,
     tokenize_with_offsets,
 )
@@ -482,7 +482,7 @@ class TestCorpusIO:
         ex = make_example("The red kite flew over Lisbon .",
                           "Where did the kite fly ?", "Lisbon")
         path = tmp_path / "out.jsonl"
-        save_corpus([ex], path)
+        path.write_text(corpus_text([ex]), encoding="utf-8")
         (back,) = load_corpus(path)
         assert back == ex
 

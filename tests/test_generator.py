@@ -69,6 +69,13 @@ def random_sequence(rng, vocab_size, n, max_oov=2):
                           meta=meta, oov_words=oov_words)
 
 
+def capped_scores(step, enc):
+    """Each copy segment's score: the maximum raw attention over its
+    positions, in segment order."""
+    raw = step.raw_attention.data
+    return np.array([max(raw[j] for j in seg) for seg in enc.segments])
+
+
 def random_model_and_seq(seed, vocab_max=20, len_max=10):
     rng = np.random.default_rng(seed)
     vocab_size = int(rng.integers(15, vocab_max + 1))
@@ -93,6 +100,23 @@ class TestConfig:
     def test_dict_roundtrip(self):
         cfg = QGConfig(word_dim=10, insert_iw=False, beam_size=3)
         assert QGConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("key,value", [
+        ("dropout", 0.1), ("beam_size", None), ("max_len", "30"), ("epochs", True),
+        ("insert_iw", 1), ("lr", "0.1"),
+    ])
+    def test_from_dict_rejects(self, key, value):
+        d = QGConfig().to_dict()
+        if value is None:
+            del d[key]
+        else:
+            d[key] = value
+        with pytest.raises(ValueError):
+            QGConfig.from_dict(d)
+
+    def test_from_dict_reads_int_as_float(self):
+        cfg = QGConfig.from_dict({**QGConfig().to_dict(), "lr": 1})
+        assert type(cfg.lr) is float and cfg.lr == 1.0
 
 
 class TestEncode:
@@ -182,17 +206,28 @@ class TestDecodeStep:
             enc = encode(seq, cfg, params)
             state = init_decoder_state(enc, cfg, params)
             step, _ = decode_step(SOS_ID, state, enc, cfg, params)
-            raw = step.raw_attention.data
-            for k, seg in enumerate(enc.segments):
-                surface = seq.surfaces[seg[0]]
-                assert step.copy_scores[surface] == max(raw[j] for j in seg)
+            # every position of a word copies with the segment's capped
+            # logit, so the word's copy mass is len(seg) * exp(cap) / Z
+            capped = capped_scores(step, enc)
+            gen = step.generate_scores.data
+            sizes = np.array([len(seg) for seg in enc.segments])
+            shift = max(gen.max(), capped.max())
+            z = np.exp(gen - shift).sum() + (sizes * np.exp(capped - shift)).sum()
+            gen_share = np.zeros(step.final_dist.shape[0])
+            gen_share[:vocab_size] = np.exp(gen - shift) / z
+            for k, wid in enumerate(enc.segment_word_ids):
+                copy_mass = sizes[k] * np.exp(capped[k] - shift) / z
+                assert step.final_dist.data[wid] == pytest.approx(
+                    gen_share[wid] + copy_mass, rel=0, abs=1e-12)
 
     def test_copy_scores_cover_source_words(self):
         cfg, params, seq, _, _ = random_model_and_seq(11)
         enc = encode(seq, cfg, params)
         step, _ = decode_step(SOS_ID, init_decoder_state(enc, cfg, params),
                               enc, cfg, params)
-        assert set(step.copy_scores) == set(seq.surfaces)
+        scored = {seq.surfaces[seg[0]] for seg in enc.segments}
+        assert len(scored) == len(enc.segments) == len(capped_scores(step, enc))
+        assert scored == set(seq.surfaces)
 
     def test_singleton_word_gets_plain_pointer_share(self):
         # all-distinct source: each word's probability is its generate
@@ -464,7 +499,7 @@ class TestInsertionEffect:
             np.testing.assert_array_equal(step.raw_attention.data, np.zeros(n))
             np.testing.assert_allclose(step.attention.data, np.full(n, 1.0 / n),
                                        atol=1e-12)
-            assert all(v == 0.0 for v in step.copy_scores.values())
+            assert all(v == 0.0 for v in capped_scores(step, enc))
         np.testing.assert_array_equal(
             steps[IWClass.Who].raw_attention.data,
             steps[IWClass.What].raw_attention.data,

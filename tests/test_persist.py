@@ -107,6 +107,20 @@ class TestCheckpointRejection:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [
+        b"{not json", b"\xff\xfe", b"[1, 2]",
+        b'{"version": 1, "kind": "qg", "config": {}, "vocab_hash": "h"}',
+        b'{"version": 1, "kind": "qg", "tensors": [], "vocab_hash": "h"}',
+        b'{"version": 1, "kind": "qg", "tensors": [], "config": {}}',
+        b'{"version": 1, "kind": "qg", "tensors": [{"shape": []}], "config": {}, "vocab_hash": "h"}',
+    ], ids=["bad-json", "not-utf8", "not-object", "no-tensors", "no-config",
+            "no-vocab-hash", "unnamed-tensor"])
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"QGCK" + struct.pack("<Q", len(header)) + header)
+        with pytest.raises(CheckpointError, match="malformed header"):
+            load_checkpoint(path)
+
     def test_unknown_kind_rejected_on_save(self):
         with pytest.raises(CheckpointError, match="kind"):
             checkpoint_bytes("discriminator", {}, sample_tensors(), "h")
