@@ -52,9 +52,9 @@ PROB_FLOOR = 1e-12  # floor applied before log in cross_entropy
 class Tensor:
     """Dense float64 tensor with an optional gradient slot.
 
-    ``data`` holds the values with their shape; ``values`` exposes the
-    flat row-major view.  ``grad`` is None until ``backward`` populates
-    it, after which it has the same shape as ``data``.
+    ``data`` holds the values with their shape.  ``grad`` is None until
+    ``backward`` populates it, after which it has the same shape as
+    ``data``.
     """
 
     __slots__ = ("data", "grad", "name")
@@ -67,11 +67,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the values."""
-        return self.data.ravel()
 
     def copy(self) -> "Tensor":
         out = Tensor(self.data.copy(), name=self.name)

@@ -9,7 +9,7 @@ Also provides a noise-controlled oracle predictor for accuracy sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -19,12 +19,11 @@ from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
 from .data import Example, IWClass, Vocabulary, build_classifier_input
 from .layers import init_bilstm, init_linear, linear, run_bilstm
 from .metrics import ClassScore, class_scores
-from .persist import ModelConfig
+from .persist import ModelConfig, ModelParams
 
 __all__ = [
     "ClassifierConfig",
     "ClassifierEval",
-    "ClassifierParams",
     "classify",
     "encode_summary",
     "eval_classifier",
@@ -75,21 +74,9 @@ class ClassifierConfig(ModelConfig):
         return " + ".join(parts)
 
 
-@dataclass
-class ClassifierParams:
-    config: ClassifierConfig
-    tensors: dict[str, Tensor]
-
-    def copy(self) -> "ClassifierParams":
-        return ClassifierParams(
-            config=replace(self.config),
-            tensors={k: t.copy() for k, t in self.tensors.items()},
-        )
-
-
 def init_classifier(
     config: ClassifierConfig, vocab_size: int, rng: np.random.Generator
-) -> ClassifierParams:
+) -> ModelParams:
     config.validate()
     h = config.encoder_hidden
     tensors: dict[str, Tensor] = {}
@@ -103,7 +90,7 @@ def init_classifier(
             fan_in=config.entity_embed_dim, name="entity_embed",
         )
     tensors.update(init_linear(rng, config.ff_input_dim, len(IWClass), "ff"))
-    return ClassifierParams(config=config, tensors=tensors)
+    return ModelParams(config=config, tensors=tensors)
 
 
 def encode_summary(
@@ -155,21 +142,11 @@ def classify(
     return _class_distribution(example, config, params, vocab).data.ravel().copy()
 
 
-def _accuracy(dataset, config, params, vocab) -> float:
-    if not dataset:
-        return 0.0
-    hits = sum(
-        1 for ex in dataset
-        if IWClass(int(np.argmax(classify(ex, config, params, vocab)))) == ex.iw_class
-    )
-    return hits / len(dataset)
-
-
 def _mean_loss(dataset, config, params, vocab) -> float:
     total = 0.0
     for ex in dataset:
         dist = _class_distribution(ex, config, params, vocab)
-        total += -float(np.log(max(dist.data[0, int(ex.iw_class)], ad.PROB_FLOOR)))
+        total += ad.cross_entropy(dist, int(ex.iw_class)).item()
     return total / len(dataset)
 
 
@@ -178,7 +155,7 @@ def train_classifier(
     config: ClassifierConfig,
     vocab: Vocabulary,
     dev: Sequence[Example] | None = None,
-) -> tuple[ClassifierParams, list[dict]]:
+) -> tuple[ModelParams, list[dict]]:
     """Per-example Adam training with best-dev-accuracy selection.
 
     Without an explicit dev set, a seeded 90/10 split is taken first.
@@ -206,7 +183,7 @@ def train_classifier(
     log = [{
         "epoch": 0,
         "train_loss": _mean_loss(train, config, params.tensors, vocab),
-        "dev_accuracy": _accuracy(dev, config, params.tensors, vocab),
+        "dev_accuracy": eval_classifier(dev, params, vocab).accuracy,
     }]
     best = params.copy()
     best_acc = log[0]["dev_accuracy"]
@@ -216,15 +193,15 @@ def train_classifier(
             ex = train[i]
             with Tape() as tape:
                 dist = _class_distribution(ex, config, params.tensors, vocab)
-                loss = ad.cross_entropy(
-                    ad.reshape(dist, (len(IWClass),)), int(ex.iw_class)
-                )
+                loss = ad.cross_entropy(dist, int(ex.iw_class))
+            if not np.isfinite(loss.item()):
+                raise ValueError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
             grads = {k: t.grad for k, t in params.tensors.items()}
             adam_step(params.tensors, grads, state, lr=config.lr,
                       weight_decay=config.weight_decay)
             total += loss.item()
-        acc = _accuracy(dev, config, params.tensors, vocab)
+        acc = eval_classifier(dev, params, vocab).accuracy
         log.append({
             "epoch": epoch,
             "train_loss": total / len(train),
@@ -247,7 +224,7 @@ class ClassifierEval:
 
 def eval_classifier(
     dataset: Sequence[Example],
-    params: ClassifierParams,
+    params: ModelParams,
     vocab: Vocabulary,
 ) -> ClassifierEval:
     config = params.config

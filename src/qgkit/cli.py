@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ClassifierConfig, ClassifierParams, oracle_classifier, train_classifier
+from .classifier import ClassifierConfig, oracle_classifier, train_classifier
 from .data import (
     DOWNSAMPLE_CAP,
     CorpusError,
@@ -38,11 +38,12 @@ from .data import (
     load_corpus,
     tokenize,
 )
-from .generator import QGConfig, QGParams, generate, pipeline_generate, train_qg
+from .generator import QGConfig, generate, pipeline_generate, train_qg
 from .metrics import EvalReport, evaluate_generation
 from .persist import (
     MANIFEST_NAME,
     CheckpointError,
+    ModelParams,
     atomic_write_bytes,
     checkpoint_bytes,
     load_checkpoint,
@@ -187,11 +188,13 @@ def _load_vocab(args) -> Vocabulary:
     path = _vocab_path(args)
     if not path.is_file():
         raise CLIError(f"vocabulary file not found: {path}", code=2)
-    return Vocabulary.load(path)
+    try:
+        return Vocabulary.load(path)
+    except ValueError as e:
+        raise CLIError(f"{path}: {e}")
 
 
-def _load_model_checkpoint(path: str, expected_kind: str, vocab: Vocabulary):
-    """The checkpoint and its parsed config."""
+def _load_model_checkpoint(path: str, expected_kind: str, vocab: Vocabulary) -> ModelParams:
     ck = load_checkpoint(path)
     if ck.kind != expected_kind:
         raise CLIError(f"{path}: expected a {expected_kind} checkpoint, got {ck.kind}")
@@ -201,9 +204,21 @@ def _load_model_checkpoint(path: str, expected_kind: str, vocab: Vocabulary):
             "different vocabulary file"
         )
     try:
-        return ck, _MODEL_CONFIGS[expected_kind].from_dict(ck.config)
+        config = _MODEL_CONFIGS[expected_kind].from_dict(ck.config)
     except ValueError as e:
         raise CheckpointError(f"{path}: bad config: {e}")
+    return ModelParams(config, ck.tensors)
+
+
+def _train(trainer, examples, config, vocab, what: str):
+    """Run a trainer; bad data or a non-finite loss ends in one error
+    line.  The trainers check the loss themselves, so numpy's overflow
+    warnings on the way there are muted."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return trainer(examples, config, vocab)
+    except ValueError as e:
+        raise CLIError(f"{what}: {e}")
 
 
 def _emit(out_dir: Path, files: dict[str, str | bytes], command: str,
@@ -291,15 +306,15 @@ def cmd_train(args, cp) -> int:
     config = _model_config(kind, cp, seed)
     examples = _load_examples(data_path)
     vocab = _load_vocab(args)
+    trainer = train_classifier if kind == "classifier" else train_qg
+    params, log = _train(trainer, examples, config, vocab, f"train:{kind}")
     if kind == "classifier":
-        params, log = train_classifier(examples, config, vocab)
         loss_rows = [["epoch", "train_loss", "dev_accuracy"]]
         loss_rows += [
             [str(e["epoch"]), _fmt(e["train_loss"]), _fmt(e["dev_accuracy"])]
             for e in log
         ]
     else:
-        params, log = train_qg(examples, config, vocab)
         loss_rows = [["epoch", "per_token_loss"]]
         loss_rows += [[str(e["epoch"]), _fmt(e["per_token_loss"])] for e in log]
     ckpt = checkpoint_bytes(kind, config.to_dict(), params.tensors, vocab.content_hash())
@@ -345,8 +360,7 @@ def cmd_generate(args, cp) -> int:
     if (args.classifier is None) == (args.oracle is None):
         raise CLIError("provide exactly one of --classifier or --oracle", code=2)
     vocab = _load_vocab(args)
-    qg_ck, qg_config = _load_model_checkpoint(qg_path, "qg", vocab)
-    qg_params = QGParams(qg_config, qg_ck.tensors)
+    qg = _load_model_checkpoint(qg_path, "qg", vocab)
     examples = _load_examples(data_path)
     inputs = {
         Path(data_path).name: sha256_file(data_path),
@@ -354,8 +368,7 @@ def cmd_generate(args, cp) -> int:
         Path(qg_path).name: sha256_file(qg_path),
     }
     if args.classifier is not None:
-        cls_ck, cls_config = _load_model_checkpoint(args.classifier, "classifier", vocab)
-        predictor = ClassifierParams(cls_config, cls_ck.tensors)
+        predictor = _load_model_checkpoint(args.classifier, "classifier", vocab)
         provenance = "model"
         inputs[Path(args.classifier).name] = sha256_file(args.classifier)
     else:
@@ -367,14 +380,14 @@ def cmd_generate(args, cp) -> int:
             return oracle_classifier(ex.iw_class, _a, _rng)
 
     lines = [
-        _dump_line(ex, pipeline_generate(ex, predictor, qg_params, vocab), provenance)
+        _dump_line(ex, pipeline_generate(ex, predictor, qg, vocab), provenance)
         for ex in examples
     ]
     _emit(
         out_dir,
         {"dump.jsonl": "\n".join(lines) + "\n"},
         command="generate",
-        config={"provenance": provenance, "seed": seed, "qg": qg_ck.config},
+        config={"provenance": provenance, "seed": seed, "qg": qg.config.to_dict()},
         seeds=[seed],
         inputs=inputs,
     )
@@ -391,6 +404,10 @@ def _parse_accuracy(text: str) -> float:
     return value
 
 
+def _is_token_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(t, str) for t in value)
+
+
 def _read_dump(path: str) -> list[dict]:
     if not Path(path).is_file():
         raise CLIError(f"dump file not found: {path}", code=2)
@@ -402,8 +419,9 @@ def _read_dump(path: str) -> list[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError:
             raise CLIError(f"{path}: line {i} is not valid JSON")
-        if "generated" not in rec or "gold" not in rec:
-            raise CLIError(f"{path}: line {i} lacks generated/gold fields")
+        if not (isinstance(rec, dict) and _is_token_list(rec.get("generated"))
+                and _is_token_list(rec.get("gold"))):
+            raise CLIError(f"{path}: line {i}: generated and gold must be lists of strings")
         records.append(rec)
     if not records:
         raise CLIError(f"empty generation dump: {path}")
@@ -415,8 +433,8 @@ def cmd_evaluate(args, cp) -> int:
     dump_path = _require(args, "dump")
     out_dir = Path(_require(args, "out"))
     records = _read_dump(dump_path)
-    candidates = [list(r["generated"]) for r in records]
-    references = [list(r["gold"]) for r in records]
+    candidates = [r["generated"] for r in records]
+    references = [r["gold"] for r in records]
     report = evaluate_generation(candidates, references)
     header = [name for name, _ in report.metric_columns()]
     values = [_fmt(v) for _, v in report.metric_columns()]
@@ -455,7 +473,7 @@ def cmd_sweep(args, cp) -> int:
         raise CLIError(f"bad seed list {args.seeds!r}", code=2)
     accuracies = [_parse_accuracy(t) for t in grid]
     vocab = _load_vocab(args)
-    qg_ck, qg_config = _load_model_checkpoint(qg_path, "qg", vocab)
+    qg = _load_model_checkpoint(qg_path, "qg", vocab)
     examples = _load_examples(data_path)
     references = [tokenize(ex.question) for ex in examples]
     metric_names = None
@@ -469,7 +487,7 @@ def cmd_sweep(args, cp) -> int:
             candidates = []
             for ex in examples:
                 predicted = oracle_classifier(ex.iw_class, accuracy, rng)
-                res = generate(ex, predicted, qg_config, qg_ck.tensors, vocab)
+                res = generate(ex, predicted, qg.config, qg.tensors, vocab)
                 candidates.append(res.tokens)
             report = evaluate_generation(candidates, references)
             cols = report.metric_columns()
@@ -487,7 +505,7 @@ def cmd_sweep(args, cp) -> int:
         out_dir,
         {"sweep.csv": _csv(csv_rows)},
         command="sweep",
-        config={"grid": grid, "seeds": seeds, "qg": qg_ck.config},
+        config={"grid": grid, "seeds": seeds, "qg": qg.config.to_dict()},
         seeds=seeds,
         inputs={
             Path(data_path).name: sha256_file(data_path),
@@ -519,7 +537,8 @@ def cmd_ablate(args, cp) -> int:
     for at, ae, ner in _ABLATION_VARIANTS:
         config = replace(base, use_answer_tagging=at, use_answer_embedding=ae,
                          use_entity_type=ner)
-        _, log = train_classifier(examples, config, vocab)
+        _, log = _train(train_classifier, examples, config, vocab,
+                        f"ablate {config.ablation_label()}")
         accuracy = max(e["dev_accuracy"] for e in log)
         rows.append([config.ablation_label(), _fmt(accuracy)])
         print(f"{config.ablation_label():<16} {accuracy:.4f}")

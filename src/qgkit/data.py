@@ -47,7 +47,6 @@ __all__ = [
     "build_qg_input",
     "class_counts",
     "corpus_text",
-    "detokenize",
     "downsample",
     "label_interrogative_class",
     "load_corpus",
@@ -72,12 +71,6 @@ def tokenize_with_offsets(text: str) -> list[tuple[str, int, int]]:
 
 def tokenize(text: str) -> list[str]:
     return [tok for tok, _, _ in tokenize_with_offsets(text)]
-
-
-def detokenize(tokens: Sequence[str]) -> str:
-    """Inverse presentation of a token sequence; joining with single
-    spaces keeps detokenize(tokenize(x)) a fixed point of the pair."""
-    return " ".join(tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -395,36 +388,21 @@ class Vocabulary:
         self._index = {tok: i for i, tok in enumerate(self._tokens)}
 
     @classmethod
-    def build(
-        cls,
-        examples: Iterable[Example],
-        min_count: int = 1,
-        max_size: int | None = None,
-    ) -> "Vocabulary":
-        """Count tokens over passages and questions; keep those with at
-        least ``min_count`` occurrences, most frequent first (ties
-        alphabetical) so the mapping is deterministic."""
+    def build(cls, examples: Iterable[Example]) -> "Vocabulary":
+        """Every token of the passages and questions, most frequent first
+        (ties alphabetical) so the mapping is deterministic."""
         counts: dict[str, int] = {}
         for ex in examples:
             for tok in tokenize(ex.passage) + tokenize(ex.question):
                 counts[tok] = counts.get(tok, 0) + 1
         kept = sorted(
-            (tok for tok, n in counts.items()
-             if n >= min_count and tok not in RESERVED_TOKENS),
+            (tok for tok in counts if tok not in RESERVED_TOKENS),
             key=lambda t: (-counts[t], t),
         )
-        if max_size is not None:
-            room = max_size - len(RESERVED_TOKENS)
-            if room < 0:
-                raise ValueError("max_size smaller than the reserved block")
-            kept = kept[:room]
         return cls(kept)
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     @property
     def corpus_tokens(self) -> list[str]:
@@ -486,9 +464,6 @@ class Vocabulary:
     def text(self) -> str:
         """One corpus token per line; the reserved block is implicit."""
         return "".join(tok + "\n" for tok in self.corpus_tokens)
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

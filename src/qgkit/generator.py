@@ -18,7 +18,7 @@ predicted class instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
-from .classifier import ClassifierParams, classify
+from .classifier import classify
 from .data import (
     EOS_ID,
     SOS_ID,
@@ -39,14 +39,13 @@ from .data import (
     tokenize,
 )
 from .layers import broadcast_rows, init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
-from .persist import ModelConfig
+from .persist import ModelConfig, ModelParams
 
 __all__ = [
     "DecodeStep",
     "EncodedPassage",
     "GenerationResult",
     "QGConfig",
-    "QGParams",
     "decode_step",
     "encode",
     "generate",
@@ -67,8 +66,8 @@ class QGConfig(ModelConfig):
     """Generator hyperparameters.
 
     ``insert_iw`` switches interrogative-word insertion; turning it off
-    gives the no-insertion baseline encoder input.  ``beam_size`` 1 is
-    greedy decoding; larger values run a plain beam search."""
+    gives the no-insertion baseline encoder input.  Decoding is one beam
+    search; ``beam_size`` 1 makes it greedy."""
 
     word_dim: int = 24
     meta_dim: int = 6
@@ -83,19 +82,7 @@ class QGConfig(ModelConfig):
     beam_size: int = 1
 
 
-@dataclass
-class QGParams:
-    config: QGConfig
-    tensors: dict[str, Tensor]
-
-    def copy(self) -> "QGParams":
-        return QGParams(
-            config=replace(self.config),
-            tensors={k: t.copy() for k, t in self.tensors.items()},
-        )
-
-
-def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> QGParams:
+def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> ModelParams:
     config.validate()
     h = config.encoder_hidden
     dh = config.decoder_hidden
@@ -113,7 +100,7 @@ def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> QGPa
     tensors.update(init_lstm(rng, config.word_dim, dh, "dec"))
     tensors["att.Wa"] = uniform_init(rng, (dh, 2 * h), fan_in=dh, name="att.Wa")
     tensors.update(init_linear(rng, dh + 2 * h, vocab_size, "out"))
-    return QGParams(config=config, tensors=tensors)
+    return ModelParams(config=config, tensors=tensors)
 
 
 @dataclass
@@ -213,7 +200,6 @@ class DecodeStep:
 
     raw_attention: Tensor
     attention: Tensor
-    context: Tensor
     generate_scores: Tensor
     final_dist: Tensor
 
@@ -256,7 +242,6 @@ def decode_step(
     step = DecodeStep(
         raw_attention=raw,
         attention=ad.reshape(attn_col, (n,)),
-        context=context,
         generate_scores=gen_scores,
         final_dist=final,
     )
@@ -317,7 +302,7 @@ def train_qg(
     dataset: Sequence[Example],
     config: QGConfig,
     vocab: Vocabulary,
-) -> tuple[QGParams, list[dict]]:
+) -> tuple[ModelParams, list[dict]]:
     """Per-example Adam on teacher-forced cross-entropy.
 
     Sources are built with the GOLD interrogative class so the decoder
@@ -340,6 +325,8 @@ def train_qg(
             seq, targets = prepared[i]
             with Tape() as tape:
                 loss = sequence_loss(seq, targets, config, params.tensors)
+            if not np.isfinite(loss.item()):
+                raise ValueError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
             grads = {k: t.grad for k, t in params.tensors.items()}
             adam_step(params.tensors, grads, state, lr=config.lr,
@@ -367,86 +354,59 @@ class GenerationResult:
         return " ".join(self.tokens)
 
 
-def _greedy(seq, config, params, vocab, max_len):
-    encoded = encode(seq, config, params)
-    state = init_decoder_state(encoded, config, params)
-    prev = SOS_ID
-    ids: list[int] = []
-    rows: list[np.ndarray] = []
-    for _ in range(max_len):
-        step, state = decode_step(prev, state, encoded, config, params)
-        nxt = int(np.argmax(step.final_dist.data))
-        if nxt == EOS_ID:
-            break
-        ids.append(nxt)
-        rows.append(step.attention.data.ravel().copy())
-        prev = nxt
-    attention = np.vstack(rows) if rows else np.zeros((0, len(seq.surfaces)))
-    return vocab.decode_extended(ids, seq.oov_words), attention
-
-
-def _beam(seq, config, params, vocab, max_len):
-    """Plain beam search on summed log probabilities; ties break toward
-    the lexicographically smaller id sequence."""
-    encoded = encode(seq, config, params)
-    start = init_decoder_state(encoded, config, params)
-    # beam item: (neg score, id sequence, prev id, state, attention rows, done)
-    beams = [(0.0, [], SOS_ID, start, [], False)]
-    for _ in range(max_len):
-        if all(b[5] for b in beams):
-            break
-        candidates = []
-        for score, ids, prev, state, rows, done in beams:
-            if done:
-                candidates.append((score, ids, prev, state, rows, True))
-                continue
-            step, new_state = decode_step(prev, state, encoded, config, params)
-            probs = step.final_dist.data
-            top = np.argsort(-probs)[: config.beam_size]
-            for tid in top:
-                tid = int(tid)
-                cost = score - float(np.log(max(probs[tid], ad.PROB_FLOOR)))
-                if tid == EOS_ID:
-                    candidates.append((cost, ids, tid, new_state, rows, True))
-                else:
-                    row = step.attention.data.ravel().copy()
-                    candidates.append((cost, ids + [tid], tid, new_state, rows + [row], False))
-        candidates.sort(key=lambda b: (b[0], b[1]))
-        beams = candidates[: config.beam_size]
-    best = min(beams, key=lambda b: (b[0], b[1]))
-    tokens = vocab.decode_extended(best[1], seq.oov_words)
-    attention = np.vstack(best[4]) if best[4] else np.zeros((0, len(seq.surfaces)))
-    return tokens, attention
-
-
 def generate(
     example: Example,
     predicted_iw: IWClass,
     config: QGConfig,
     params: dict[str, Tensor],
     vocab: Vocabulary,
-    max_len: int | None = None,
 ) -> GenerationResult:
     """Decode a question for ``example`` with ``predicted_iw`` inserted.
 
-    Greedy argmax from [SOS] until [EOS] or ``max_len`` (beam search
-    when config.beam_size > 1).  Emitted extended ids detokenize to
-    their source surface forms."""
+    Beam search of width ``config.beam_size`` on summed log
+    probabilities, from [SOS] until every beam has emitted [EOS] or
+    ``config.max_len`` steps have run; ties break toward the
+    lexicographically smaller id sequence, and width 1 is greedy argmax
+    decoding.  Emitted extended ids decode to their source surface
+    forms."""
     seq = build_qg_input(example, predicted_iw, vocab, insert_iw=config.insert_iw)
-    limit = config.max_len if max_len is None else max_len
-    if config.beam_size > 1:
-        tokens, attention = _beam(seq, config, params, vocab, limit)
-    else:
-        tokens, attention = _greedy(seq, config, params, vocab, limit)
+    encoded = encode(seq, config, params)
+    start = init_decoder_state(encoded, config, params)
+    # beam item: (cost, id sequence, prev id, state, attention rows, done)
+    beams = [(0.0, [], SOS_ID, start, [], False)]
+    for _ in range(config.max_len):
+        if all(b[5] for b in beams):
+            break
+        candidates = []
+        for cost, ids, prev, state, rows, done in beams:
+            if done:
+                candidates.append((cost, ids, prev, state, rows, True))
+                continue
+            step, new_state = decode_step(prev, state, encoded, config, params)
+            # a stable sort ranks tied ids in id order, as np.argmax does
+            top = np.argsort(-step.final_dist.data, kind="stable")[: config.beam_size]
+            row = step.attention.data.copy()
+            for tid in top.tolist():
+                total = cost + ad.cross_entropy(step.final_dist, tid).item()
+                if tid == EOS_ID:
+                    candidates.append((total, ids, tid, new_state, rows, True))
+                else:
+                    candidates.append((total, ids + [tid], tid, new_state, rows + [row], False))
+        candidates.sort(key=lambda b: (b[0], b[1]))
+        beams = candidates[: config.beam_size]
+    _, ids, _, _, rows, _ = beams[0]
     return GenerationResult(
-        tokens=tokens, attention=attention, predicted_iw=predicted_iw, source=seq
+        tokens=vocab.decode_extended(ids, seq.oov_words),
+        attention=np.vstack(rows) if rows else np.zeros((0, len(seq.surfaces))),
+        predicted_iw=predicted_iw,
+        source=seq,
     )
 
 
 def pipeline_generate(
     example: Example,
-    classifier: ClassifierParams | Callable[[Example], IWClass],
-    qg_params: QGParams,
+    classifier: ModelParams | Callable[[Example], IWClass],
+    qg_params: ModelParams,
     vocab: Vocabulary,
 ) -> GenerationResult:
     """Two-stage inference: predict the interrogative class, then decode
@@ -454,7 +414,7 @@ def pipeline_generate(
     classifier parameters or any ``example -> IWClass`` predictor (for
     accuracy-controlled oracles); the prediction is recorded on the
     result."""
-    if isinstance(classifier, ClassifierParams):
+    if isinstance(classifier, ModelParams):
         probs = classify(example, classifier.config, classifier.tensors, vocab)
         predicted = IWClass(int(np.argmax(probs)))
     else:

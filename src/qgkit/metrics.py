@@ -368,15 +368,9 @@ class EvalReport:
         the numbers so reports are self-describing."""
         return {
             "n_examples": self.n_examples,
-            "bleu_1": self.bleu[0],
-            "bleu_2": self.bleu[1],
-            "bleu_3": self.bleu[2],
-            "bleu_4": self.bleu[3],
-            "rouge_l": self.rouge_l,
+            **dict(self.metric_columns()),
             "rouge_l_beta": ROUGE_L_BETA,
-            "meteor_variant": self.meteor_variant,
             "meteor_label": METEOR_LABEL,
-            "total_iw_recall": self.iw_scores.total_recall,
             "iw_table": {
                 c.name: {
                     "recall": s.recall,

@@ -13,7 +13,8 @@ every other artifact is a pure function of its inputs.
 
 ``ModelConfig`` is the base of the model config dataclasses: its fields
 are the hyperparameters, and the dict form it gives is the one embedded
-in checkpoints and manifests.
+in checkpoints and manifests.  ``ModelParams`` pairs a config with the
+named tensors of either model.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,12 +38,12 @@ __all__ = [
     "CheckpointError",
     "MANIFEST_NAME",
     "ModelConfig",
+    "ModelParams",
     "atomic_write_bytes",
     "atomic_write_text",
     "checkpoint_bytes",
     "load_checkpoint",
     "load_manifest",
-    "save_checkpoint",
     "sha256_bytes",
     "sha256_file",
     "write_manifest",
@@ -100,6 +101,20 @@ class ModelConfig:
 
 
 @dataclass
+class ModelParams:
+    """A model's config and its named parameter tensors."""
+
+    config: ModelConfig
+    tensors: dict[str, Tensor]
+
+    def copy(self) -> "ModelParams":
+        return ModelParams(
+            config=replace(self.config),
+            tensors={k: t.copy() for k, t in self.tensors.items()},
+        )
+
+
+@dataclass
 class Checkpoint:
     version: int
     kind: str
@@ -128,11 +143,6 @@ def checkpoint_bytes(kind: str, config: dict, tensors: dict[str, Tensor],
     for n in names:
         parts.append(np.ascontiguousarray(tensors[n].data, dtype="<f8").tobytes())
     return b"".join(parts)
-
-
-def save_checkpoint(path: str | Path, kind: str, config: dict,
-                    tensors: dict[str, Tensor], vocab_hash: str) -> None:
-    atomic_write_bytes(path, checkpoint_bytes(kind, config, tensors, vocab_hash))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -508,5 +508,7 @@ class TestInvariants:
                 assert np.all(np.isfinite(out.data))
 
     def test_tensor_contract_shapes(self):
-        t = Tensor(np.zeros((2, 3, 4)))
-        assert int(np.prod(t.shape)) == t.values.shape[0]
+        t = Tensor(np.zeros((2, 3, 4), dtype=np.int64))
+        assert t.shape == t.data.shape == (2, 3, 4)
+        assert t.data.dtype == np.float64
+        assert t.grad is None

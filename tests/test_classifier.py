@@ -7,7 +7,6 @@ import pytest
 
 from qgkit.classifier import (
     ClassifierConfig,
-    ClassifierParams,
     classify,
     encode_summary,
     eval_classifier,
@@ -16,6 +15,7 @@ from qgkit.classifier import (
     train_classifier,
 )
 from qgkit.data import Example, IWClass, Vocabulary, build_classifier_input
+from qgkit.persist import ModelParams
 from qgkit.synthetic import make_separable_corpus
 
 
@@ -221,7 +221,7 @@ class TestEvalClassifier:
         params.tensors["ff.W"].data[:] = 0.0
         params.tensors["ff.b"].data[:] = 0.0
         params.tensors["ff.b"].data[0, int(target)] = 50.0
-        return ClassifierParams(config=cfg, tensors=params.tensors)
+        return ModelParams(config=cfg, tensors=params.tensors)
 
     def test_constant_predictor_on_balanced_data(self, vocab):
         balanced = make_separable_corpus(4, seed=3)

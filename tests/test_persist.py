@@ -16,7 +16,6 @@ from qgkit.persist import (
     checkpoint_bytes,
     load_checkpoint,
     load_manifest,
-    save_checkpoint,
     sha256_bytes,
     sha256_file,
     write_manifest,
@@ -38,7 +37,8 @@ SAMPLE_CONFIG = {"word_dim": 3, "lr": 1e-3, "use_answer_tagging": False, "seed":
 class TestCheckpointRoundTrip:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, "classifier", SAMPLE_CONFIG, sample_tensors(), "vh1")
+        atomic_write_bytes(
+            path, checkpoint_bytes("classifier", SAMPLE_CONFIG, sample_tensors(), "vh1"))
         first = path.read_bytes()
         ck = load_checkpoint(path)
         again = checkpoint_bytes(ck.kind, ck.config, ck.tensors, ck.vocab_hash)
@@ -47,7 +47,7 @@ class TestCheckpointRoundTrip:
     def test_tensors_bit_exact(self, tmp_path):
         path = tmp_path / "model.ckpt"
         tensors = sample_tensors(3)
-        save_checkpoint(path, "qg", SAMPLE_CONFIG, tensors, "vh")
+        atomic_write_bytes(path, checkpoint_bytes("qg", SAMPLE_CONFIG, tensors, "vh"))
         ck = load_checkpoint(path)
         assert set(ck.tensors) == set(tensors)
         for name, t in tensors.items():
@@ -57,7 +57,8 @@ class TestCheckpointRoundTrip:
 
     def test_header_fields_preserved(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, "qg", SAMPLE_CONFIG, sample_tensors(), "abc123")
+        atomic_write_bytes(
+            path, checkpoint_bytes("qg", SAMPLE_CONFIG, sample_tensors(), "abc123"))
         ck = load_checkpoint(path)
         assert ck.version == FORMAT_VERSION
         assert ck.kind == "qg"
@@ -68,7 +69,7 @@ class TestCheckpointRoundTrip:
     def test_scalar_and_empty_shapes(self, tmp_path):
         path = tmp_path / "model.ckpt"
         tensors = {"s": Tensor(np.float64(2.5)), "row": Tensor(np.zeros((1, 4)))}
-        save_checkpoint(path, "qg", {}, tensors, "h")
+        atomic_write_bytes(path, checkpoint_bytes("qg", {}, tensors, "h"))
         ck = load_checkpoint(path)
         assert ck.tensors["s"].data.shape == ()
         assert float(ck.tensors["s"].data) == 2.5
