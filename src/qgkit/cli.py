@@ -159,7 +159,13 @@ def _model_config(kind: str, cp: configparser.ConfigParser, seed: int):
 
 
 def _resolve_seed(args, cp) -> int:
-    return args.seed if args.seed is not None else cp.getint("run", "seed")
+    if args.seed is not None:
+        seed, source = args.seed, "--seed"
+    else:
+        seed, source = cp.getint("run", "seed"), "config [run] seed"
+    if seed < 0:
+        raise CLIError(f"{source} must be non-negative, got {seed}", code=2)
+    return seed
 
 
 def _require(args, name: str) -> str:
@@ -462,20 +468,26 @@ def cmd_sweep(args, cp) -> int:
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
     grid = _split_tokens(args.grid if args.grid is not None else cp.get("sweep", "grid"))
-    seed_tokens = _split_tokens(
-        args.seeds if args.seeds is not None else cp.get("sweep", "seeds")
-    )
+    seed_text = args.seeds if args.seeds is not None else cp.get("sweep", "seeds")
+    seed_tokens = _split_tokens(seed_text)
     if not grid or not seed_tokens:
         raise CLIError("sweep needs a non-empty accuracy grid and seed list", code=2)
     try:
         seeds = [int(t) for t in seed_tokens]
     except ValueError:
-        raise CLIError(f"bad seed list {args.seeds!r}", code=2)
+        raise CLIError(f"bad seed list {seed_text!r}", code=2)
+    if any(sd < 0 for sd in seeds):
+        raise CLIError(f"bad seed list {seed_text!r}: seeds must be non-negative", code=2)
     accuracies = [_parse_accuracy(t) for t in grid]
     vocab = _load_vocab(args)
     qg = _load_model_checkpoint(qg_path, "qg", vocab)
     examples = _load_examples(data_path)
     references = [tokenize(ex.question) for ex in examples]
+    # generate is a pure function of (example, class, params), and the
+    # paired draws give each example under one seed either its gold class
+    # or one fixed alternative whatever the accuracy, so each distinct
+    # (example, class) is decoded once and shared by every cell drawing it
+    decoded: dict[tuple[int, IWClass], list[str]] = {}
     metric_names = None
     rows = []
     for acc_token, accuracy in zip(grid, accuracies):
@@ -485,10 +497,12 @@ def cmd_sweep(args, cp) -> int:
             # reuse identical noise across accuracy levels
             rng = np.random.default_rng(sd)
             candidates = []
-            for ex in examples:
+            for i, ex in enumerate(examples):
                 predicted = oracle_classifier(ex.iw_class, accuracy, rng)
-                res = generate(ex, predicted, qg.config, qg.tensors, vocab)
-                candidates.append(res.tokens)
+                if (i, predicted) not in decoded:
+                    decoded[i, predicted] = generate(
+                        ex, predicted, qg.config, qg.tensors, vocab).tokens
+                candidates.append(decoded[i, predicted])
             report = evaluate_generation(candidates, references)
             cols = report.metric_columns()
             if metric_names is None:

@@ -272,31 +272,42 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
     )
 
 
-def _meteor_pair(cand: TokenSeq, ref: TokenSeq) -> float:
+def _meteor_pair(cand: TokenSeq, ref: TokenSeq) -> tuple[float, bool]:
+    """Score and whether the alignment search finished."""
     if list(cand) == list(ref):
         # token-for-token identity scores 1.0 by definition here, ahead
         # of the fragmentation penalty
-        return 1.0 if cand else 0.0
+        return (1.0 if cand else 0.0), True
     if not cand or not ref:
-        return 0.0
+        return 0.0, True
     aligned = align_tokens(cand, ref)
     m = aligned.total
     if m == 0:
-        return 0.0
+        return 0.0, aligned.complete
     p = m / len(cand)
     r = m / len(ref)
     f_mean = 10.0 * p * r / (r + 9.0 * p)
     penalty = 0.5 * (aligned.chunks / m) ** 3
-    return f_mean * (1.0 - penalty)
+    return f_mean * (1.0 - penalty), aligned.complete
 
 
-def meteor_variant(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> float:
+def meteor_variant(
+    candidates: Sequence[TokenSeq],
+    references: Sequence[TokenSeq],
+    *,
+    return_incomplete: bool = False,
+) -> float | tuple[float, int]:
     """Mean per-pair METEOR-ex: exact+stem unigram alignment, F_mean =
-    10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3."""
+    10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3.
+
+    With ``return_incomplete``, also return how many pairs were scored
+    from an alignment that the node budget cut short."""
     _check_aligned(candidates, references)
-    if not candidates:
-        return 0.0
-    return sum(_meteor_pair(c, r) for c, r in zip(candidates, references)) / len(candidates)
+    pairs = [_meteor_pair(c, r) for c, r in zip(candidates, references)]
+    score = sum(s for s, _ in pairs) / len(pairs) if pairs else 0.0
+    if return_incomplete:
+        return score, sum(1 for _, complete in pairs if not complete)
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +373,14 @@ class EvalReport:
     meteor_variant: float
     iw_scores: IWScores
     n_examples: int
+    incomplete_pairs: int
 
     def to_json_dict(self) -> dict:
         """JSON-ready mapping; records the metric conventions alongside
         the numbers so reports are self-describing."""
         return {
             "n_examples": self.n_examples,
+            "incomplete_pairs": self.incomplete_pairs,
             **dict(self.metric_columns()),
             "rouge_l_beta": ROUGE_L_BETA,
             "meteor_label": METEOR_LABEL,
@@ -399,10 +412,12 @@ def evaluate_generation(
 ) -> EvalReport:
     """Bundle every metric over aligned candidate/reference corpora."""
     _check_aligned(candidates, references)
+    meteor, incomplete = meteor_variant(candidates, references, return_incomplete=True)
     return EvalReport(
         bleu=bleu_n(candidates, references),
         rouge_l=rouge_l(candidates, references),
-        meteor_variant=meteor_variant(candidates, references),
+        meteor_variant=meteor,
         iw_scores=iw_recall_precision(candidates, references),
         n_examples=len(candidates),
+        incomplete_pairs=incomplete,
     )

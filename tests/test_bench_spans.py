@@ -8,7 +8,10 @@ fail the test suite rather than only the traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -33,3 +36,36 @@ def test_install_wraps_and_uninstall_restores():
         tracer.uninstall()
     after = {(m, a): getattr(m, a) for (m, a) in before}
     assert after == before
+
+
+def test_traced_sweep_decodes_each_pair_once(tmp_path):
+    from qgkit import cli
+    from qgkit.data import Vocabulary
+    from qgkit.generator import QGConfig, init_qg
+    from qgkit.persist import atomic_write_bytes, checkpoint_bytes
+
+    prep = tmp_path / "prep"
+    corpus = ROOT / "src" / "qgkit" / "assets" / "overfit10.jsonl"
+    assert cli.main(["prepare", "--data", str(corpus), "--out", str(prep)]) == 0
+    vocab = Vocabulary.load(prep / "vocab.txt")
+    config = QGConfig(word_dim=8, meta_dim=4, encoder_hidden=8, decoder_hidden=8, max_len=4)
+    params = init_qg(config, len(vocab), np.random.default_rng(0))
+    atomic_write_bytes(tmp_path / "qg.ckpt", checkpoint_bytes(
+        "qg", config.to_dict(), params.tensors, vocab.content_hash()))
+
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        with tracer.root("sweep"):
+            assert cli.main(["sweep", "--qg", str(tmp_path / "qg.ckpt"),
+                             "--data", str(prep / "qg_train.jsonl"),
+                             "--grid", "0.5,0.8,1.0", "--seeds", "0,1",
+                             "--out", str(tmp_path / "sweep")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s[0] for s in tracer.spans if s is not None]
+    distinct = tracer.decodes[(tracer.cycle, "sweep")]
+    assert len(distinct) == names.count("generator.generate") > 0
+    # 10 examples x 3 accuracies x 2 seeds cells share the decodes
+    assert names.count("classifier.oracle_classifier") == 60 > len(distinct)

@@ -11,10 +11,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qgkit import cli
+from qgkit.classifier import oracle_classifier
 from qgkit.cli import main
 from qgkit.data import IWClass, Vocabulary, class_counts, corpus_text, load_corpus, tokenize
+from qgkit.generator import QGConfig, generate
+from qgkit.metrics import evaluate_generation
 from qgkit.persist import load_checkpoint, load_manifest, sha256_bytes
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "qgkit" / "assets"
@@ -485,6 +490,122 @@ class TestSweep:
         assert run("sweep", "--qg", ws["qg"], "--data", ws["prep"] / "qg_train.jsonl",
                    "--vocab", ws["prep"] / "vocab.txt", "--grid", "",
                    "--out", tmp_path / "o") == 2
+
+    def test_each_pair_decoded_once_and_csv_matches_per_cell_loop(
+            self, ws, tmp_path, monkeypatch):
+        data = tmp_path / "subset.jsonl"
+        data.write_text("".join(
+            (ws["prep"] / "qg_train.jsonl").read_text().splitlines(keepends=True)[:12]))
+        examples = load_corpus(data)
+        grid, seeds = ["0.6", "0.8", "1.0"], [0, 1, 2]
+        calls = []
+
+        def counted(ex, predicted, *rest):
+            calls.append((ex.id, predicted))
+            return generate(ex, predicted, *rest)
+
+        monkeypatch.setattr(cli, "generate", counted)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--qg", ws["qg"], "--data", data,
+                   "--vocab", ws["prep"] / "vocab.txt", "--grid", ",".join(grid),
+                   "--seeds", ",".join(map(str, seeds)), "--out", out) == 0
+
+        # reference: decode every example afresh in every cell
+        vocab = Vocabulary.load(ws["prep"] / "vocab.txt")
+        ck = load_checkpoint(ws["qg"])
+        config = QGConfig.from_dict(ck.config)
+        references = [tokenize(ex.question) for ex in examples]
+        drawn = set()
+        rows = []
+        for acc in grid:
+            cells = []
+            for sd in seeds:
+                rng = np.random.default_rng(sd)
+                candidates = []
+                for ex in examples:
+                    predicted = oracle_classifier(ex.iw_class, float(acc), rng)
+                    drawn.add((ex.id, predicted))
+                    candidates.append(
+                        generate(ex, predicted, config, ck.tensors, vocab).tokens)
+                cols = evaluate_generation(candidates, references).metric_columns()
+                header = ["accuracy", "seed"] + [n for n, _ in cols]
+                rows.append([acc, str(sd)] + [cli._fmt(v) for _, v in cols])
+                cells.append([v for _, v in cols])
+            means = [sum(c[j] for c in cells) / len(cells) for j in range(len(cells[0]))]
+            rows.append([acc, "mean"] + [cli._fmt(v) for v in means])
+        expected = "".join(",".join(r) + "\n" for r in [header] + rows)
+
+        assert len({ex.id for ex in examples}) == len(examples)
+        assert sorted(calls) == sorted(drawn)
+        assert len(calls) <= len(examples) * (1 + len(seeds))
+        assert (out / "sweep.csv").read_text() == expected
+
+
+# the input files each command reads
+INPUT_FLAGS = {
+    "prepare": ["--data"],
+    "train": ["--data", "--vocab"],
+    "generate": ["--qg", "--data", "--vocab"],
+    "sweep": ["--qg", "--data", "--vocab"],
+}
+FLAG_SEED = "error: --seed must be non-negative, got -1"
+CONFIG_SEED = "error: config [run] seed must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("argv,ini,message", [
+    (["generate", "--oracle", "0.5", "--seed=-1"], None, FLAG_SEED),
+    (["generate", "--oracle", "0.5"], "[run]\nseed = -1\n", CONFIG_SEED),
+    (["train", "--kind", "qg", "--seed=-1"], None, FLAG_SEED),
+    (["train", "--kind", "qg"], "[run]\nseed = -1\n", CONFIG_SEED),
+    (["prepare", "--seed=-1"], None, FLAG_SEED),
+    (["sweep", "--grid", "1.0", "--seeds=-1"], None,
+     "error: bad seed list '-1': seeds must be non-negative"),
+    (["sweep", "--grid", "1.0"], "[sweep]\nseeds = 0,-1\n",
+     "error: bad seed list '0,-1': seeds must be non-negative"),
+], ids=["generate-flag", "generate-config", "train-flag", "train-config",
+        "prepare-flag", "sweep-flag", "sweep-config"])
+def test_negative_seed_fatal_before_loading(tmp_path, capsys, argv, ini, message):
+    # every input file is missing, so only a check made before any load
+    # can name the seed
+    extra = [a for flag in INPUT_FLAGS[argv[0]] for a in (flag, tmp_path / "missing")]
+    if ini is not None:
+        (tmp_path / "c.ini").write_text(ini)
+        extra += ["--config", tmp_path / "c.ini"]
+    capsys.readouterr()
+    assert run(*argv, *extra, "--out", tmp_path / "o") == 2
+    assert assert_one_error_line(capsys) == message
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_config_seed_list_named_in_error(ws, tmp_path, capsys):
+    ini = tmp_path / "c.ini"
+    ini.write_text("[sweep]\nseeds = a,b\n")
+    capsys.readouterr()
+    assert run("sweep", "--config", ini, "--qg", ws["qg"],
+               "--data", ws["prep"] / "qg_train.jsonl", "--vocab", ws["prep"] / "vocab.txt",
+               "--grid", "1.0", "--out", tmp_path / "o") == 2
+    assert assert_one_error_line(capsys) == "error: bad seed list 'a,b'"
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path):
+    # 5 words x 4 repeats in two seeded orders: the aligner's node
+    # budget runs out before the search finishes
+    rng = np.random.default_rng(0)
+    bag = [w for w in ("a", "b", "c", "d", "e") for _ in range(4)]
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps({
+        "generated": [str(t) for t in rng.permutation(bag)],
+        "gold": [str(t) for t in rng.permutation(bag)],
+    }) + "\n")
+    assert run("evaluate", "--dump", dump, "--out", tmp_path / "hard") == 0
+    assert json.loads((tmp_path / "hard" / "report.json").read_text())["incomplete_pairs"] == 1
+    header = (tmp_path / "hard" / "report.csv").read_text().splitlines()[0]
+    assert "incomplete_pairs" not in header
+
+    assert run("evaluate", "--dump", ws["dump"], "--out", tmp_path / "ordinary") == 0
+    report = json.loads((tmp_path / "ordinary" / "report.json").read_text())
+    assert report["incomplete_pairs"] == 0
 
 
 @pytest.fixture(scope="module")
