@@ -19,7 +19,7 @@ from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
 from .data import Example, IWClass, Vocabulary, build_classifier_input
 from .layers import init_bilstm, init_linear, linear, run_bilstm
 from .metrics import ClassScore, class_scores
-from .persist import ModelConfig, ModelParams
+from .persist import InputError, ModelConfig, ModelParams
 
 __all__ = [
     "ClassifierConfig",
@@ -164,7 +164,7 @@ def train_classifier(
     Deterministic for a fixed config."""
     config.validate()
     if not dataset:
-        raise ValueError("empty training set")
+        raise InputError("empty training set")
     ss = np.random.SeedSequence(config.seed)
     init_rng, split_rng, order_rng = (np.random.default_rng(s) for s in ss.spawn(3))
     train = list(dataset)
@@ -172,7 +172,7 @@ def train_classifier(
         order = split_rng.permutation(len(train))
         n_dev = max(1, len(train) // 10)
         if n_dev >= len(train):
-            raise ValueError("dataset too small to split a dev set")
+            raise InputError("dataset too small to split a dev set")
         dev = [train[i] for i in order[:n_dev]]
         train = [train[i] for i in order[n_dev:]]
     else:
@@ -195,7 +195,7 @@ def train_classifier(
                 dist = _class_distribution(ex, config, params.tensors, vocab)
                 loss = ad.cross_entropy(dist, int(ex.iw_class))
             if not np.isfinite(loss.item()):
-                raise ValueError(f"non-finite loss {loss.item()} at epoch {epoch}")
+                raise InputError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
             grads = {k: t.grad for k, t in params.tensors.items()}
             adam_step(params.tensors, grads, state, lr=config.lr,

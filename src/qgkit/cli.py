@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import sys
 from dataclasses import fields, replace
@@ -25,10 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import ClassifierConfig, oracle_classifier, train_classifier
+from .classifier import ClassifierConfig, init_classifier, oracle_classifier, train_classifier
 from .data import (
     DOWNSAMPLE_CAP,
-    CorpusError,
     Example,
     IWClass,
     Vocabulary,
@@ -38,15 +36,17 @@ from .data import (
     load_corpus,
     tokenize,
 )
-from .generator import QGConfig, generate, pipeline_generate, train_qg
+from .generator import QGConfig, generate, init_qg, pipeline_generate, train_qg
 from .metrics import EvalReport, evaluate_generation
 from .persist import (
     MANIFEST_NAME,
     CheckpointError,
+    InputError,
     ModelParams,
     atomic_write_bytes,
     checkpoint_bytes,
     load_checkpoint,
+    read_input,
     sha256_bytes,
     sha256_file,
     write_manifest,
@@ -55,28 +55,16 @@ from .persist import (
 __all__ = ["main"]
 
 
-class CLIError(Exception):
-    def __init__(self, message: str, code: int = 1):
-        super().__init__(message)
-        self.code = code
-
-
 # ---------------------------------------------------------------------------
-# Config file: flat key=value INI sections, unknown anything is fatal.
+# Config: flat key=value INI sections, unknown anything is fatal.
 # ---------------------------------------------------------------------------
 
-_MODEL_CONFIGS = {"classifier": ClassifierConfig, "qg": QGConfig}
+# kind -> (config dataclass, the function that builds its tensors)
+_MODELS = {"classifier": (ClassifierConfig, init_classifier), "qg": (QGConfig, init_qg)}
 
 
-def _model_schema(cls) -> dict[str, tuple[str, str]]:
-    """One INI key per config field; ``seed`` comes from [run]/--seed."""
-    return {
-        f.name: (type(f.default).__name__, str(f.default).lower())
-        for f in fields(cls) if f.name != "seed"
-    }
-
-
-# section -> key -> (parse kind, default)
+# section -> key -> (parse kind, default); one key per model config
+# field, less ``seed``, which [run] and --seed give
 CONFIG_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     "run": {
         "seed": ("int", "0"),
@@ -84,12 +72,17 @@ CONFIG_SCHEMA: dict[str, dict[str, tuple[str, str]]] = {
     "prepare": {
         "cap": ("int", str(DOWNSAMPLE_CAP)),
     },
-    **{kind: _model_schema(cls) for kind, cls in _MODEL_CONFIGS.items()},
+    **{kind: {f.name: (type(f.default).__name__, str(f.default).lower())
+              for f in fields(cls) if f.name != "seed"}
+       for kind, (cls, _) in _MODELS.items()},
     "sweep": {
         "grid": ("str", "0.6,0.7,0.8,0.9,1.0"),
         "seeds": ("str", "0,1,2,3,4"),
     },
 }
+
+# flag -> the section it overrides
+_OVERRIDES = {"seed": "run", "cap": "prepare", "grid": "sweep", "seeds": "sweep"}
 
 _PARSERS = {
     "int": lambda cp, s, k: cp.getint(s, k),
@@ -99,58 +92,86 @@ _PARSERS = {
 }
 
 
-def default_config() -> configparser.ConfigParser:
-    cp = configparser.ConfigParser()
-    for section, keys in CONFIG_SCHEMA.items():
-        cp[section] = {k: default for k, (_, default) in keys.items()}
-    return cp
+def _checked(message: str, parse, *args, cause: bool = False):
+    """``parse(*args)``, with a ValueError turned into an exit-2 error that
+    says ``message``, followed by the error's own text if ``cause``."""
+    try:
+        return parse(*args)
+    except ValueError as e:
+        raise InputError(f"{message}: {e}" if cause else message, code=2) from None
 
 
-def load_config(path: str | None) -> configparser.ConfigParser:
-    """Defaults overlaid with the user's file; any section, key, or
-    unparseable value outside the schema aborts before any compute."""
-    cp = default_config()
-    if path is not None:
-        if not Path(path).is_file():
-            raise CLIError(f"config file not found: {path}", code=2)
-        user = configparser.ConfigParser()
+def load_config(args) -> tuple[configparser.ConfigParser, dict]:
+    """The effective config: defaults, overlaid with the ``--config`` file,
+    overlaid with the flags.  Any section, key or value outside the schema,
+    and any value out of range, aborts before any data is read.  Returns
+    the INI form, which ``--print-config`` prints, and the checked values
+    the commands read: ``seed``, ``cap``, the ``classifier`` and ``qg``
+    configs, the sweep ``grid`` as (token, accuracy) pairs and ``seeds``,
+    and the ``oracle`` accuracy or None."""
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_dict({section: {key: default for key, (_, default) in keys.items()}
+                  for section, keys in CONFIG_SCHEMA.items()})
+    if args.config is not None:
+        user = configparser.ConfigParser(interpolation=None)
         try:
-            user.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+            user.read_string(read_input(args.config, "config", code=2), source=str(args.config))
         except configparser.Error as e:
-            raise CLIError(f"bad config file: {e}", code=2)
+            raise InputError(f"bad config file: {e}", code=2) from None
         for section in user.sections():
             if section not in CONFIG_SCHEMA:
-                raise CLIError(f"unknown config section [{section}]", code=2)
+                raise InputError(f"unknown config section [{section}]", code=2)
             for key, value in user[section].items():
                 if key not in CONFIG_SCHEMA[section]:
-                    raise CLIError(
+                    raise InputError(
                         f"unknown config key {key!r} in section [{section}]", code=2
                     )
                 cp[section][key] = value
-    for section, keys in CONFIG_SCHEMA.items():
-        for key, (kind, _) in keys.items():
-            try:
-                _PARSERS[kind](cp, section, key)
-            except ValueError:
-                raise CLIError(
-                    f"config value [{section}] {key} = {cp[section][key]!r} "
-                    f"is not a valid {kind}", code=2,
-                )
-    return cp
+    for key, section in _OVERRIDES.items():
+        if getattr(args, key, None) is not None:
+            cp[section][key] = str(getattr(args, key))
+    values = {
+        (section, key): _checked(
+            f"config value [{section}] {key} = {cp[section][key]!r} is not a valid {kind}",
+            _PARSERS[kind], cp, section, key,
+        )
+        for section, keys in CONFIG_SCHEMA.items() for key, (kind, _) in keys.items()
+    }
+    seed = values["run", "seed"]
+    if seed < 0:
+        source = "--seed" if args.seed is not None else "config [run] seed"
+        raise InputError(f"{source} must be non-negative, got {seed}", code=2)
+    cfg = {"seed": seed, "cap": values["prepare", "cap"]}
+    if cfg["cap"] < 0:
+        raise InputError("cap must be non-negative", code=2)
+    for kind, (cls, _) in _MODELS.items():
+        given = {key: values[kind, key] for key in CONFIG_SCHEMA[kind]}
+        cfg[kind] = _checked(f"config [{kind}]", cls.from_dict, {**given, "seed": seed},
+                             cause=True)
+    grid = _split_tokens(values["sweep", "grid"])
+    seed_text = values["sweep", "seeds"]
+    seed_tokens = _split_tokens(seed_text)
+    if not grid or not seed_tokens:
+        raise InputError("sweep needs a non-empty accuracy grid and seed list", code=2)
+    cfg["seeds"] = _checked(f"bad seed list {seed_text!r}",
+                            lambda: [int(t) for t in seed_tokens])
+    if any(sd < 0 for sd in cfg["seeds"]):
+        raise InputError(f"bad seed list {seed_text!r}: seeds must be non-negative", code=2)
+    cfg["grid"] = [(token, _accuracy(token)) for token in grid]
+    oracle = getattr(args, "oracle", None)
+    cfg["oracle"] = None if oracle is None else _accuracy(oracle)
+    return cp, cfg
 
 
-def render_config(cp: configparser.ConfigParser) -> str:
-    buf = io.StringIO()
-    cp.write(buf)
-    return buf.getvalue()
+def _accuracy(text: str) -> float:
+    value = _checked(f"bad oracle accuracy {text!r}", float, text)
+    if not 0.0 <= value <= 1.0:
+        raise InputError(f"oracle accuracy {text} outside [0, 1]", code=2)
+    return value
 
 
-def _model_config(kind: str, cp: configparser.ConfigParser, seed: int):
-    values = {key: _PARSERS[k](cp, kind, key) for key, (k, _) in CONFIG_SCHEMA[kind].items()}
-    try:
-        return _MODEL_CONFIGS[kind].from_dict({**values, "seed": seed})
-    except ValueError as e:
-        raise CLIError(f"config [{kind}]: {e}", code=2)
+def _split_tokens(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -158,30 +179,22 @@ def _model_config(kind: str, cp: configparser.ConfigParser, seed: int):
 # ---------------------------------------------------------------------------
 
 
-def _resolve_seed(args, cp) -> int:
-    if args.seed is not None:
-        seed, source = args.seed, "--seed"
-    else:
-        seed, source = cp.getint("run", "seed"), "config [run] seed"
-    if seed < 0:
-        raise CLIError(f"{source} must be non-negative, got {seed}", code=2)
-    return seed
-
-
 def _require(args, name: str) -> str:
     value = getattr(args, name, None)
     if value is None:
-        raise CLIError(f"--{name.replace('_', '-')} is required", code=2)
+        raise InputError(f"--{name.replace('_', '-')} is required", code=2)
     return value
 
 
 def _load_examples(path: str) -> list[Example]:
-    if not Path(path).is_file():
-        raise CLIError(f"data file not found: {path}", code=2)
     examples = load_corpus(path)
     if not examples:
-        raise CLIError(f"empty input corpus: {path}")
+        raise InputError(f"empty input corpus: {path}")
     return examples
+
+
+def _hashes(*paths) -> dict[str, str]:
+    return {Path(p).name: sha256_file(p) for p in paths}
 
 
 def _vocab_path(args) -> Path:
@@ -190,41 +203,38 @@ def _vocab_path(args) -> Path:
     return Path(_require(args, "data")).parent / "vocab.txt"
 
 
-def _load_vocab(args) -> Vocabulary:
-    path = _vocab_path(args)
-    if not path.is_file():
-        raise CLIError(f"vocabulary file not found: {path}", code=2)
-    try:
-        return Vocabulary.load(path)
-    except ValueError as e:
-        raise CLIError(f"{path}: {e}")
-
-
-def _load_model_checkpoint(path: str, expected_kind: str, vocab: Vocabulary) -> ModelParams:
-    ck = load_checkpoint(path)
-    if ck.kind != expected_kind:
-        raise CLIError(f"{path}: expected a {expected_kind} checkpoint, got {ck.kind}")
+def _load_model_checkpoint(path: str, kind: str, vocab: Vocabulary) -> ModelParams:
+    """A ``kind`` checkpoint trained against ``vocab``, holding exactly the
+    tensor names and shapes that its config's model is built from."""
+    config_cls, init = _MODELS[kind]
+    ck = load_checkpoint(path, kind, config_cls)
     if ck.vocab_hash != vocab.content_hash():
-        raise CLIError(
+        raise CheckpointError(
             f"vocabulary hash mismatch: checkpoint {path} was trained against a "
             "different vocabulary file"
         )
-    try:
-        config = _MODEL_CONFIGS[expected_kind].from_dict(ck.config)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: bad config: {e}")
-    return ModelParams(config, ck.tensors)
+    found = {name: t.shape for name, t in ck.tensors.items()}
+    built = {name: t.shape
+             for name, t in init(ck.config, len(vocab), np.random.default_rng(0)).tensors.items()}
+    if found != built:
+        name = min((n for n in found.keys() | built.keys() if found.get(n) != built.get(n)),
+                   key=str)
+        raise CheckpointError(
+            f"{path}: tensor {name} is {found.get(name, 'absent')} in the file but "
+            f"{built.get(name, 'absent')} in the {kind} model its config describes"
+        )
+    return ModelParams(ck.config, ck.tensors)
 
 
 def _train(trainer, examples, config, vocab, what: str):
-    """Run a trainer; bad data or a non-finite loss ends in one error
-    line.  The trainers check the loss themselves, so numpy's overflow
-    warnings on the way there are muted."""
+    """Run a trainer; a corpus it cannot train on or a non-finite loss
+    ends in one error line.  The trainers check the loss themselves, so
+    numpy's overflow warnings on the way there are muted."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return trainer(examples, config, vocab)
-    except ValueError as e:
-        raise CLIError(f"{what}: {e}")
+    except InputError as e:
+        raise InputError(f"{what}: {e}") from None
 
 
 def _emit(out_dir: Path, files: dict[str, str | bytes], command: str,
@@ -266,11 +276,8 @@ def format_iw_table(report: EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare(args, cp) -> int:
-    seed = _resolve_seed(args, cp)
-    cap = args.cap if args.cap is not None else cp.getint("prepare", "cap")
-    if cap < 0:
-        raise CLIError("cap must be non-negative", code=2)
+def cmd_prepare(args, cfg) -> int:
+    seed, cap = cfg["seed"], cfg["cap"]
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
     examples = _load_examples(data_path)
@@ -296,22 +303,18 @@ def cmd_prepare(args, cp) -> int:
         command="prepare",
         config={"cap": cap, "seed": seed},
         seeds=[seed],
-        inputs={Path(data_path).name: sha256_file(data_path)},
+        inputs=_hashes(data_path),
     )
     return 0
 
 
-def cmd_train(args, cp) -> int:
+def cmd_train(args, cfg) -> int:
     kind = _require(args, "kind")
-    if kind not in ("classifier", "qg"):
-        raise CLIError("--kind must be classifier or qg", code=2)
-    seed = _resolve_seed(args, cp)
+    seed, config = cfg["seed"], cfg[kind]
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
-    # config validation is fatal before any data pass
-    config = _model_config(kind, cp, seed)
     examples = _load_examples(data_path)
-    vocab = _load_vocab(args)
+    vocab = Vocabulary.load(_vocab_path(args))
     trainer = train_classifier if kind == "classifier" else train_qg
     params, log = _train(trainer, examples, config, vocab, f"train:{kind}")
     if kind == "classifier":
@@ -335,10 +338,7 @@ def cmd_train(args, cp) -> int:
         command=f"train:{kind}",
         config=manifest_config,
         seeds=[seed],
-        inputs={
-            Path(data_path).name: sha256_file(data_path),
-            _vocab_path(args).name: sha256_file(_vocab_path(args)),
-        },
+        inputs=_hashes(data_path, _vocab_path(args)),
     )
     return 0
 
@@ -358,27 +358,23 @@ def _dump_line(example: Example, result, provenance: str) -> str:
     )
 
 
-def cmd_generate(args, cp) -> int:
-    seed = _resolve_seed(args, cp)
+def cmd_generate(args, cfg) -> int:
+    seed = cfg["seed"]
     qg_path = _require(args, "qg")
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
     if (args.classifier is None) == (args.oracle is None):
-        raise CLIError("provide exactly one of --classifier or --oracle", code=2)
-    vocab = _load_vocab(args)
+        raise InputError("provide exactly one of --classifier or --oracle", code=2)
+    vocab = Vocabulary.load(_vocab_path(args))
     qg = _load_model_checkpoint(qg_path, "qg", vocab)
     examples = _load_examples(data_path)
-    inputs = {
-        Path(data_path).name: sha256_file(data_path),
-        _vocab_path(args).name: sha256_file(_vocab_path(args)),
-        Path(qg_path).name: sha256_file(qg_path),
-    }
+    inputs = _hashes(data_path, _vocab_path(args), qg_path)
     if args.classifier is not None:
         predictor = _load_model_checkpoint(args.classifier, "classifier", vocab)
         provenance = "model"
-        inputs[Path(args.classifier).name] = sha256_file(args.classifier)
+        inputs.update(_hashes(args.classifier))
     else:
-        accuracy = _parse_accuracy(args.oracle)
+        accuracy = cfg["oracle"]
         rng = np.random.default_rng(seed)
         provenance = f"oracle@{args.oracle}"
 
@@ -400,42 +396,30 @@ def cmd_generate(args, cp) -> int:
     return 0
 
 
-def _parse_accuracy(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise CLIError(f"bad oracle accuracy {text!r}", code=2)
-    if not 0.0 <= value <= 1.0:
-        raise CLIError(f"oracle accuracy {text} outside [0, 1]", code=2)
-    return value
-
-
 def _is_token_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
 def _read_dump(path: str) -> list[dict]:
-    if not Path(path).is_file():
-        raise CLIError(f"dump file not found: {path}", code=2)
     records = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for i, line in enumerate(read_input(path, "dump").splitlines(), 1):
         if not line.strip():
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError:
-            raise CLIError(f"{path}: line {i} is not valid JSON")
+        except (json.JSONDecodeError, RecursionError):
+            raise InputError(f"{path}: line {i} is not valid JSON") from None
         if not (isinstance(rec, dict) and _is_token_list(rec.get("generated"))
                 and _is_token_list(rec.get("gold"))):
-            raise CLIError(f"{path}: line {i}: generated and gold must be lists of strings")
+            raise InputError(f"{path}: line {i}: generated and gold must be lists of strings")
         records.append(rec)
     if not records:
-        raise CLIError(f"empty generation dump: {path}")
+        raise InputError(f"empty generation dump: {path}")
     return records
 
 
-def cmd_evaluate(args, cp) -> int:
-    seed = _resolve_seed(args, cp)
+def cmd_evaluate(args, cfg) -> int:
+    seed = cfg["seed"]
     dump_path = _require(args, "dump")
     out_dir = Path(_require(args, "out"))
     records = _read_dump(dump_path)
@@ -454,32 +438,17 @@ def cmd_evaluate(args, cp) -> int:
         command="evaluate",
         config={"seed": seed},
         seeds=[seed],
-        inputs={Path(dump_path).name: sha256_file(dump_path)},
+        inputs=_hashes(dump_path),
     )
     return 0
 
 
-def _split_tokens(text: str) -> list[str]:
-    return [t.strip() for t in text.split(",") if t.strip()]
-
-
-def cmd_sweep(args, cp) -> int:
+def cmd_sweep(args, cfg) -> int:
+    seeds = cfg["seeds"]
     qg_path = _require(args, "qg")
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
-    grid = _split_tokens(args.grid if args.grid is not None else cp.get("sweep", "grid"))
-    seed_text = args.seeds if args.seeds is not None else cp.get("sweep", "seeds")
-    seed_tokens = _split_tokens(seed_text)
-    if not grid or not seed_tokens:
-        raise CLIError("sweep needs a non-empty accuracy grid and seed list", code=2)
-    try:
-        seeds = [int(t) for t in seed_tokens]
-    except ValueError:
-        raise CLIError(f"bad seed list {seed_text!r}", code=2)
-    if any(sd < 0 for sd in seeds):
-        raise CLIError(f"bad seed list {seed_text!r}: seeds must be non-negative", code=2)
-    accuracies = [_parse_accuracy(t) for t in grid]
-    vocab = _load_vocab(args)
+    vocab = Vocabulary.load(_vocab_path(args))
     qg = _load_model_checkpoint(qg_path, "qg", vocab)
     examples = _load_examples(data_path)
     references = [tokenize(ex.question) for ex in examples]
@@ -490,7 +459,7 @@ def cmd_sweep(args, cp) -> int:
     decoded: dict[tuple[int, IWClass], list[str]] = {}
     metric_names = None
     rows = []
-    for acc_token, accuracy in zip(grid, accuracies):
+    for acc_token, accuracy in cfg["grid"]:
         seed_reports = []
         for sd in seeds:
             # one stream per seed, two draws per example: identical seeds
@@ -519,13 +488,10 @@ def cmd_sweep(args, cp) -> int:
         out_dir,
         {"sweep.csv": _csv(csv_rows)},
         command="sweep",
-        config={"grid": grid, "seeds": seeds, "qg": qg.config.to_dict()},
+        config={"grid": [token for token, _ in cfg["grid"]], "seeds": seeds,
+                "qg": qg.config.to_dict()},
         seeds=seeds,
-        inputs={
-            Path(data_path).name: sha256_file(data_path),
-            _vocab_path(args).name: sha256_file(_vocab_path(args)),
-            Path(qg_path).name: sha256_file(qg_path),
-        },
+        inputs=_hashes(data_path, _vocab_path(args), qg_path),
     )
     return 0
 
@@ -540,13 +506,12 @@ _ABLATION_VARIANTS = [
 ]
 
 
-def cmd_ablate(args, cp) -> int:
-    seed = _resolve_seed(args, cp)
+def cmd_ablate(args, cfg) -> int:
+    seed, base = cfg["seed"], cfg["classifier"]
     data_path = _require(args, "data")
     out_dir = Path(_require(args, "out"))
-    base = _model_config("classifier", cp, seed)
     examples = _load_examples(data_path)
-    vocab = _load_vocab(args)
+    vocab = Vocabulary.load(_vocab_path(args))
     rows = [["label", "accuracy"]]
     for at, ae, ner in _ABLATION_VARIANTS:
         config = replace(base, use_answer_tagging=at, use_answer_embedding=ae,
@@ -562,10 +527,7 @@ def cmd_ablate(args, cp) -> int:
         command="ablate",
         config=base.to_dict(),
         seeds=[seed],
-        inputs={
-            Path(data_path).name: sha256_file(data_path),
-            _vocab_path(args).name: sha256_file(_vocab_path(args)),
-        },
+        inputs=_hashes(data_path, _vocab_path(args)),
     )
     return 0
 
@@ -640,19 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cp = load_config(args.config)
+        cp, cfg = load_config(args)
         if args.print_config:
-            if args.seed is not None:
-                cp["run"]["seed"] = str(args.seed)
-            sys.stdout.write(render_config(cp))
+            cp.write(sys.stdout)
             return 0
-        return args.func(args, cp)
-    except CLIError as e:
-        print(f"error: {e}", file=sys.stderr)
+        return args.func(args, cfg)
+    except InputError as e:
+        # one line, whatever the message quotes from the input
+        print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
         return e.code
-    except (CorpusError, CheckpointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

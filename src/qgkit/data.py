@@ -21,6 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .persist import InputError, read_input
+
 __all__ = [
     "ANS_ID",
     "CLS_ID",
@@ -132,10 +134,10 @@ class EntityType(IntEnum):
 
     @classmethod
     def from_name(cls, name: str) -> "EntityType":
-        try:
-            return _ENTITY_BY_NAME[name.strip().lower()]
-        except KeyError:
-            raise ValueError(f"unknown entity type: {name!r}") from None
+        found = _ENTITY_BY_NAME.get(name.strip().lower()) if isinstance(name, str) else None
+        if found is None:
+            raise ValueError(f"unknown entity type: {name!r}")
+        return found
 
 
 _ENTITY_BY_NAME = {e.name.lower(): e for e in EntityType}
@@ -194,7 +196,7 @@ def assign_entity_type(answer_tokens: Sequence[str]) -> EntityType:
 # ---------------------------------------------------------------------------
 # Examples and corpus IO
 
-class CorpusError(Exception):
+class CorpusError(InputError):
     """Raised after a full validation pass; carries every offending id so
     a bad corpus is reported once, not one record at a time."""
 
@@ -290,21 +292,20 @@ def load_corpus(path: str | Path) -> list[Example]:
     """Parse a JSONL corpus, validating every record before failing."""
     examples: list[Example] = []
     bad: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            label = f"line {line_no}"
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError("record is not an object")
-                if "id" in rec:
-                    label = str(rec["id"])
-                examples.append(Example.from_record(rec))
-            except (json.JSONDecodeError, ValueError, TypeError):
-                bad.append(label)
+    for line_no, line in enumerate(read_input(path, "data").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        label = f"line {line_no}"
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError("record is not an object")
+            if "id" in rec:
+                label = str(rec["id"])
+            examples.append(Example.from_record(rec))
+        except (ValueError, TypeError, RecursionError):  # bad JSON included
+            bad.append(label)
     if bad:
         raise CorpusError(bad)
     return examples
@@ -467,11 +468,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        tokens = [
-            line for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line
-        ]
-        return cls(tokens)
+        tokens = [line for line in read_input(path, "vocabulary").splitlines() if line]
+        try:
+            return cls(tokens)
+        except ValueError as e:
+            raise InputError(f"{path}: {e}") from None
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.text().encode("utf-8")).hexdigest()

@@ -39,7 +39,7 @@ from .data import (
     tokenize,
 )
 from .layers import broadcast_rows, init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
-from .persist import ModelConfig, ModelParams
+from .persist import InputError, ModelConfig, ModelParams
 
 __all__ = [
     "DecodeStep",
@@ -312,7 +312,7 @@ def train_qg(
     Deterministic for a fixed config."""
     config.validate()
     if not dataset:
-        raise ValueError("empty training set")
+        raise InputError("empty training set")
     ss = np.random.SeedSequence(config.seed)
     init_rng, order_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     params = init_qg(config, len(vocab), init_rng)
@@ -326,7 +326,7 @@ def train_qg(
             with Tape() as tape:
                 loss = sequence_loss(seq, targets, config, params.tensors)
             if not np.isfinite(loss.item()):
-                raise ValueError(f"non-finite loss {loss.item()} at epoch {epoch}")
+                raise InputError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
             grads = {k: t.grad for k, t in params.tensors.items()}
             adam_step(params.tensors, grads, state, lr=config.lr,

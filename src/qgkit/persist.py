@@ -11,6 +11,10 @@ Manifests record what produced a set of artifacts: command, config
 snapshot, seeds, input and output hashes.  Timestamps live only here;
 every other artifact is a pure function of its inputs.
 
+Every file a command reads from outside the program goes through
+``read_input``, and every input the program cannot use raises
+``InputError``, which carries the command's exit status.
+
 ``ModelConfig`` is the base of the model config dataclasses: its fields
 are the hyperparameters, and the dict form it gives is the one embedded
 in checkpoints and manifests.  ``ModelParams`` pairs a config with the
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -36,14 +41,14 @@ __all__ = [
     "FORMAT_VERSION",
     "Checkpoint",
     "CheckpointError",
+    "InputError",
     "MANIFEST_NAME",
     "ModelConfig",
     "ModelParams",
     "atomic_write_bytes",
-    "atomic_write_text",
     "checkpoint_bytes",
     "load_checkpoint",
-    "load_manifest",
+    "read_input",
     "sha256_bytes",
     "sha256_file",
     "write_manifest",
@@ -55,8 +60,35 @@ MODEL_KINDS = ("classifier", "qg")
 MANIFEST_NAME = "manifest.json"
 
 
-class CheckpointError(ValueError):
+class InputError(ValueError):
+    """Input from outside the program that a command cannot use.  ``code``
+    is the exit status: 2 for usage, config or a missing file, 1 for
+    malformed content."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
+
+
+class CheckpointError(InputError):
     pass
+
+
+def read_input(path: str | Path, what: str, binary: bool = False,
+               code: int = 1) -> str | bytes:
+    """The bytes of the ``what`` file at ``path``, or its UTF-8 text with
+    universal newlines.  A path that cannot be read is an exit-2
+    InputError; text that is not UTF-8 is one with exit status ``code``."""
+    p = Path(path)
+    try:
+        return p.read_bytes() if binary else p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"{what} file not found: {path}", code=2) from None
+    except OSError as e:  # a directory, no permission, ...
+        raise InputError(f"cannot read {what} file {path}: {e.strerror}", code=2) from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})",
+                         code=code) from None
 
 
 class ModelConfig:
@@ -70,10 +102,10 @@ class ModelConfig:
         for f in fields(self):
             if type(f.default) is int and f.name != "seed" and getattr(self, f.name) < 1:
                 raise ValueError(f"{f.name} must be positive")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be non-negative and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -118,7 +150,7 @@ class ModelParams:
 class Checkpoint:
     version: int
     kind: str
-    config: dict
+    config: dict | ModelConfig
     tensors: dict[str, Tensor]
     vocab_hash: str
 
@@ -145,8 +177,13 @@ def checkpoint_bytes(kind: str, config: dict, tensors: dict[str, Tensor],
     return b"".join(parts)
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
+def load_checkpoint(path: str | Path, kind: str | None = None,
+                    config_cls: type[ModelConfig] | None = None) -> Checkpoint:
+    """Parse the checkpoint file at ``path``; every tensor value must be
+    finite.  Given ``kind``, the file must hold a model of that kind;
+    given ``config_cls``, its config is parsed by ``from_dict``.  A file
+    that fails any of this raises CheckpointError naming ``path``."""
+    blob = read_input(path, "checkpoint", binary=True)
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     if len(blob) < 12:
@@ -159,29 +196,40 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         header = json.loads(blob[12:header_end].decode("utf-8"))
         layout = [(e["name"], tuple(int(n) for n in e["shape"])) for e in header["tensors"]]
         config, vocab_hash = header["config"], header["vocab_hash"]
-    except (ValueError, KeyError, TypeError) as e:
+        if any(n < 0 for _, shape in layout for n in shape):
+            raise ValueError("negative tensor dimension")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed header: {type(e).__name__}: {e}")
     version = header.get("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format version {version!r}"
         )
-    kind = header.get("kind")
-    if kind not in MODEL_KINDS:
-        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    found = header.get("kind")
+    if found not in MODEL_KINDS:
+        raise CheckpointError(f"{path}: unknown model kind {found!r}")
+    if kind is not None and found != kind:
+        raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {found}")
+    if config_cls is not None:
+        try:
+            config = config_cls.from_dict(config)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: bad config: {e}") from None
     tensors: dict[str, Tensor] = {}
     offset = header_end
     for name, shape in layout:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated tensor payload")
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = Tensor(data.reshape(shape).astype(np.float64, copy=True), name=name)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    return Checkpoint(version=version, kind=kind, config=config,
+    return Checkpoint(version=version, kind=found, config=config,
                       tensors=tensors, vocab_hash=vocab_hash)
 
 
@@ -203,10 +251,6 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -244,9 +288,5 @@ def write_manifest(
         "artifacts": artifacts,
         "created": datetime.now(timezone.utc).isoformat(),
     }
-    atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(path, (json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return path
-
-
-def load_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

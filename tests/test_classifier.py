@@ -52,7 +52,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClassifierConfig(entity_embed_dim=0).validate()
 
-    @pytest.mark.parametrize("field,bad", [("lr", 0.0), ("weight_decay", -0.1)])
+    @pytest.mark.parametrize("field,bad", [
+        ("lr", 0.0), ("weight_decay", -0.1),
+        ("lr", float("nan")), ("lr", float("inf")), ("weight_decay", float("inf")),
+    ])
     def test_rejects_bad_values(self, field, bad):
         with pytest.raises(ValueError):
             ClassifierConfig(**{field: bad}).validate()

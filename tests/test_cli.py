@@ -20,7 +20,8 @@ from qgkit.cli import main
 from qgkit.data import IWClass, Vocabulary, class_counts, corpus_text, load_corpus, tokenize
 from qgkit.generator import QGConfig, generate
 from qgkit.metrics import evaluate_generation
-from qgkit.persist import load_checkpoint, load_manifest, sha256_bytes
+from qgkit.autodiff import Tensor
+from qgkit.persist import checkpoint_bytes, load_checkpoint, sha256_bytes
 
 ASSETS = Path(__file__).resolve().parents[1] / "src" / "qgkit" / "assets"
 
@@ -192,7 +193,10 @@ class TestConfig:
         ("qg", "[qg]\nepochs = 0\n"),
         ("classifier", "[classifier]\nlr = -1\n"),
         ("classifier", "[classifier]\nweight_decay = -0.1\n"),
-    ], ids=["qg-epochs", "classifier-lr", "classifier-weight_decay"])
+        ("qg", "[qg]\nlr = nan\n"),
+        ("classifier", "[classifier]\nweight_decay = inf\n"),
+    ], ids=["qg-epochs", "classifier-lr", "classifier-weight_decay", "qg-lr-nan",
+            "classifier-weight_decay-inf"])
     def test_out_of_range_value_fatal(self, ws, tmp_path, capsys, kind, ini):
         path = tmp_path / "c.ini"
         path.write_text(ini)
@@ -251,7 +255,7 @@ class TestPrepare:
         assert "class" in out and "Others" in out
 
     def test_manifest_hashes_artifacts(self, ws):
-        manifest = load_manifest(ws["prep"] / "manifest.json")
+        manifest = json.loads((ws["prep"] / "manifest.json").read_text())
         assert manifest["command"] == "prepare"
         assert manifest["seeds"] == [0]
         for name, digest in manifest["artifacts"].items():
@@ -688,12 +692,12 @@ def test_classifier_corpus_too_small_for_dev_split(ws, tmp_path, capsys):
 class TestManifests:
     def test_every_output_dir_has_manifest(self, ws):
         for key in ("prep", "cls_dir", "qg_dir"):
-            manifest = load_manifest(ws[key] / "manifest.json")
+            manifest = json.loads((ws[key] / "manifest.json").read_text())
             assert set(manifest) == {"command", "config", "seeds", "inputs",
                                      "artifacts", "created"}
 
     def test_train_manifest_snapshots_config(self, ws):
-        manifest = load_manifest(ws["qg_dir"] / "manifest.json")
+        manifest = json.loads((ws["qg_dir"] / "manifest.json").read_text())
         assert manifest["command"] == "train:qg"
         assert manifest["config"]["epochs"] == 2
         assert manifest["config"]["seed"] == 0
@@ -706,3 +710,109 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "prepare" in proc.stdout
+
+
+NOT_UTF8 = b'{"id": "x\xff"}\n'
+
+
+def corpus_with_entity_type_number(ws, tmp_path):
+    rec = json.loads((ws["tiny"] / "qg_train.jsonl").read_text().splitlines()[0])
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({**rec, "entity_type": 5}) + "\n")
+    return ["prepare", "--data", path]
+
+
+def not_utf8_corpus(ws, tmp_path):
+    (tmp_path / "corpus.jsonl").write_bytes(NOT_UTF8)
+    return ["prepare", "--data", tmp_path / "corpus.jsonl"]
+
+
+def not_utf8_dump(ws, tmp_path):
+    (tmp_path / "dump.jsonl").write_bytes(NOT_UTF8)
+    return ["evaluate", "--dump", tmp_path / "dump.jsonl"]
+
+
+def deeply_nested(command, flag):
+    def argv(ws, tmp_path):
+        (tmp_path / "input.jsonl").write_text("[" * 100_000 + "\n")
+        return [command, flag, tmp_path / "input.jsonl"]
+    return argv
+
+
+def not_utf8_config(ws, tmp_path):
+    (tmp_path / "c.ini").write_bytes(b"[run]\nseed = \xff\n")
+    return ["prepare", "--data", ws["tiny"] / "qg_train.jsonl", "--config", tmp_path / "c.ini"]
+
+
+def generate_with_qg(qg):
+    def argv(ws, tmp_path):
+        path = qg(tmp_path)
+        return ["generate", "--qg", path, "--oracle", "1.0", "--data",
+                ws["tiny"] / "qg_train.jsonl", "--vocab", ws["prep"] / "vocab.txt"]
+    return argv
+
+
+@pytest.mark.parametrize("make_argv,code", [
+    (corpus_with_entity_type_number, 1),
+    (not_utf8_corpus, 1),
+    (not_utf8_dump, 1),
+    (not_utf8_config, 2),
+    (generate_with_qg(lambda tmp_path: tmp_path / "missing.ckpt"), 2),
+    (generate_with_qg(lambda tmp_path: tmp_path), 2),
+    (deeply_nested("prepare", "--data"), 1),
+    (deeply_nested("evaluate", "--dump"), 1),
+], ids=["entity-type-number", "corpus-not-utf8", "dump-not-utf8", "config-not-utf8",
+        "qg-missing", "qg-directory", "corpus-deeply-nested", "dump-deeply-nested"])
+def test_malformed_input_fatal(ws, tmp_path, capsys, make_argv, code):
+    argv = make_argv(ws, tmp_path)
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "o") == code
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def drop_tensor(tensors):
+    del tensors["att.Wa"]
+
+
+def shrink_embed(tensors):
+    tensors["embed"] = Tensor(np.zeros((3, tensors["embed"].shape[1])))
+
+
+def nan_output(tensors):
+    tensors["out.W"].data[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("edit", [drop_tensor, shrink_embed, nan_output],
+                         ids=["missing-tensor", "embed-shape", "nan-value"])
+def test_checkpoint_tensors_checked_against_config(ws, tmp_path, capsys, edit):
+    ck = load_checkpoint(ws["qg"])
+    edit(ck.tensors)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint_bytes("qg", ck.config, ck.tensors, ck.vocab_hash))
+    capsys.readouterr()
+    assert run("generate", "--qg", bad, "--oracle", "1.0", "--data", ws["tiny"] / "qg_train.jsonl",
+               "--vocab", ws["prep"] / "vocab.txt", "--out", tmp_path / "o") == 1
+    assert str(bad) in assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,ini,message", [
+    (["prepare", "--print-config", "--seed=-1"], None, FLAG_SEED),
+    (["prepare", "--print-config"], "[qg]\nepochs = 0\n",
+     "error: config [qg]: epochs must be positive"),
+    (["sweep", "--seed=-1", "--grid", "1.0", "--seeds", "0"], None, FLAG_SEED),
+    (["prepare", "--print-config"], "[run]\nseed = {x}\n",
+     "error: config value [run] seed = '{x}' is not a valid int"),
+], ids=["print-config-seed", "print-config-epochs", "sweep-seed", "value-with-braces"])
+def test_every_command_checks_config(ws, tmp_path, capsys, argv, ini, message):
+    extra = ["--qg", ws["qg"], "--data", ws["tiny"] / "qg_train.jsonl",
+             "--vocab", ws["prep"] / "vocab.txt"] if argv[0] == "sweep" else []
+    if ini is not None:
+        (tmp_path / "c.ini").write_text(ini)
+        extra += ["--config", tmp_path / "c.ini"]
+    capsys.readouterr()
+    assert run(*argv, *extra, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+    assert not (tmp_path / "o").exists()

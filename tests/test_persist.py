@@ -12,10 +12,8 @@ from qgkit.persist import (
     Checkpoint,
     CheckpointError,
     atomic_write_bytes,
-    atomic_write_text,
     checkpoint_bytes,
     load_checkpoint,
-    load_manifest,
     sha256_bytes,
     sha256_file,
     write_manifest,
@@ -114,8 +112,9 @@ class TestCheckpointRejection:
         b'{"version": 1, "kind": "qg", "tensors": [], "vocab_hash": "h"}',
         b'{"version": 1, "kind": "qg", "tensors": [], "config": {}}',
         b'{"version": 1, "kind": "qg", "tensors": [{"shape": []}], "config": {}, "vocab_hash": "h"}',
+        b"[" * 100_000,
     ], ids=["bad-json", "not-utf8", "not-object", "no-tensors", "no-config",
-            "no-vocab-hash", "unnamed-tensor"])
+            "no-vocab-hash", "unnamed-tensor", "deeply-nested"])
     def test_malformed_header(self, tmp_path, header):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"QGCK" + struct.pack("<Q", len(header)) + header)
@@ -131,7 +130,7 @@ class TestAtomicWrite:
     def test_overwrites_and_leaves_no_temp(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old")
-        atomic_write_text(path, "new contents")
+        atomic_write_bytes(path, b"new contents")
         assert path.read_text() == "new contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -160,7 +159,7 @@ class TestManifest:
             tmp_path, "train", {"lr": 0.001}, [0],
             inputs={"train.jsonl": "aaa"}, artifacts={"model.ckpt": "bbb"},
         )
-        m = load_manifest(path)
+        m = json.loads(path.read_text())
         assert m["command"] == "train"
         assert m["inputs"] == {"train.jsonl": "aaa"}
         assert m["artifacts"] == {"model.ckpt": "bbb"}
