@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 PROB_FLOOR = 1e-12  # floor applied before log in cross_entropy
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Tensor:
@@ -78,29 +79,6 @@ class Tensor:
     def __repr__(self):
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.shape})"
-
-    # Operator sugar; all routed through the recorded ops below.
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
     def __getitem__(self, key):
         return _getitem(self, key)
@@ -144,10 +122,7 @@ class Tape:
 
 def _record(op: str, inputs: tuple, output: Tensor, backward_fn: Callable):
     if _ACTIVE_TAPES:
-        tensor_inputs = tuple(t for t in inputs if isinstance(t, Tensor))
-        _ACTIVE_TAPES[-1].entries.append(
-            _TapeEntry(op, tensor_inputs, output, backward_fn)
-        )
+        _ACTIVE_TAPES[-1].entries.append(_TapeEntry(op, inputs, output, backward_fn))
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -166,8 +141,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         seen[id(entry.output)] = entry.output
     for t in seen.values():
         t.grad = np.zeros_like(t.data)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
     loss.grad = np.ones_like(loss.data)
     for entry in reversed(tape.entries):
         grad_out = entry.output.grad
@@ -480,15 +453,12 @@ def adam_step(
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One Adam update with decoupled weight decay, in place."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.data.shape:
@@ -502,11 +472,11 @@ def adam_step(
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         if weight_decay:
             update = update + weight_decay * p.data
         p.data -= lr * update

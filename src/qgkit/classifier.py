@@ -154,11 +154,10 @@ def train_classifier(
     dataset: Sequence[Example],
     config: ClassifierConfig,
     vocab: Vocabulary,
-    dev: Sequence[Example] | None = None,
 ) -> tuple[ModelParams, list[dict]]:
     """Per-example Adam training with best-dev-accuracy selection.
 
-    Without an explicit dev set, a seeded 90/10 split is taken first.
+    The dev set is a seeded 90/10 split of ``dataset``, taken first.
     The log starts with an epoch-0 entry holding the untrained loss and
     accuracy (the loss should sit near ln 8), then one entry per epoch.
     Deterministic for a fixed config."""
@@ -167,16 +166,12 @@ def train_classifier(
         raise InputError("empty training set")
     ss = np.random.SeedSequence(config.seed)
     init_rng, split_rng, order_rng = (np.random.default_rng(s) for s in ss.spawn(3))
-    train = list(dataset)
-    if dev is None:
-        order = split_rng.permutation(len(train))
-        n_dev = max(1, len(train) // 10)
-        if n_dev >= len(train):
-            raise InputError("dataset too small to split a dev set")
-        dev = [train[i] for i in order[:n_dev]]
-        train = [train[i] for i in order[n_dev:]]
-    else:
-        dev = list(dev)
+    order = split_rng.permutation(len(dataset))
+    n_dev = max(1, len(dataset) // 10)
+    if n_dev >= len(dataset):
+        raise InputError("dataset too small to split a dev set")
+    dev = [dataset[i] for i in order[:n_dev]]
+    train = [dataset[i] for i in order[n_dev:]]
 
     params = init_classifier(config, len(vocab), init_rng)
     state = AdamState()

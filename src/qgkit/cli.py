@@ -104,11 +104,14 @@ def _checked(message: str, parse, *args, cause: bool = False):
 def load_config(args) -> tuple[configparser.ConfigParser, dict]:
     """The effective config: defaults, overlaid with the ``--config`` file,
     overlaid with the flags.  Any section, key or value outside the schema,
-    and any value out of range, aborts before any data is read.  Returns
+    and any value out of range, aborts before any data is read, as does an
+    ``--out`` that is not a directory or a path under one.  Returns
     the INI form, which ``--print-config`` prints, and the checked values
     the commands read: ``seed``, ``cap``, the ``classifier`` and ``qg``
     configs, the sweep ``grid`` as (token, accuracy) pairs and ``seeds``,
     and the ``oracle`` accuracy or None."""
+    if getattr(args, "out", None) is not None:
+        _check_out(Path(args.out))
     cp = configparser.ConfigParser(interpolation=None)
     cp.read_dict({section: {key: default for key, (_, default) in keys.items()}
                   for section, keys in CONFIG_SCHEMA.items()})
@@ -161,6 +164,12 @@ def load_config(args) -> tuple[configparser.ConfigParser, dict]:
     oracle = getattr(args, "oracle", None)
     cfg["oracle"] = None if oracle is None else _accuracy(oracle)
     return cp, cfg
+
+
+def _check_out(out: Path) -> None:
+    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise InputError(f"--out {out}: {existing} is not a directory", code=2)
 
 
 def _accuracy(text: str) -> float:
@@ -249,6 +258,12 @@ def _emit(out_dir: Path, files: dict[str, str | bytes], command: str,
     write_manifest(out_dir, command, config, seeds, inputs, artifacts)
 
 
+def _warn_incomplete(incomplete: int, scored: int) -> None:
+    if incomplete:
+        print(f"warning: {incomplete} of {scored} METEOR pairs were scored from an "
+              "alignment cut short by its node budget", file=sys.stderr)
+
+
 def _csv(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
@@ -266,7 +281,7 @@ def format_iw_table(report: EvalReport) -> str:
         )
     lines.append(
         f"{'total':<8} {report.iw_scores.total_recall:7.4f} {'':>10} "
-        f"{report.iw_scores.support_total():8d}"
+        f"{report.n_examples:8d}"
     )
     return "\n".join(lines)
 
@@ -317,26 +332,15 @@ def cmd_train(args, cfg) -> int:
     vocab = Vocabulary.load(_vocab_path(args))
     trainer = train_classifier if kind == "classifier" else train_qg
     params, log = _train(trainer, examples, config, vocab, f"train:{kind}")
-    if kind == "classifier":
-        loss_rows = [["epoch", "train_loss", "dev_accuracy"]]
-        loss_rows += [
-            [str(e["epoch"]), _fmt(e["train_loss"]), _fmt(e["dev_accuracy"])]
-            for e in log
-        ]
-    else:
-        loss_rows = [["epoch", "per_token_loss"]]
-        loss_rows += [[str(e["epoch"]), _fmt(e["per_token_loss"])] for e in log]
+    cols = [k for k in log[0] if k != "epoch"]
+    loss_rows = [["epoch", *cols]]
+    loss_rows += [[str(e["epoch"]), *(_fmt(e[k]) for k in cols)] for e in log]
     ckpt = checkpoint_bytes(kind, config.to_dict(), params.tensors, vocab.content_hash())
-    manifest_config = config.to_dict()
-    if kind == "qg":
-        # the inserted question word is embedded through the ordinary
-        # word table, not a dedicated one
-        manifest_config["iw_embedding"] = "shared word table"
     _emit(
         out_dir,
         {f"{kind}.ckpt": ckpt, "loss.csv": _csv(loss_rows)},
         command=f"train:{kind}",
-        config=manifest_config,
+        config=config.to_dict(),
         seeds=[seed],
         inputs=_hashes(data_path, _vocab_path(args)),
     )
@@ -402,7 +406,7 @@ def _is_token_list(value) -> bool:
 
 def _read_dump(path: str) -> list[dict]:
     records = []
-    for i, line in enumerate(read_input(path, "dump").splitlines(), 1):
+    for i, line in enumerate(read_input(path, "dump").split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -429,6 +433,7 @@ def cmd_evaluate(args, cfg) -> int:
     header = [name for name, _ in report.metric_columns()]
     values = [_fmt(v) for _, v in report.metric_columns()]
     print(format_iw_table(report))
+    _warn_incomplete(report.incomplete_pairs, report.n_examples)
     _emit(
         out_dir,
         {
@@ -459,6 +464,7 @@ def cmd_sweep(args, cfg) -> int:
     decoded: dict[tuple[int, IWClass], list[str]] = {}
     metric_names = None
     rows = []
+    incomplete = 0
     for acc_token, accuracy in cfg["grid"]:
         seed_reports = []
         for sd in seeds:
@@ -473,6 +479,7 @@ def cmd_sweep(args, cfg) -> int:
                         ex, predicted, qg.config, qg.tensors, vocab).tokens
                 candidates.append(decoded[i, predicted])
             report = evaluate_generation(candidates, references)
+            incomplete += report.incomplete_pairs
             cols = report.metric_columns()
             if metric_names is None:
                 metric_names = [n for n, _ in cols]
@@ -483,6 +490,7 @@ def cmd_sweep(args, cfg) -> int:
             for i in range(len(seed_reports[0]))
         ]
         rows.append([acc_token, "mean"] + [_fmt(v) for v in means])
+    _warn_incomplete(incomplete, len(cfg["grid"]) * len(seeds) * len(examples))
     csv_rows = [["accuracy", "seed"] + metric_names] + rows
     _emit(
         out_dir,

@@ -328,9 +328,7 @@ DOWNSAMPLE_CAP = 4000
 
 
 def downsample(
-    examples: Sequence[Example],
-    cap: int = DOWNSAMPLE_CAP,
-    rng: np.random.Generator | None = None,
+    examples: Sequence[Example], cap: int, rng: np.random.Generator
 ) -> list[Example]:
     """Cap each interrogative class at ``cap`` examples.
 
@@ -340,8 +338,6 @@ def downsample(
     exactly."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    if rng is None:
-        rng = np.random.default_rng(0)
     by_class: dict[IWClass, list[int]] = {c: [] for c in IWClass}
     for i, ex in enumerate(examples):
         by_class[ex.iw_class].append(i)
@@ -431,16 +427,10 @@ class Vocabulary:
         except ValueError:
             return UNK_ID
 
-    def encode_extended(
-        self, tokens: Sequence[str], oov_words: list[str] | None = None
-    ) -> tuple[list[int], list[str]]:
-        """Encode with per-sequence extended ids for OOV tokens.
-
-        Passing an existing ``oov_words`` list reuses (and grows) its
-        mapping so source and target share extended ids."""
-        if oov_words is None:
-            oov_words = []
-        ids = []
+    def encode_extended(self, tokens: Sequence[str]) -> tuple[list[int], list[str]]:
+        """Encode with per-sequence extended ids for OOV tokens, in
+        first-occurrence order."""
+        ids, oov_words = [], []
         for tok in tokens:
             idx = self.id(tok)
             if idx == UNK_ID and tok not in self._index:

@@ -108,25 +108,20 @@ class EncodedPassage:
     """Fused encoder states plus copy-addressing structure.
 
     ``segments`` groups source positions by extended word id (first
-    occurrence order); ``segment_word_ids[k]`` is segment k's id and
-    ``position_segment[j]`` maps position j to its segment.  The
-    decoder-init vector is the last fused state, so it is a pure
-    function of ``states``."""
+    occurrence order) and ``position_segment[j]`` maps position j to
+    its segment."""
 
     states: Tensor
-    final_state: Tensor
     source_tokens: TaggedSequence
     segments: list[list[int]] = field(default_factory=list)
-    segment_word_ids: list[int] = field(default_factory=list)
     position_segment: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.source_tokens.surfaces)
 
 
-def _copy_segments(ids: Sequence[int]) -> tuple[list[list[int]], list[int], list[int]]:
+def _copy_segments(ids: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     segments: list[list[int]] = []
-    word_ids: list[int] = []
     seg_of: dict[int, int] = {}
     pos_seg: list[int] = []
     for j, wid in enumerate(ids):
@@ -135,10 +130,9 @@ def _copy_segments(ids: Sequence[int]) -> tuple[list[list[int]], list[int], list
             k = len(segments)
             seg_of[wid] = k
             segments.append([])
-            word_ids.append(wid)
         segments[k].append(j)
         pos_seg.append(k)
-    return segments, word_ids, pos_seg
+    return segments, pos_seg
 
 
 def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> EncodedPassage:
@@ -169,23 +163,18 @@ def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> 
     G = ad.sigmoid(ad.add(ad.matmul(fused_in, params["fuse.g.W"]),
                           broadcast_rows(params["fuse.g.b"], n)))
     states = ad.add(ad.mul(G, F), ad.mul(ad.sub(1.0, G), U))
-    segments, word_ids, pos_seg = _copy_segments(seq.ids)
-    return EncodedPassage(
-        states=states,
-        final_state=states[n - 1 : n, :],
-        source_tokens=seq,
-        segments=segments,
-        segment_word_ids=word_ids,
-        position_segment=pos_seg,
-    )
+    segments, pos_seg = _copy_segments(seq.ids)
+    return EncodedPassage(states=states, source_tokens=seq, segments=segments,
+                          position_segment=pos_seg)
 
 
 def init_decoder_state(
     encoded: EncodedPassage, config: QGConfig, params: dict[str, Tensor]
 ) -> tuple[Tensor, Tensor]:
     """Learned bridge from the last fused encoder state to (h0, c0)."""
-    h0 = ad.tanh(linear(encoded.final_state, params["bridge.h.W"], params["bridge.h.b"]))
-    c0 = ad.tanh(linear(encoded.final_state, params["bridge.c.W"], params["bridge.c.b"]))
+    last = encoded.states[-1:]
+    h0 = ad.tanh(linear(last, params["bridge.h.W"], params["bridge.h.b"]))
+    c0 = ad.tanh(linear(last, params["bridge.c.W"], params["bridge.c.b"]))
     return h0, c0
 
 

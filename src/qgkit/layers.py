@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, concat, matmul, mul, sigmoid, tanh, uniform_init
+from .autodiff import Tensor, add, concat, matmul, mul, sigmoid, tanh, uniform_init
 
 __all__ = [
     "init_lstm",
@@ -43,12 +43,12 @@ def lstm_step(
 ) -> tuple[Tensor, Tensor]:
     """One LSTM update; ``x`` and ``h`` are row vectors (1 x dim)."""
     dh = h.shape[1]
-    z = matmul(concat([x, h], axis=1), W) + b
+    z = add(matmul(concat([x, h], axis=1), W), b)
     i = sigmoid(z[:, 0:dh])
     f = sigmoid(z[:, dh : 2 * dh])
     o = sigmoid(z[:, 2 * dh : 3 * dh])
     g = tanh(z[:, 3 * dh : 4 * dh])
-    c_next = mul(f, c) + mul(i, g)
+    c_next = add(mul(f, c), mul(i, g))
     h_next = mul(o, tanh(c_next))
     return h_next, c_next
 
@@ -104,7 +104,7 @@ def init_linear(rng: np.random.Generator, input_dim: int, output_dim: int, prefi
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     """Affine map of a single row vector (1 x in) -> (1 x out)."""
-    return matmul(x, W) + b
+    return add(matmul(x, W), b)
 
 
 def broadcast_rows(bias: Tensor, n: int) -> Tensor:

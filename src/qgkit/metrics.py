@@ -325,9 +325,6 @@ class IWScores:
     per_class: dict[IWClass, ClassScore]
     total_recall: float
 
-    def support_total(self) -> int:
-        return sum(s.support for s in self.per_class.values())
-
 
 def class_scores(
     predicted: Sequence[IWClass], gold: Sequence[IWClass]

@@ -148,7 +148,6 @@ class ModelParams:
 
 @dataclass
 class Checkpoint:
-    version: int
     kind: str
     config: dict | ModelConfig
     tensors: dict[str, Tensor]
@@ -229,8 +228,7 @@ def load_checkpoint(path: str | Path, kind: str | None = None,
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")
-    return Checkpoint(version=version, kind=found, config=config,
-                      tensors=tensors, vocab_hash=vocab_hash)
+    return Checkpoint(kind=found, config=config, tensors=tensors, vocab_hash=vocab_hash)
 
 
 # ---------------------------------------------------------------------------

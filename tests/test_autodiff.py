@@ -444,7 +444,7 @@ def _random_graph_loss(rng, leaves):
         if op == 0:
             out = mul(add(a, b), 0.5)  # damped so magnitudes stay O(1) for FD
         elif op == 1:
-            out = mul(a, 0.5) + mul(b, 0.25)
+            out = add(mul(a, 0.5), mul(b, 0.25))
         elif op == 2:
             out = tanh(a)
         elif op == 3:

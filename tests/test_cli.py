@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgkit import cli
+from qgkit import cli, metrics
 from qgkit.classifier import oracle_classifier
 from qgkit.cli import main
 from qgkit.data import IWClass, Vocabulary, class_counts, corpus_text, load_corpus, tokenize
@@ -592,7 +592,7 @@ def test_sweep_config_seed_list_named_in_error(ws, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path):
+def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path, capsys):
     # 5 words x 4 repeats in two seeded orders: the aligner's node
     # budget runs out before the search finishes
     rng = np.random.default_rng(0)
@@ -603,6 +603,9 @@ def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path):
         "gold": [str(t) for t in rng.permutation(bag)],
     }) + "\n")
     assert run("evaluate", "--dump", dump, "--out", tmp_path / "hard") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 1 of 1 METEOR pairs were scored from an alignment cut short by its "
+        "node budget"]
     assert json.loads((tmp_path / "hard" / "report.json").read_text())["incomplete_pairs"] == 1
     header = (tmp_path / "hard" / "report.csv").read_text().splitlines()[0]
     assert "incomplete_pairs" not in header
@@ -610,6 +613,43 @@ def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path):
     assert run("evaluate", "--dump", ws["dump"], "--out", tmp_path / "ordinary") == 0
     report = json.loads((tmp_path / "ordinary" / "report.json").read_text())
     assert report["incomplete_pairs"] == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_warns_on_truncated_meteor(ws, tmp_path, capsys, monkeypatch):
+    # the fixture model decodes at most 7 tokens here, so every search
+    # reaches one full alignment (8 nodes) before the budget cuts it short
+    monkeypatch.setattr(metrics, "_NODE_BUDGET", 10)
+    assert run("sweep", "--qg", ws["qg"], "--data", ws["prep"] / "qg_train.jsonl",
+               "--vocab", ws["prep"] / "vocab.txt", "--grid", "0.5,1.0", "--seeds", "0",
+               "--out", tmp_path / "s") == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: "), lines
+
+
+@pytest.mark.parametrize("command", ["prepare", "evaluate"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_not_a_directory_fatal_before_reading(ws, tmp_path, capsys, command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "sub" if under else taken
+    data = ["--data", ASSETS / "mini200.jsonl"] if command == "prepare" else ["--dump", ws["dump"]]
+    assert run(command, *data, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --out {out}: {taken} is not a directory"]
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "keep\n"
+
+
+def test_dump_line_may_hold_unicode_line_breaks(tmp_path):
+    # U+2028, U+2029 and U+0085 are legal raw inside a JSON string; only
+    # "\n" ends a JSONL record
+    record = {"generated": ["what", "a\u2028b", "?"], "gold": ["what", "a\u2029b\x85", "?"]}
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert run("evaluate", "--dump", dump, "--out", tmp_path / "o") == 0
+    assert json.loads((tmp_path / "o" / "report.json").read_text())["n_examples"] == 1
 
 
 @pytest.fixture(scope="module")

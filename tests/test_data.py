@@ -265,13 +265,6 @@ class TestVocabulary:
         assert ids == [14, 15, 16, 15]
         assert oov == ["dog", "emu"]
 
-    def test_encode_extended_shares_oov_list(self):
-        v = Vocabulary(["cat"])
-        _, oov = v.encode_extended(["dog"])
-        ids, oov2 = v.encode_extended(["emu", "dog"], oov)
-        assert oov2 is oov
-        assert ids == [16, 15]
-
     def test_extended_id_lookup(self):
         v = Vocabulary(["cat"])
         assert v.extended_id("cat", []) == 14

@@ -132,7 +132,12 @@ class TestEncode:
         n = len(seq.surfaces)
         assert enc.states.shape == (n, 2 * cfg.encoder_hidden)
         assert len(enc) == n
-        np.testing.assert_array_equal(enc.final_state.data, enc.states.data[n - 1 : n])
+        # the decoder bridge reads the last fused state
+        last = enc.states.data[n - 1 : n]
+        h0, c0 = init_decoder_state(enc, cfg, params)
+        for t, gate in ((h0, "bridge.h"), (c0, "bridge.c")):
+            want = np.tanh(last @ params[f"{gate}.W"].data + params[f"{gate}.b"].data)
+            np.testing.assert_array_equal(t.data, want)
 
     def test_gate_interpolation_bounds(self):
         # each fused coordinate lies between its raw and candidate value
@@ -177,9 +182,10 @@ class TestEncode:
             encode(empty, cfg, params)
 
     def test_copy_segment_grouping(self):
-        segments, word_ids, pos_seg = _copy_segments([5, 9, 5, 14, 9])
+        ids = [5, 9, 5, 14, 9]
+        segments, pos_seg = _copy_segments(ids)
         assert segments == [[0, 2], [1, 4], [3]]
-        assert word_ids == [5, 9, 14]
+        assert [ids[seg[0]] for seg in segments] == [5, 9, 14]
         assert pos_seg == [0, 1, 0, 2, 1]
 
 
@@ -213,7 +219,8 @@ class TestDecodeStep:
             z = np.exp(gen - shift).sum() + (sizes * np.exp(capped - shift)).sum()
             gen_share = np.zeros(step.final_dist.shape[0])
             gen_share[:vocab_size] = np.exp(gen - shift) / z
-            for k, wid in enumerate(enc.segment_word_ids):
+            for k, seg in enumerate(enc.segments):
+                wid = seq.ids[seg[0]]
                 copy_mass = sizes[k] * np.exp(capped[k] - shift) / z
                 assert step.final_dist.data[wid] == pytest.approx(
                     gen_share[wid] + copy_mass, rel=0, abs=1e-12)

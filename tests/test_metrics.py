@@ -243,7 +243,7 @@ class TestIWScores:
         gold = [[starters[i], "x", "?"] for i in rng.integers(0, 6, size=40)]
         gen = [[starters[i], "y", "?"] for i in rng.integers(0, 6, size=40)]
         scores = iw_recall_precision(gen, gold)
-        assert scores.support_total() == 40
+        assert sum(s.support for s in scores.per_class.values()) == 40
 
     def test_total_is_support_weighted_recall(self):
         rng = np.random.default_rng(27)
