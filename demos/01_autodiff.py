@@ -67,6 +67,6 @@ for step in range(1, 101):
     with Tape() as tape:
         loss = loss_fn()
     backward(tape, loss)
-    adam_step(params, {k: t.grad for k, t in params.items()}, state, lr=0.05)
+    adam_step(params, state, lr=0.05)
     if step % 25 == 0:
         print(f"step {step:3d}  loss {loss.item():.6f}")

@@ -3,12 +3,12 @@
 Provides exactly the operator set the classifier and generator need:
 matmul, elementwise arithmetic and activations, stabilized softmax,
 per-segment maxima (for max-capped copy scores), embedding lookup,
-scatter-sum regrouping, and cross-entropy.  Ops executed while a Tape
-is active are recorded in execution order; ``backward`` replays the
-tape in exact reverse order and accumulates gradients into every
-tensor the loss can reach.  Ops executed with no active tape are plain
-forward evaluations, which keeps inference and finite-difference
-probing cheap.
+scatter-sum regrouping, cross-entropy, and one fused LSTM step whose
+tape entry has two outputs.  Ops executed while a Tape is active are
+recorded in execution order; ``backward`` replays the tape in exact
+reverse order and accumulates gradients into every tensor the loss can
+reach.  Ops executed with no active tape are plain forward evaluations,
+which keeps inference and finite-difference probing cheap.
 
 Everything is 64-bit and deterministic: the same seed and the same op
 sequence produce bit-identical values.
@@ -33,6 +33,7 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
+    "lstm_step",
     "reduce_sum",
     "reduce_mean",
     "softmax",
@@ -80,17 +81,14 @@ class Tensor:
         label = f" {self.name!r}" if self.name else ""
         return f"Tensor{label}(shape={self.shape})"
 
-    def __getitem__(self, key):
-        return _getitem(self, key)
-
 
 class _TapeEntry:
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    __slots__ = ("op", "inputs", "outputs", "backward_fn")
 
-    def __init__(self, op, inputs, output, backward_fn):
+    def __init__(self, op, inputs, outputs, backward_fn):
         self.op = op
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
         self.backward_fn = backward_fn
 
 
@@ -120,9 +118,10 @@ class Tape:
         return len(self.entries)
 
 
-def _record(op: str, inputs: tuple, output: Tensor, backward_fn: Callable):
+def _record(op: str, inputs: tuple, outputs: tuple, backward_fn: Callable):
+    """Tape one op; ``backward_fn`` maps one gradient per output to one per input."""
     if _ACTIVE_TAPES:
-        _ACTIVE_TAPES[-1].entries.append(_TapeEntry(op, inputs, output, backward_fn))
+        _ACTIVE_TAPES[-1].entries.append(_TapeEntry(op, inputs, outputs, backward_fn))
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -136,17 +135,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
     seen: dict[int, Tensor] = {}
     for entry in tape.entries:
-        for t in entry.inputs:
+        for t in entry.inputs + entry.outputs:
             seen[id(t)] = t
-        seen[id(entry.output)] = entry.output
     for t in seen.values():
         t.grad = np.zeros_like(t.data)
     loss.grad = np.ones_like(loss.data)
     for entry in reversed(tape.entries):
-        grad_out = entry.output.grad
-        if grad_out is None:
-            continue
-        grads = entry.backward_fn(grad_out)
+        grads = entry.backward_fn(*(t.grad for t in entry.outputs))
         for t, g in zip(entry.inputs, grads):
             if g is not None:
                 t.grad += g
@@ -181,7 +176,7 @@ def add(a, b) -> Tensor:
     _record(
         "add",
         (ta, tb),
-        out,
+        (out,),
         lambda g: (_unbroadcast(g, ta), _unbroadcast(g, tb)),
     )
     return out
@@ -193,7 +188,7 @@ def sub(a, b) -> Tensor:
     _record(
         "sub",
         (ta, tb),
-        out,
+        (out,),
         lambda g: (_unbroadcast(g, ta), _unbroadcast(-g, tb)),
     )
     return out
@@ -205,33 +200,36 @@ def mul(a, b) -> Tensor:
     _record(
         "mul",
         (ta, tb),
-        out,
+        (out,),
         lambda g: (_unbroadcast(g * tb.data, ta), _unbroadcast(g * ta.data, tb)),
     )
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _sigmoid(d: np.ndarray) -> np.ndarray:
     # Split by sign to avoid overflow in exp for large |x|.
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))),
-                 np.exp(np.clip(d, None, 0)) / (1.0 + np.exp(np.clip(d, None, 0))))
+    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))),
+                    np.exp(np.clip(d, None, 0)) / (1.0 + np.exp(np.clip(d, None, 0))))
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    y = _sigmoid(x.data)
     out = Tensor(y)
-    _record("sigmoid", (x,), out, lambda g: (g * y * (1.0 - y),))
+    _record("sigmoid", (x,), (out,), lambda g: (g * y * (1.0 - y),))
     return out
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
     out = Tensor(y)
-    _record("tanh", (x,), out, lambda g: (g * (1.0 - y * y),))
+    _record("tanh", (x,), (out,), lambda g: (g * (1.0 - y * y),))
     return out
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0))
-    _record("relu", (x,), out, lambda g: (g * mask,))
+    _record("relu", (x,), (out,), lambda g: (g * mask,))
     return out
 
 
@@ -253,7 +251,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _record(
         "matmul",
         (a, b),
-        out,
+        (out,),
         lambda g: (g @ b.data.T, a.data.T @ g),
     )
     return out
@@ -263,14 +261,14 @@ def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ValueError(f"transpose expects a 2-D tensor, got {x.data.shape}")
     out = Tensor(x.data.T.copy())
-    _record("transpose", (x,), out, lambda g: (g.T,))
+    _record("transpose", (x,), (out,), lambda g: (g.T,))
     return out
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out = Tensor(x.data.reshape(shape).copy())
-    _record("reshape", (x,), out, lambda g: (g.reshape(x.data.shape),))
+    _record("reshape", (x,), (out,), lambda g: (g.reshape(x.data.shape),))
     return out
 
 
@@ -285,20 +283,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def back(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    _record("concat", tuple(tensors), out, back)
-    return out
-
-
-def _getitem(x: Tensor, key) -> Tensor:
-    out_data = x.data[key]
-    out = Tensor(np.array(out_data, dtype=np.float64))
-
-    def back(g):
-        gx = np.zeros_like(x.data)
-        gx[key] += g.reshape(out_data.shape)
-        return (gx,)
-
-    _record("getitem", (x,), out, back)
+    _record("concat", tuple(tensors), (out,), back)
     return out
 
 
@@ -311,7 +296,7 @@ def reduce_sum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, x.data.shape).copy(),)
 
-    _record("reduce_sum", (x,), out, back)
+    _record("reduce_sum", (x,), (out,), back)
     return out
 
 
@@ -337,7 +322,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = np.sum(g * y, axis=axis, keepdims=True)
         return ((g - inner) * y,)
 
-    _record("softmax", (x,), out, back)
+    _record("softmax", (x,), (out,), back)
     return out
 
 
@@ -372,7 +357,7 @@ def segment_max(
             gs[w] += g[k]
         return (gs,)
 
-    _record("segment_max", (scores,), out, back)
+    _record("segment_max", (scores,), (out,), back)
     return out, winners
 
 
@@ -391,7 +376,7 @@ def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
         np.add.at(gt, idx, g)
         return (gt,)
 
-    _record("lookup", (table,), out, back)
+    _record("lookup", (table,), (out,), back)
     return out
 
 
@@ -407,7 +392,7 @@ def scatter_sum(values: Tensor, index_map: Sequence[int], size: int) -> Tensor:
     acc = np.zeros(size, dtype=np.float64)
     np.add.at(acc, idx, values.data)
     out = Tensor(acc)
-    _record("scatter_sum", (values,), out, lambda g: (g[idx],))
+    _record("scatter_sum", (values,), (out,), lambda g: (g[idx],))
     return out
 
 
@@ -429,8 +414,38 @@ def cross_entropy(pred_dist: Tensor, gold: int) -> Tensor:
             gp.ravel()[gold] = -float(g) / p
         return (gp,)
 
-    _record("cross_entropy", (pred_dist,), out, back)
+    _record("cross_entropy", (pred_dist,), (out,), back)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Recurrent cell.
+# ---------------------------------------------------------------------------
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM update, taped as one entry; ``x`` and ``h`` are rows (1 x dim)
+    and the gates in ``W``/``b`` are input, forget, output, cell.  Forward
+    and backward repeat, product for product, the cell composed from the
+    elementwise ops, so values and gradients equal that composition's."""
+    d = h.data.shape[1]
+    xh = np.concatenate([x.data, h.data], axis=1)
+    z = xh @ W.data + b.data
+    i, f, o = (_sigmoid(z[:, k * d : (k + 1) * d]) for k in range(3))
+    g = np.tanh(z[:, 3 * d : 4 * d])
+    c_next = Tensor(f * c.data + i * g)
+    tc = np.tanh(c_next.data)
+    h_next = Tensor(o * tc)
+
+    def back(dh, dc):
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f),
+                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+        dx, dh_prev = np.split(dz @ W.data.T, [x.data.shape[1]], axis=1)
+        return dx, dh_prev, dc * f, xh.T @ dz, dz
+
+    _record("lstm_step", (x, h, c, W, b), (h_next, c_next), back)
+    return h_next, c_next
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +464,18 @@ class AdamState:
 
 def adam_step(
     params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
 ) -> None:
-    """One Adam update with decoupled weight decay, in place."""
+    """One Adam update of every parameter from its ``.grad``, with
+    decoupled weight decay, in place."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = np.asarray(p.grad, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(
                 f"adam_step: gradient shape {g.shape} does not match "

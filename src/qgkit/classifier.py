@@ -192,8 +192,7 @@ def train_classifier(
             if not np.isfinite(loss.item()):
                 raise InputError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
-            grads = {k: t.grad for k, t in params.tensors.items()}
-            adam_step(params.tensors, grads, state, lr=config.lr,
+            adam_step(params.tensors, state, lr=config.lr,
                       weight_decay=config.weight_decay)
             total += loss.item()
         acc = eval_classifier(dev, params, vocab).accuracy

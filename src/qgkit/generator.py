@@ -172,7 +172,7 @@ def init_decoder_state(
     encoded: EncodedPassage, config: QGConfig, params: dict[str, Tensor]
 ) -> tuple[Tensor, Tensor]:
     """Learned bridge from the last fused encoder state to (h0, c0)."""
-    last = encoded.states[-1:]
+    last = ad.lookup(encoded.states, [len(encoded) - 1])
     h0 = ad.tanh(linear(last, params["bridge.h.W"], params["bridge.h.b"]))
     c0 = ad.tanh(linear(last, params["bridge.c.W"], params["bridge.c.b"]))
     return h0, c0
@@ -317,8 +317,7 @@ def train_qg(
             if not np.isfinite(loss.item()):
                 raise InputError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
-            grads = {k: t.grad for k, t in params.tensors.items()}
-            adam_step(params.tensors, grads, state, lr=config.lr,
+            adam_step(params.tensors, state, lr=config.lr,
                       weight_decay=config.weight_decay)
             total += loss.item() * len(targets)
             count += len(targets)

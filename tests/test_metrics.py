@@ -14,6 +14,7 @@ from oracles import (
     oracle_meteor_pair,
     random_token_pair,
 )
+from qgkit import metrics
 from qgkit.data import IWClass
 from qgkit.metrics import (
     METEOR_LABEL,
@@ -205,6 +206,18 @@ class TestMeteor:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             meteor_variant([["a"]], [])
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_budget_spent_before_first_alignment(self, monkeypatch, budget):
+        # the budget runs out before the search reaches a leaf; it still
+        # finishes one full alignment and flags it incomplete
+        monkeypatch.setattr(metrics, "_NODE_BUDGET", budget)
+        cand, ref = ["b", "a", "cats"], ["a", "cat", "b"]
+        res = align_tokens(cand, ref)
+        assert not res.complete
+        assert res.pairs == ((0, 2), (1, 0), (2, 1))
+        assert (res.exact, res.total, res.chunks) == (2, 3, 2)
+        assert meteor_variant([cand], [ref]) == pytest.approx(oracle_meteor_pair(cand, ref))
 
 
 class TestIWScores:
