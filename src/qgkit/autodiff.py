@@ -3,12 +3,13 @@
 Provides exactly the operator set the classifier and generator need:
 matmul, elementwise arithmetic and activations, stabilized softmax,
 per-segment maxima (for max-capped copy scores), embedding lookup,
-scatter-sum regrouping, cross-entropy, and one fused LSTM step whose
-tape entry has two outputs.  Ops executed while a Tape is active are
-recorded in execution order; ``backward`` replays the tape in exact
-reverse order and accumulates gradients into every tensor the loss can
-reach.  Ops executed with no active tape are plain forward evaluations,
-which keeps inference and finite-difference probing cheap.
+scatter-sum regrouping, cross-entropy, and one fused LSTM op that runs
+the cell over a whole sequence as one tape entry with two outputs.  Ops
+executed while a Tape is active are recorded in execution order;
+``backward`` replays the tape in exact reverse order and accumulates
+gradients into every tensor the loss can reach.  Ops executed with no
+active tape are plain forward evaluations, which keeps inference and
+finite-difference probing cheap.
 
 Everything is 64-bit and deterministic: the same seed and the same op
 sequence produce bit-identical values.
@@ -423,29 +424,45 @@ def cross_entropy(pred_dist: Tensor, gold: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM update, taped as one entry; ``x`` and ``h`` are rows (1 x dim)
-    and the gates in ``W``/``b`` are input, forget, output, cell.  Forward
-    and backward repeat, product for product, the cell composed from the
-    elementwise ops, so values and gradients equal that composition's."""
+def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
+              reverse: bool = False) -> tuple[Tensor, Tensor]:
+    """The LSTM cell run over the rows of ``x`` (n x dim), last to first if
+    ``reverse``, from the state rows ``h`` and ``c``, as one tape entry.
+    Returns ``(H, c_last)``: row t of H is the hidden state after row t.
+    The gates in ``W``/``b`` are input, forget, output, cell.  Each step
+    repeats, product for product, the cell composed from the elementwise
+    ops, and the backward walks the steps as a tape of one-row steps
+    would, so values and gradients equal that composition's."""
     d = h.data.shape[1]
-    xh = np.concatenate([x.data, h.data], axis=1)
-    z = xh @ W.data + b.data
-    i, f, o = (_sigmoid(z[:, k * d : (k + 1) * d]) for k in range(3))
-    g = np.tanh(z[:, 3 * d : 4 * d])
-    c_next = Tensor(f * c.data + i * g)
-    tc = np.tanh(c_next.data)
-    h_next = Tensor(o * tc)
+    H, steps = np.empty((x.data.shape[0], d)), []
+    h_t, c_t = h.data, c.data
+    for t in reversed(range(len(x.data))) if reverse else range(len(x.data)):
+        xh = np.concatenate([x.data[t : t + 1], h_t], axis=1)
+        z = xh @ W.data + b.data
+        i, f, o = (_sigmoid(z[:, k * d : (k + 1) * d]) for k in range(3))
+        g = np.tanh(z[:, 3 * d : 4 * d])
+        c_prev, c_t = c_t, f * c_t + i * g
+        tc = np.tanh(c_t)
+        H[t] = h_t = o * tc
+        steps.append((t, xh, c_prev, i, f, o, g, tc))
+    H, c_last = Tensor(H), Tensor(c_t)
 
-    def back(dh, dc):
-        dc = dc + dh * o * (1.0 - tc * tc)
-        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c.data * f * (1.0 - f),
-                             dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
-        dx, dh_prev = np.split(dz @ W.data.T, [x.data.shape[1]], axis=1)
-        return dx, dh_prev, dc * f, xh.T @ dz, dz
+    def back(dH, dc):
+        dx, dW, db = np.empty_like(x.data), np.zeros_like(W.data), np.zeros_like(b.data)
+        dh = np.zeros_like(h.data)
+        for t, xh, c_prev, i, f, o, g, tc in reversed(steps):
+            dh = dH[t : t + 1] + dh
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+            dx[t : t + 1], dh = np.split(dz @ W.data.T, [x.data.shape[1]], axis=1)
+            dW += xh.T @ dz
+            db += dz
+            dc = dc * f
+        return dx, dh, dc, dW, db
 
-    _record("lstm_step", (x, h, c, W, b), (h_next, c_next), back)
-    return h_next, c_next
+    _record("lstm_step", (x, h, c, W, b), (H, c_last), back)
+    return H, c_last
 
 
 # ---------------------------------------------------------------------------

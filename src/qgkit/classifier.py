@@ -104,7 +104,7 @@ def encode_summary(
     if not tokens:
         raise ValueError("empty classifier input")
     ids = vocab.encode(tokens)
-    rows = [ad.lookup(params["embed"], [i]) for i in ids]
+    rows = ad.concat([ad.lookup(params["embed"], [i]) for i in ids], axis=0)
     h = config.encoder_hidden
     layer1, _ = run_bilstm(rows, params, "enc1", h)
     layer2, final = run_bilstm(layer1, params, "enc2", h)
@@ -112,8 +112,7 @@ def encode_summary(
         return final
     if not answer_positions:
         raise ValueError("answer embedding requested but no answer positions")
-    answer_rows = ad.concat([layer2[i] for i in answer_positions], axis=0)
-    answer_mean = ad.reduce_mean(answer_rows, axis=0, keepdims=True)
+    answer_mean = ad.reduce_mean(ad.lookup(layer2, answer_positions), axis=0, keepdims=True)
     return ad.concat([final, answer_mean], axis=1)
 
 

@@ -167,8 +167,12 @@ def load_config(args) -> tuple[configparser.ConfigParser, dict]:
 
 
 def _check_out(out: Path) -> None:
-    existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
-    if not existing.is_dir():
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists() or p.is_symlink())
+        is_dir = existing.is_dir()
+    except OSError as e:
+        raise InputError(f"--out {out}: {e.strerror or e}", code=2) from None
+    if not is_dir:
         raise InputError(f"--out {out}: {existing} is not a directory", code=2)
 
 
@@ -212,6 +216,16 @@ def _vocab_path(args) -> Path:
     return Path(_require(args, "data")).parent / "vocab.txt"
 
 
+class _ShapeRng:
+    """Stands in for the rng a model's ``init`` draws from: every draw is
+    a read-only zero view, so ``init`` gives a config's tensor names and
+    shapes without allocating the tensors."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
 def _load_model_checkpoint(path: str, kind: str, vocab: Vocabulary) -> ModelParams:
     """A ``kind`` checkpoint trained against ``vocab``, holding exactly the
     tensor names and shapes that its config's model is built from."""
@@ -223,8 +237,11 @@ def _load_model_checkpoint(path: str, kind: str, vocab: Vocabulary) -> ModelPara
             "different vocabulary file"
         )
     found = {name: t.shape for name, t in ck.tensors.items()}
-    built = {name: t.shape
-             for name, t in init(ck.config, len(vocab), np.random.default_rng(0)).tensors.items()}
+    try:
+        built = {name: t.shape for name, t in init(ck.config, len(vocab), _ShapeRng).tensors.items()}
+    except ValueError as e:
+        raise CheckpointError(f"{path}: its config describes a {kind} model numpy cannot "
+                              f"lay out: {e}") from None
     if found != built:
         name = min((n for n in found.keys() | built.keys() if found.get(n) != built.get(n)),
                    key=str)

@@ -144,15 +144,9 @@ def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> 
     n = len(seq.surfaces)
     if n == 0:
         raise ValueError("empty generator input")
-    rows = [
-        ad.concat(
-            [ad.lookup(params["embed"], [b]), ad.lookup(params["meta_embed"], [m])],
-            axis=1,
-        )
-        for b, m in zip(seq.base_ids, seq.meta)
-    ]
-    u_list, _ = run_bilstm(rows, params, "enc", config.encoder_hidden)
-    U = ad.concat(u_list, axis=0)
+    words = ad.concat([ad.lookup(params["embed"], [b]) for b in seq.base_ids], axis=0)
+    meta = ad.concat([ad.lookup(params["meta_embed"], [m]) for m in seq.meta], axis=0)
+    U, _ = run_bilstm(ad.concat([words, meta], axis=1), params, "enc", config.encoder_hidden)
     scores = ad.matmul(ad.matmul(U, params["att.Ws"]), ad.transpose(U))
     # column t holds u_j' Ws u_t over j, so align over axis 0
     A = ad.softmax(scores, axis=0)

@@ -1,5 +1,9 @@
 """Recurrent building blocks shared by the classifier and the generator.
 
+A bidirectional pass reads an (n x dim) matrix and is two ``lstm_step``
+ops, one per direction, each running the whole sequence as one tape
+entry.
+
 All state is carried in plain ``{name: Tensor}`` dicts so checkpoints,
 the optimizer, and gradient checks can treat every model uniformly.
 """
@@ -8,12 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, lstm_step, matmul, uniform_init
+from .autodiff import Tensor, add, concat, lookup, lstm_step, matmul, uniform_init
 
 __all__ = [
     "init_lstm",
     "lstm_step",
-    "run_lstm",
     "run_bilstm",
     "init_bilstm",
     "init_linear",
@@ -34,39 +37,22 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str
     }
 
 
-def _zeros(hidden: int) -> Tensor:
-    return Tensor(np.zeros((1, hidden)))
-
-
-def run_lstm(
-    rows: list[Tensor], W: Tensor, b: Tensor, hidden: int, reverse: bool = False
-) -> tuple[list[Tensor], Tensor]:
-    """Run the cell over row vectors; returns per-step outputs in input
-    order plus the final hidden state."""
-    h, c = _zeros(hidden), _zeros(hidden)
-    order = range(len(rows) - 1, -1, -1) if reverse else range(len(rows))
-    outputs: list[Tensor | None] = [None] * len(rows)
-    for t in order:
-        h, c = lstm_step(rows[t], h, c, W, b)
-        outputs[t] = h
-    return outputs, h
-
-
 def run_bilstm(
-    rows: list[Tensor],
+    X: Tensor,
     params: dict[str, Tensor],
     prefix: str,
     hidden: int,
-) -> tuple[list[Tensor], Tensor]:
-    """Bidirectional pass; per-position outputs are [forward; backward]
-    concatenations (1 x 2*hidden), and the final state concatenates the
-    two directions' last hidden states."""
-    fwd, fwd_final = run_lstm(rows, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"], hidden)
-    bwd, bwd_final = run_lstm(
-        rows, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"], hidden, reverse=True
-    )
-    outs = [concat([f, b], axis=1) for f, b in zip(fwd, bwd)]
-    return outs, concat([fwd_final, bwd_final], axis=1)
+) -> tuple[Tensor, Tensor]:
+    """Bidirectional pass over the rows of ``X`` (n x in), one
+    ``lstm_step`` per direction.  Row t of the (n x 2*hidden) states is
+    [forward; backward] at position t; the (1 x 2*hidden) final state
+    joins the two directions' last hidden states."""
+    zeros = Tensor(np.zeros((1, hidden)))
+    fwd, _ = lstm_step(X, zeros, zeros, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"])
+    bwd, _ = lstm_step(X, zeros, zeros, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"],
+                       reverse=True)
+    states = concat([fwd, bwd], axis=1)
+    return states, concat([lookup(fwd, [X.shape[0] - 1]), lookup(bwd, [0])], axis=1)
 
 
 def init_bilstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str) -> dict[str, Tensor]:

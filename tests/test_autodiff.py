@@ -33,7 +33,9 @@ from qgkit.autodiff import (
     transpose,
 )
 from qgkit.gradcheck import central_difference, check_gradients, relative_error
-from qgkit.layers import run_lstm
+from qgkit.classifier import ClassifierConfig, encode_summary, init_classifier
+from qgkit.data import TaggedSequence, Vocabulary
+from qgkit.generator import QGConfig, encode, init_qg
 
 
 def fd(f, tensor, h=1e-4):
@@ -384,10 +386,11 @@ class TestStructuralOps:
         np.testing.assert_allclose(x.grad, np.full(4, 0.25))
 
 
-def _lstm_inputs(seed, d_in=3, d=4):
-    """x, h, c, W, b at a scale that keeps every gate off saturation."""
+def _lstm_inputs(seed, d_in=3, d=4, n=1):
+    """x (n rows), h, c, W, b at a scale that keeps every gate off
+    saturation."""
     rng = np.random.default_rng(seed)
-    shapes = ((1, d_in), (1, d), (1, d), (d_in + d, 4 * d), (1, 4 * d))
+    shapes = ((n, d_in), (1, d), (1, d), (d_in + d, 4 * d), (1, 4 * d))
     return [Tensor(rng.normal(scale=0.5, size=s)) for s in shapes]
 
 
@@ -398,6 +401,21 @@ def _composed_lstm_step(x, h, c, W, b):
     i, f, o, g = (reshape(lookup(z, [k]), (1, d)) for k in range(4))
     c_next = add(mul(sigmoid(f), c), mul(sigmoid(i), tanh(g)))
     return mul(sigmoid(o), tanh(c_next)), c_next
+
+
+def _pass(x, h, c, W, b, reverse):
+    return lstm_step(x, h, c, W, b, reverse=reverse)
+
+
+def _row_loop(x, h, c, W, b, reverse):
+    """The same pass as one-row steps, rows gathered with lookup and the
+    hidden states stacked with concat."""
+    n = x.shape[0]
+    states = [None] * n
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        h, c = lstm_step(lookup(x, [t]), h, c, W, b)
+        states[t] = h
+    return concat(states, axis=0), c
 
 
 # Which outputs the loss reads: h only, c only, or both.
@@ -437,15 +455,60 @@ class TestLSTMStep:
         for fused, composed in zip(*results):
             assert np.array_equal(fused, composed)
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_pass_gradients_vs_finite_differences(self, on_h, on_c, n, reverse):
+        inputs = _lstm_inputs(14, n=n)
+        with Tape() as tape:
+            loss = _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c)
+        backward(tape, loss)
+
+        def f():
+            return _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c).item()
+
+        assert check_gradients(f, inputs) < 1e-6
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_pass_bit_identical_to_row_loop(self, on_h, on_c, reverse):
+        results = []
+        for run in (_pass, _row_loop):
+            inputs = _lstm_inputs(15, d_in=5, d=6, n=7)
+            with Tape() as tape:
+                outputs = run(*inputs, reverse)
+                loss = _lstm_loss(outputs, on_h, on_c)
+            backward(tape, loss)
+            results.append([t.data for t in outputs] + [t.grad for t in inputs])
+        for fused, looped in zip(*results):
+            assert np.array_equal(fused, looped)
+
     def test_one_tape_entry_per_step(self):
-        x, h, c, W, b = _lstm_inputs(13)
+        # a pass over n rows, in either direction, is one entry
+        for n, reverse in [(1, False), (5, False), (5, True)]:
+            x, h, c, W, b = _lstm_inputs(13, n=n)
+            with Tape() as tape:
+                H, c_last = lstm_step(x, h, c, W, b, reverse=reverse)
+            assert [(e.op, e.outputs) for e in tape.entries] == [("lstm_step", (H, c_last))]
+            assert H.shape == (n, 4) and c_last.shape == (1, 4)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_encoders_tape_one_entry_per_pass(self, n):
+        tokens = [f"w{k % 3}" for k in range(n)]
+        vocab = Vocabulary(["w0", "w1", "w2"])
+        cls_cfg = ClassifierConfig(word_dim=4, encoder_hidden=3, use_answer_embedding=True)
+        cls_params = init_classifier(cls_cfg, len(vocab), np.random.default_rng(0)).tensors
         with Tape() as tape:
-            h_next, c_next = lstm_step(x, h, c, W, b)
-        assert [(e.op, e.outputs) for e in tape.entries] == [("lstm_step", (h_next, c_next))]
-        rows = [Tensor(np.full((1, 3), 0.1 * t)) for t in range(5)]
+            encode_summary(tokens, [n - 1], cls_cfg, cls_params, vocab)
+        assert [e.op for e in tape.entries].count("lstm_step") == 4
+        qg_cfg = QGConfig(word_dim=4, meta_dim=2, encoder_hidden=3, decoder_hidden=5)
+        qg_params = init_qg(qg_cfg, len(vocab), np.random.default_rng(0)).tensors
+        ids = vocab.encode(tokens)
+        seq = TaggedSequence(surfaces=tokens, ids=ids, base_ids=ids,
+                             meta=[k % 3 for k in range(n)], oov_words=[])
         with Tape() as tape:
-            run_lstm(rows, W, b, hidden=4)
-        assert len(tape) == 5
+            encode(seq, qg_cfg, qg_params)
+        assert [e.op for e in tape.entries].count("lstm_step") == 2
 
 
 class TestAdam:

@@ -642,6 +642,19 @@ def test_out_not_a_directory_fatal_before_reading(ws, tmp_path, capsys, command,
     assert taken.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("command", ["prepare", "evaluate"])
+@pytest.mark.parametrize("under", [False, True], ids=["long-name", "under-long-name"])
+def test_out_the_os_rejects_fatal_before_reading(ws, tmp_path, capsys, command, under):
+    long_name = tmp_path / ("a" * 300)
+    out = long_name / "sub" if under else long_name
+    data = ["--data", ASSETS / "mini200.jsonl"] if command == "prepare" else ["--dump", ws["dump"]]
+    assert run(command, *data, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --out {out}: File name too long"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dump_line_may_hold_unicode_line_breaks(tmp_path):
     # U+2028, U+2029 and U+0085 are legal raw inside a JSON string; only
     # "\n" ends a JSONL record
@@ -811,23 +824,33 @@ def test_malformed_input_fatal(ws, tmp_path, capsys, make_argv, code):
     assert not (tmp_path / "o").exists()
 
 
-def drop_tensor(tensors):
-    del tensors["att.Wa"]
+def drop_tensor(ck):
+    del ck.tensors["att.Wa"]
 
 
-def shrink_embed(tensors):
-    tensors["embed"] = Tensor(np.zeros((3, tensors["embed"].shape[1])))
+def shrink_embed(ck):
+    ck.tensors["embed"] = Tensor(np.zeros((3, ck.tensors["embed"].shape[1])))
 
 
-def nan_output(tensors):
-    tensors["out.W"].data[0, 0] = np.nan
+def nan_output(ck):
+    ck.tensors["out.W"].data[0, 0] = np.nan
 
 
-@pytest.mark.parametrize("edit", [drop_tensor, shrink_embed, nan_output],
-                         ids=["missing-tensor", "embed-shape", "nan-value"])
+def huge_encoder(hidden):
+    # 10**7 describes a ~2.8 PiB encoder, beyond any address space;
+    # 10**12 gives shapes with more elements than numpy can index
+    def edit(ck):
+        ck.config["encoder_hidden"] = hidden
+    return edit
+
+
+@pytest.mark.parametrize("edit", [drop_tensor, shrink_embed, nan_output,
+                                  huge_encoder(10**7), huge_encoder(10**12)],
+                         ids=["missing-tensor", "embed-shape", "nan-value",
+                              "huge-config", "unindexable-config"])
 def test_checkpoint_tensors_checked_against_config(ws, tmp_path, capsys, edit):
     ck = load_checkpoint(ws["qg"])
-    edit(ck.tensors)
+    edit(ck)
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(checkpoint_bytes("qg", ck.config, ck.tensors, ck.vocab_hash))
     capsys.readouterr()
