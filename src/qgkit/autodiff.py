@@ -208,9 +208,9 @@ def mul(a, b) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp for large |x|.
-    return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))),
-                    np.exp(np.clip(d, None, 0)) / (1.0 + np.exp(np.clip(d, None, 0))))
+    # exp of -|x| never overflows; 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -439,7 +439,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     for t in reversed(range(len(x.data))) if reverse else range(len(x.data)):
         xh = np.concatenate([x.data[t : t + 1], h_t], axis=1)
         z = xh @ W.data + b.data
-        i, f, o = (_sigmoid(z[:, k * d : (k + 1) * d]) for k in range(3))
+        i, f, o = np.split(_sigmoid(z[:, : 3 * d]), 3, axis=1)
         g = np.tanh(z[:, 3 * d : 4 * d])
         c_prev, c_t = c_t, f * c_t + i * g
         tc = np.tanh(c_t)

@@ -129,6 +129,19 @@ class TestElementwise:
         assert y.data[0] == pytest.approx(1.0)
         assert y.data[1] == pytest.approx(0.0)
 
+    def test_sigmoid_bit_identical_to_clipped_form(self):
+        # the former three-clip, three-exp formula, split by sign
+        def clipped(d):
+            return np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.clip(d, 0, None))),
+                            np.exp(np.clip(d, None, 0)) / (1.0 + np.exp(np.clip(d, None, 0))))
+
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf, np.nan]
+        d = np.concatenate([rng.normal(scale=20.0, size=10**5), special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = clipped(d)
+        assert np.array_equal(ad._sigmoid(d), expected, equal_nan=True)
+
 
 class TestSoftmax:
     def test_uniform_on_equal_inputs(self):
