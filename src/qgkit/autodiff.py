@@ -149,18 +149,21 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Elementwise ops.  Broadcasting is restricted to equal shapes or a
-# single-element operand against anything; other mixes are an error.
+# Elementwise ops.  Broadcasting is restricted to equal shapes, a
+# single-element operand against anything, and a (1 x d) row against an
+# (n x d) matrix; other mixes are an error.
 # ---------------------------------------------------------------------------
 
 
 def _as_operands(a, b, op: str):
     ta = a if isinstance(a, Tensor) else Tensor(np.float64(a))
     tb = b if isinstance(b, Tensor) else Tensor(np.float64(b))
-    if ta.data.shape != tb.data.shape and ta.data.size != 1 and tb.data.size != 1:
+    sa, sb = ta.data.shape, tb.data.shape
+    row = len(sa) == len(sb) == 2 and sa[1] == sb[1] and 1 in (sa[0], sb[0])
+    if sa != sb and ta.data.size != 1 and tb.data.size != 1 and not row:
         raise ValueError(
-            f"{op}: incompatible shapes {ta.data.shape} vs {tb.data.shape} "
-            "(only equal-shape or scalar broadcasting supported)"
+            f"{op}: incompatible shapes {sa} vs {sb} "
+            "(only equal-shape, scalar or row broadcasting supported)"
         )
     return ta, tb
 
@@ -168,7 +171,7 @@ def _as_operands(a, b, op: str):
 def _unbroadcast(g: np.ndarray, t: Tensor) -> np.ndarray:
     if g.shape == t.data.shape:
         return g
-    return np.sum(g).reshape(t.data.shape)
+    return np.sum(g, axis=None if t.data.size == 1 else 0).reshape(t.data.shape)
 
 
 def add(a, b) -> Tensor:
@@ -329,37 +332,37 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 def segment_max(
     scores: Tensor, segments: Sequence[Sequence[int]]
-) -> tuple[Tensor, list[int]]:
-    """Per-segment maximum with the winning index of each segment.
+) -> tuple[Tensor, list]:
+    """Per-segment maximum over the last axis of a 1-D or 2-D tensor,
+    with the winning index of each segment (one list per row for 2-D).
 
     Gradient is routed only to each segment's winning position; ties go
     to the lowest index.  Returns ``(maxima, argmax_indices)``.
     """
-    if scores.data.ndim != 1:
-        raise ValueError(f"segment_max expects a 1-D score tensor, got {scores.shape}")
-    n = scores.data.shape[0]
-    maxima = np.empty(len(segments), dtype=np.float64)
-    winners: list[int] = []
-    for k, seg in enumerate(segments):
-        idx = sorted(int(i) for i in seg)
-        if not idx:
-            raise ValueError(f"segment {k} is empty")
-        if idx[0] < 0 or idx[-1] >= n:
-            raise ValueError(f"segment {k} indexes outside 0..{n - 1}")
-        vals = scores.data[idx]
-        w = idx[int(np.argmax(vals))]
-        winners.append(w)
-        maxima[k] = scores.data[w]
+    if scores.data.ndim not in (1, 2):
+        raise ValueError(f"segment_max expects a 1-D or 2-D score tensor, got {scores.shape}")
+    n = scores.data.shape[-1]
+    sizes = [len(seg) for seg in segments]
+    if 0 in sizes:
+        raise ValueError(f"segment {sizes.index(0)} is empty")
+    # the segments laid end to end, so each is one reduceat span
+    order = np.asarray([i for seg in segments for i in seg], dtype=np.intp)
+    if order.min() < 0 or order.max() >= n:
+        raise ValueError(f"a segment indexes outside 0..{n - 1}")
+    starts = np.cumsum([0] + sizes[:-1])
+    owner = np.repeat(np.arange(len(segments)), sizes)
+    vals = scores.data[..., order]
+    maxima = np.maximum.reduceat(vals, starts, axis=-1)
+    winners = np.minimum.reduceat(np.where(vals < maxima[..., owner], n, order), starts, axis=-1)
     out = Tensor(maxima)
 
     def back(g):
         gs = np.zeros_like(scores.data)
-        for k, w in enumerate(winners):
-            gs[w] += g[k]
+        np.add.at(gs, (*np.indices(winners.shape)[:-1], winners), g)
         return (gs,)
 
     _record("segment_max", (scores,), (out,), back)
-    return out, winners
+    return out, winners.tolist()
 
 
 def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -382,38 +385,44 @@ def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 
 def scatter_sum(values: Tensor, index_map: Sequence[int], size: int) -> Tensor:
-    """out[i] = sum of values[j] over all j with index_map[j] == i."""
-    if values.data.ndim != 1:
-        raise ValueError(f"scatter_sum expects a 1-D tensor, got {values.shape}")
+    """out[..., i] = sum of values[..., j] over all j with index_map[j] == i,
+    along the last axis of a 1-D or 2-D tensor."""
+    if values.data.ndim not in (1, 2):
+        raise ValueError(f"scatter_sum expects a 1-D or 2-D tensor, got {values.shape}")
     idx = np.asarray(list(index_map), dtype=np.intp)
-    if idx.shape[0] != values.data.shape[0]:
+    if idx.shape[0] != values.data.shape[-1]:
         raise ValueError("index_map length must match values length")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ValueError(f"scatter_sum target outside 0..{size - 1}")
-    acc = np.zeros(size, dtype=np.float64)
-    np.add.at(acc, idx, values.data)
+    acc = np.zeros(values.data.shape[:-1] + (size,), dtype=np.float64)
+    np.add.at(acc.T, idx, values.data.T)
     out = Tensor(acc)
-    _record("scatter_sum", (values,), (out,), lambda g: (g[idx],))
+    _record("scatter_sum", (values,), (out,), lambda g: (g[..., idx],))
     return out
 
 
-def cross_entropy(pred_dist: Tensor, gold: int) -> Tensor:
-    """Negative log-likelihood of ``gold`` under a probability vector.
+def cross_entropy(pred_dist: Tensor, gold: int | Sequence[int]) -> Tensor:
+    """Mean negative log-likelihood of the gold ids, one per row of
+    ``pred_dist``; a single id reads the whole tensor as one row.
 
-    The probability is floored at 1e-12 before the log so confidently
+    Each probability is floored at 1e-12 before the log so confidently
     wrong predictions stay finite.
     """
-    flat = pred_dist.data.ravel()
-    if gold < 0 or gold >= flat.shape[0]:
-        raise ValueError(f"gold index {gold} outside 0..{flat.shape[0] - 1}")
-    p = flat[gold]
-    out = Tensor(-np.log(max(p, PROB_FLOOR)))
+    golds = np.asarray(gold, dtype=np.intp).reshape(-1)
+    if np.ndim(gold) and (pred_dist.data.ndim != 2 or pred_dist.shape[0] != golds.size):
+        raise ValueError(f"{golds.size} gold ids for a tensor of shape {pred_dist.shape}")
+    probs = pred_dist.data.reshape(golds.size, -1)
+    if golds.min() < 0 or golds.max() >= probs.shape[1]:
+        raise ValueError(f"gold index outside 0..{probs.shape[1] - 1}")
+    rows = np.arange(golds.size)
+    p = probs[rows, golds]
+    out = Tensor(np.sum(np.log(np.maximum(p, PROB_FLOOR))) * (-1.0 / golds.size))
 
     def back(g):
-        gp = np.zeros_like(pred_dist.data)
-        if p > PROB_FLOOR:
-            gp.ravel()[gold] = -float(g) / p
-        return (gp,)
+        gp = np.zeros_like(probs)
+        live = p > PROB_FLOOR
+        gp[rows[live], golds[live]] = -(float(g) * (1.0 / golds.size)) / p[live]
+        return (gp.reshape(pred_dist.data.shape),)
 
     _record("cross_entropy", (pred_dist,), (out,), back)
     return out

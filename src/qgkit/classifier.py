@@ -103,8 +103,7 @@ def encode_summary(
     """Summary vector (1 x summary_dim) for a tagged token sequence."""
     if not tokens:
         raise ValueError("empty classifier input")
-    ids = vocab.encode(tokens)
-    rows = ad.concat([ad.lookup(params["embed"], [i]) for i in ids], axis=0)
+    rows = ad.lookup(params["embed"], vocab.encode(tokens))
     h = config.encoder_hidden
     layer1, _ = run_bilstm(rows, params, "enc1", h)
     layer2, final = run_bilstm(layer1, params, "enc2", h)

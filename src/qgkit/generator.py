@@ -19,7 +19,6 @@ predicted class instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,7 +37,7 @@ from .data import (
     build_qg_input,
     tokenize,
 )
-from .layers import broadcast_rows, init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
+from .layers import init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
 from .persist import InputError, ModelConfig, ModelParams
 
 __all__ = [
@@ -141,21 +140,18 @@ def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> 
     u = bidirectional pass over [word; meta] rows; a_t = softmax over j
     of u_j' Ws u_t; s_t = sum_j a_tj u_j; f = tanh([u; s] Wf + bf),
     g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u."""
-    n = len(seq.surfaces)
-    if n == 0:
+    if not seq.surfaces:
         raise ValueError("empty generator input")
-    words = ad.concat([ad.lookup(params["embed"], [b]) for b in seq.base_ids], axis=0)
-    meta = ad.concat([ad.lookup(params["meta_embed"], [m]) for m in seq.meta], axis=0)
+    words = ad.lookup(params["embed"], seq.base_ids)
+    meta = ad.lookup(params["meta_embed"], seq.meta)
     U, _ = run_bilstm(ad.concat([words, meta], axis=1), params, "enc", config.encoder_hidden)
     scores = ad.matmul(ad.matmul(U, params["att.Ws"]), ad.transpose(U))
     # column t holds u_j' Ws u_t over j, so align over axis 0
     A = ad.softmax(scores, axis=0)
     S = ad.matmul(ad.transpose(A), U)
     fused_in = ad.concat([U, S], axis=1)
-    F = ad.tanh(ad.add(ad.matmul(fused_in, params["fuse.f.W"]),
-                       broadcast_rows(params["fuse.f.b"], n)))
-    G = ad.sigmoid(ad.add(ad.matmul(fused_in, params["fuse.g.W"]),
-                          broadcast_rows(params["fuse.g.b"], n)))
+    F = ad.tanh(linear(fused_in, params["fuse.f.W"], params["fuse.f.b"]))
+    G = ad.sigmoid(linear(fused_in, params["fuse.g.W"], params["fuse.g.b"]))
     states = ad.add(ad.mul(G, F), ad.mul(ad.sub(1.0, G), U))
     segments, pos_seg = _copy_segments(seq.ids)
     return EncodedPassage(states=states, source_tokens=seq, segments=segments,
@@ -174,17 +170,42 @@ def init_decoder_state(
 
 @dataclass
 class DecodeStep:
-    """One decoder step's scores and distributions.
+    """Decoder scores and distributions, one row per decoder state.
 
-    ``raw_attention``/``attention`` are length-n (pre/post softmax); a
-    word's copy score is the maximum raw attention over its segment
-    positions; ``final_dist`` covers the vocabulary followed by this
-    example's extended ids."""
+    ``raw_attention``/``attention`` hold one score per source position
+    (pre/post softmax); a word's copy score is the maximum raw attention
+    over its segment positions; ``final_dist`` covers the vocabulary
+    followed by this example's extended ids.  ``decode_step`` returns
+    the one-state case with every field 1-D."""
 
     raw_attention: Tensor
     attention: Tensor
     generate_scores: Tensor
     final_dist: Tensor
+
+
+def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
+    """Decoder input rows; extended ids read [UNK]'s embedding."""
+    vocab_size = params["embed"].shape[0]
+    return ad.lookup(params["embed"], [t if t < vocab_size else UNK_ID for t in tokens])
+
+
+def _decoder_head(H: Tensor, encoded: EncodedPassage, params: dict[str, Tensor]) -> DecodeStep:
+    """Attention, generate + maxout copy scores and the regrouped final
+    distribution for each row of the decoder states ``H`` (R x dh)."""
+    vocab_size = params["embed"].shape[0]
+    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.states))
+    attn = ad.softmax(raw, axis=1)
+    context = ad.matmul(attn, encoded.states)
+    gen = linear(ad.concat([H, context], axis=1), params["out.W"], params["out.b"])
+    maxima, _ = ad.segment_max(raw, encoded.segments)
+    capped = ad.transpose(ad.lookup(ad.transpose(maxima), encoded.position_segment))
+    combined = ad.softmax(ad.concat([gen, capped], axis=1), axis=1)
+    index_map = list(range(vocab_size)) + list(encoded.source_tokens.ids)
+    final = ad.scatter_sum(
+        combined, index_map, vocab_size + len(encoded.source_tokens.oov_words)
+    )
+    return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
 
 def decode_step(
@@ -200,34 +221,10 @@ def decode_step(
     embedding lookup.  Each position's copy logit is the maximum raw
     attention score over positions holding the same word; the combined
     softmax is regrouped by word id into ``final_dist``."""
-    vocab_size = params["embed"].shape[0]
-    base = prev_token if prev_token < vocab_size else UNK_ID
-    x = ad.lookup(params["embed"], [base])
-    h, c = lstm_step(x, state[0], state[1], params["dec.W"], params["dec.b"])
-    query = ad.matmul(h, params["att.Wa"])
-    e_col = ad.matmul(encoded.states, ad.transpose(query))
-    n = len(encoded)
-    raw = ad.reshape(e_col, (n,))
-    attn_col = ad.softmax(e_col, axis=0)
-    context = ad.matmul(ad.transpose(attn_col), encoded.states)
-    gen_row = linear(ad.concat([h, context], axis=1), params["out.W"], params["out.b"])
-    gen_scores = ad.reshape(gen_row, (vocab_size,))
-    maxima, _ = ad.segment_max(raw, encoded.segments)
-    capped = ad.reshape(
-        ad.lookup(ad.reshape(maxima, (len(encoded.segments), 1)), encoded.position_segment),
-        (n,),
-    )
-    combined = ad.softmax(ad.concat([gen_scores, capped], axis=0), axis=0)
-    index_map = list(range(vocab_size)) + list(encoded.source_tokens.ids)
-    final = ad.scatter_sum(
-        combined, index_map, vocab_size + len(encoded.source_tokens.oov_words)
-    )
-    step = DecodeStep(
-        raw_attention=raw,
-        attention=ad.reshape(attn_col, (n,)),
-        generate_scores=gen_scores,
-        final_dist=final,
-    )
+    h, c = lstm_step(_embed([prev_token], params), *state, params["dec.W"], params["dec.b"])
+    row = _decoder_head(h, encoded, params)
+    step = DecodeStep(*(ad.reshape(t, (t.shape[1],)) for t in (
+        row.raw_attention, row.attention, row.generate_scores, row.final_dist)))
     return step, (h, c)
 
 
@@ -244,18 +241,16 @@ def sequence_loss(
     config: QGConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    """Mean per-token cross-entropy of a teacher-forced pass."""
+    """Mean per-token cross-entropy of a teacher-forced pass.  Every
+    decoder input is a gold token, so the recurrence is one pass over
+    [SOS] + targets[:-1] and the head scores all targets at once."""
     if not targets:
         raise ValueError("empty target sequence")
     encoded = encode(seq, config, params)
-    state = init_decoder_state(encoded, config, params)
-    prev = SOS_ID
-    losses = []
-    for tid in targets:
-        step, state = decode_step(prev, state, encoded, config, params)
-        losses.append(ad.cross_entropy(step.final_dist, tid))
-        prev = tid
-    return ad.mul(reduce(ad.add, losses), 1.0 / len(targets))
+    h0, c0 = init_decoder_state(encoded, config, params)
+    H, _ = lstm_step(_embed([SOS_ID, *targets[:-1]], params), h0, c0,
+                     params["dec.W"], params["dec.b"])
+    return ad.cross_entropy(_decoder_head(H, encoded, params).final_dist, list(targets))
 
 
 def _example_source_and_targets(

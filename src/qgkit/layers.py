@@ -21,7 +21,6 @@ __all__ = [
     "init_bilstm",
     "init_linear",
     "linear",
-    "broadcast_rows",
 ]
 
 
@@ -70,11 +69,6 @@ def init_linear(rng: np.random.Generator, input_dim: int, output_dim: int, prefi
 
 
 def linear(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """Affine map of a single row vector (1 x in) -> (1 x out)."""
+    """Affine map of the rows of ``x`` (n x in) -> (n x out); the
+    (1 x out) bias is added to every row."""
     return add(matmul(x, W), b)
-
-
-def broadcast_rows(bias: Tensor, n: int) -> Tensor:
-    """Tile a (1 x d) row to (n x d) differentiably (ones-column matmul)."""
-    ones = Tensor(np.ones((n, 1)))
-    return matmul(ones, bias)

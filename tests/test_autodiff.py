@@ -36,10 +36,23 @@ from qgkit.gradcheck import central_difference, check_gradients, relative_error
 from qgkit.classifier import ClassifierConfig, encode_summary, init_classifier
 from qgkit.data import TaggedSequence, Vocabulary
 from qgkit.generator import QGConfig, encode, init_qg
+from qgkit.layers import linear
 
 
 def fd(f, tensor, h=1e-4):
     return central_difference(f, tensor, h=h)
+
+
+def _weighted_pass(op, data, weights):
+    """``op`` on a fresh tensor holding ``data``, its output(s), and the
+    gradient of the output weighted by ``weights`` and summed."""
+    x = Tensor(np.array(data))
+    with Tape() as tape:
+        result = op(x)
+        out = result[0] if isinstance(result, tuple) else result
+        loss = reduce_sum(mul(out, Tensor(weights)))
+    backward(tape, loss)
+    return result, x.grad
 
 
 class TestMatmul:
@@ -120,8 +133,29 @@ class TestElementwise:
         np.testing.assert_array_equal(out2.data, [2.0, 4.0, 6.0])
 
     def test_incompatible_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            add(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3))))
+        # a (1 x d) row broadcasts over (n x d) rows; nothing else does
+        for a, b in [((2, 3), (3, 2)), ((2, 3), (2, 1)), ((2, 3), (1, 2)), ((2, 3), (3,))]:
+            for x, y in [(a, b), (b, a)]:
+                with pytest.raises(ValueError):
+                    add(Tensor(np.ones(x)), Tensor(np.ones(y)))
+
+    def test_row_broadcast_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(13)
+        x = Tensor(rng.normal(size=(4, 3)))
+        row = Tensor(rng.normal(size=(1, 3)))
+        W = Tensor(rng.normal(size=(3, 2)))
+        b = Tensor(rng.normal(size=(1, 2)))
+        w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+
+        def loss():
+            return add(reduce_sum(mul(add(x, row), Tensor(w1))),
+                       reduce_sum(mul(linear(x, W, b), Tensor(w2))))
+
+        with Tape() as tape:
+            out = loss()
+        backward(tape, out)
+        np.testing.assert_array_equal(add(row, x).data, x.data + row.data)
+        assert check_gradients(lambda: loss().item(), [x, row, W, b]) < 1e-6
 
     def test_sigmoid_no_overflow(self):
         y = sigmoid(Tensor([1000.0, -1000.0]))
@@ -238,6 +272,32 @@ class TestSegmentMax:
             brute = [max(scores.data[i] for i in seg) for seg in segs]
             np.testing.assert_allclose(out.data, brute)
 
+    def test_rows_equal_per_row_calls(self):
+        rng = np.random.default_rng(14)
+        segs = [[0, 3, 5], [1], [4, 2]]
+        scores = rng.normal(size=(4, 6))
+        scores[1, [0, 5]] = 2.0  # a tie, won by the lower index
+        w = rng.normal(size=(4, 3))
+        (out, winners), grad = _weighted_pass(lambda x: segment_max(x, segs), scores, w)
+        assert winners[1][0] == 0
+        for r in range(4):
+            (o, win), g = _weighted_pass(lambda x: segment_max(x, segs), scores[r], w[r])
+            assert np.array_equal(out.data[r], o.data) and winners[r] == win
+            assert np.array_equal(grad[r], g)
+
+    def test_rows_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(15)
+        segs = [[0, 3, 5], [1], [4, 2]]
+        scores = Tensor(rng.normal(size=(3, 6)))
+        w = rng.normal(size=(3, 3))
+
+        def f():
+            return float(sum(w[r, k] * np.max(scores.data[r, seg])
+                             for r in range(3) for k, seg in enumerate(segs)))
+
+        _, grad = _weighted_pass(lambda x: segment_max(x, segs), scores.data, w)
+        assert relative_error(grad, fd(f, scores)) < 1e-6
+
 
 class TestLookup:
     def test_duplicate_ids_duplicate_rows(self):
@@ -290,6 +350,25 @@ class TestScatterSum:
         backward(tape, loss)
         np.testing.assert_allclose(v.grad, w[idx])
 
+    def test_rows_equal_per_row_calls(self):
+        rng = np.random.default_rng(16)
+        idx = [1, 0, 1, 3, 0]
+        v = rng.normal(size=(3, 5))
+        w = rng.normal(size=(3, 4))
+        out, grad = _weighted_pass(lambda x: scatter_sum(x, idx, 4), v, w)
+        for r in range(3):
+            o, g = _weighted_pass(lambda x: scatter_sum(x, idx, 4), v[r], w[r])
+            assert np.array_equal(out.data[r], o.data)
+            assert np.array_equal(grad[r], g)
+
+        t = Tensor(v)
+
+        def f():
+            return float(sum(w[r, i] * t.data[r, j]
+                             for r in range(3) for j, i in enumerate(idx)))
+
+        assert relative_error(grad, fd(f, t)) < 1e-6
+
 
 class TestCrossEntropy:
     def test_one_hot_correct_is_zero(self):
@@ -321,6 +400,43 @@ class TestCrossEntropy:
             return float(-np.log(e[2] / e.sum()))
 
         assert relative_error(logits.grad, fd(f, logits)) < 1e-5
+
+    def test_rows_mean_of_per_row_calls(self):
+        rng = np.random.default_rng(17)
+        probs = Tensor(rng.uniform(0.05, 1.0, size=(5, 7)))
+        probs.data[3, 2] = 0.0  # floored: finite loss, no gradient
+        golds = [0, 6, 3, 2, 2]
+        with Tape() as tape:
+            loss = cross_entropy(probs, golds)
+        backward(tape, loss)
+        per_row = [cross_entropy(Tensor(probs.data[r]), g).item() for r, g in enumerate(golds)]
+        assert abs(loss.item() - np.mean(per_row)) <= 1e-15 * loss.item()
+        assert per_row[3] == pytest.approx(-math.log(1e-12))
+        expected = np.zeros((5, 7))
+        for r, g in enumerate(golds):
+            if r != 3:
+                expected[r, g] = -1.0 / (5 * probs.data[r, g])
+        np.testing.assert_allclose(probs.grad, expected, rtol=1e-15)
+
+    def test_rows_gradient_through_softmax(self):
+        rng = np.random.default_rng(18)
+        logits = Tensor(rng.normal(size=(4, 6)))
+        golds = [2, 0, 5, 2]
+        with Tape() as tape:
+            loss = cross_entropy(softmax(logits, axis=1), golds)
+        backward(tape, loss)
+
+        def f():
+            e = np.exp(logits.data - np.max(logits.data, axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            return float(np.mean(-np.log(p[np.arange(4), golds])))
+
+        assert relative_error(logits.grad, fd(f, logits)) < 1e-5
+
+    @pytest.mark.parametrize("golds", [[0, 6, 1], [-1, 0, 0], [0, 0, 9], [0, 0]])
+    def test_rows_gold_out_of_range_or_miscounted(self, golds):
+        with pytest.raises(ValueError):
+            cross_entropy(Tensor(np.full((3, 6), 1 / 6)), golds)
 
 
 class TestBackward:

@@ -6,6 +6,7 @@ the whole teacher-forced graph against central finite differences.
 """
 
 import dataclasses
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from oracles import oracle_encode, oracle_final_dist
 from qgkit import autodiff as ad
 from qgkit.autodiff import Tape, backward
-from qgkit.classifier import ClassifierConfig, init_classifier
+from qgkit.classifier import ClassifierConfig, _class_distribution, init_classifier
 from qgkit.data import (
     EOS_ID,
     SOS_ID,
@@ -317,6 +318,35 @@ class TestGradients:
             checked += 1
         assert worst < 1e-4
 
+    def test_matches_decode_step_loop(self):
+        # the one-pass loss against decode_step stepped through the targets
+        def looped(seq, targets, cfg, params):
+            enc = encode(seq, cfg, params)
+            state, prev, losses = init_decoder_state(enc, cfg, params), SOS_ID, []
+            for tid in targets:
+                step, state = decode_step(prev, state, enc, cfg, params)
+                losses.append(ad.cross_entropy(step.final_dist, tid))
+                prev = tid
+            return ad.mul(reduce(ad.add, losses), 1.0 / len(targets))
+
+        extended_inputs = 0
+        for seed in range(12):
+            results = []
+            for loss_fn in (sequence_loss, looped):
+                cfg, params, seq, vocab_size, rng = random_model_and_seq(seed)
+                targets = [int(rng.integers(0, vocab_size + len(seq.oov_words)))
+                           for _ in range(int(rng.integers(1, 13)))]
+                with Tape() as tape:
+                    loss = loss_fn(seq, targets, cfg, params)
+                backward(tape, loss)
+                results.append((loss.item(), {k: t.grad for k, t in params.items()}))
+            (value, grads), (want, want_grads) = results
+            assert abs(value - want) <= 1e-12 * abs(want)
+            for name, g in grads.items():
+                assert np.max(np.abs(g - want_grads[name])) <= 1e-12 * np.max(np.abs(want_grads[name])), name
+            extended_inputs += any(t >= vocab_size for t in targets[:-1])
+        assert extended_inputs >= 3
+
     def test_every_tensor_reached(self):
         # the loss must touch all parameters, else updates silently no-op
         cfg, params, seq, targets = fd_instance(2)
@@ -326,6 +356,26 @@ class TestGradients:
         for name, t in params.items():
             assert t.grad is not None, name
             assert np.any(t.grad != 0.0) or t.data.size == 0, name
+
+
+def test_training_tapes_stay_small():
+    # one recurrent pass per direction and one decoder pass: the tape does
+    # not grow with the passage or the question
+    corpus = bundled_corpus("mini200")
+    vocab = Vocabulary.build(corpus)
+    qg_cfg, cls_cfg = QGConfig(), ClassifierConfig()
+    qg_params = init_qg(qg_cfg, len(vocab), np.random.default_rng(0)).tensors
+    cls_params = init_classifier(cls_cfg, len(vocab), np.random.default_rng(0)).tensors
+    for ex in corpus[:20]:
+        seq = build_qg_input(ex, ex.iw_class, vocab)
+        with Tape() as tape:
+            sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words),
+                          qg_cfg, qg_params)
+        ops = [e.op for e in tape.entries]
+        assert len(ops) <= 60 and ops.count("lstm_step") == 3
+        with Tape() as tape:
+            ad.cross_entropy(_class_distribution(ex, cls_cfg, cls_params, vocab), int(ex.iw_class))
+        assert len(tape) <= 20
 
 
 class TestTargets:
