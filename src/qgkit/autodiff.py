@@ -17,6 +17,7 @@ sequence produce bit-identical values.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -527,5 +528,5 @@ def uniform_init(
     rng: np.random.Generator, shape: Sequence[int], fan_in: int, name: str | None = None
 ) -> Tensor:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    bound = 1.0 / np.sqrt(fan_in)
+    bound = 1.0 / math.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=tuple(shape)), name=name)

@@ -19,7 +19,7 @@ from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
 from .data import Example, IWClass, Vocabulary, build_classifier_input
 from .layers import init_bilstm, init_linear, linear, run_bilstm
 from .metrics import ClassScore, class_scores
-from .persist import InputError, ModelConfig, ModelParams
+from .persist import InputError, ModelConfig, ModelParams, build_model
 
 __all__ = [
     "ClassifierConfig",
@@ -171,7 +171,7 @@ def train_classifier(
     dev = [dataset[i] for i in order[:n_dev]]
     train = [dataset[i] for i in order[n_dev:]]
 
-    params = init_classifier(config, len(vocab), init_rng)
+    params = build_model(init_classifier, config, len(vocab), init_rng)
     state = AdamState()
     log = [{
         "epoch": 0,

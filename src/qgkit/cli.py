@@ -44,6 +44,7 @@ from .persist import (
     InputError,
     ModelParams,
     atomic_write_bytes,
+    build_model,
     checkpoint_bytes,
     load_checkpoint,
     read_input,
@@ -238,10 +239,10 @@ def _load_model_checkpoint(path: str, kind: str, vocab: Vocabulary) -> ModelPara
         )
     found = {name: t.shape for name, t in ck.tensors.items()}
     try:
-        built = {name: t.shape for name, t in init(ck.config, len(vocab), _ShapeRng).tensors.items()}
-    except ValueError as e:
-        raise CheckpointError(f"{path}: its config describes a {kind} model numpy cannot "
-                              f"lay out: {e}") from None
+        built = {name: t.shape
+                 for name, t in build_model(init, ck.config, len(vocab), _ShapeRng).tensors.items()}
+    except InputError as e:
+        raise CheckpointError(f"{path}: {e}") from None
     if found != built:
         name = min((n for n in found.keys() | built.keys() if found.get(n) != built.get(n)),
                    key=str)

@@ -38,7 +38,7 @@ from .data import (
     tokenize,
 )
 from .layers import init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
-from .persist import InputError, ModelConfig, ModelParams
+from .persist import InputError, ModelConfig, ModelParams, build_model
 
 __all__ = [
     "DecodeStep",
@@ -293,7 +293,7 @@ def train_qg(
         raise InputError("empty training set")
     ss = np.random.SeedSequence(config.seed)
     init_rng, order_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-    params = init_qg(config, len(vocab), init_rng)
+    params = build_model(init_qg, config, len(vocab), init_rng)
     state = AdamState()
     log = [{"epoch": 0, "per_token_loss": qg_loss(dataset, config, params.tensors, vocab)}]
     prepared = [_example_source_and_targets(ex, config, vocab) for ex in dataset]

@@ -46,6 +46,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "atomic_write_bytes",
+    "build_model",
     "checkpoint_bytes",
     "load_checkpoint",
     "read_input",
@@ -144,6 +145,15 @@ class ModelParams:
             config=replace(self.config),
             tensors={k: t.copy() for k, t in self.tensors.items()},
         )
+
+
+def build_model(init, config: ModelConfig, vocab_size: int, rng) -> ModelParams:
+    """``init(config, vocab_size, rng)``, where a config whose tensors numpy
+    cannot lay out or allocate raises InputError instead of crashing."""
+    try:
+        return init(config, vocab_size, rng)
+    except (MemoryError, ValueError, OverflowError) as e:
+        raise InputError(f"its config describes a model numpy cannot allocate: {e}") from None
 
 
 @dataclass

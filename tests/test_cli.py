@@ -732,6 +732,23 @@ def test_non_finite_loss_fatal(ws, tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+# 10**7 fails to allocate at once (~2.8 PiB), 2**62 exceeds the largest
+# dimension numpy accepts, and 10**20 is past int64 itself
+@pytest.mark.parametrize("hidden", [10**7, 2**62, 10**20], ids=["2.8PiB", "2**62", "10**20"])
+@pytest.mark.parametrize("command", [
+    ["train", "--kind", "classifier"], ["train", "--kind", "qg"], ["ablate"],
+], ids=["classifier", "qg", "ablate"])
+def test_unbuildable_model_config_fatal(ws, tmp_path, capsys, command, hidden):
+    ini = tmp_path / "huge.ini"
+    ini.write_text(f"[classifier]\nencoder_hidden = {hidden}\n[qg]\nencoder_hidden = {hidden}\n")
+    capsys.readouterr()
+    assert run(*command, "--data", ws["tiny"] / "classifier_train.jsonl",
+               "--vocab", ws["tiny"] / "vocab.txt", "--config", ini,
+               "--out", tmp_path / "o") == 1
+    assert "cannot allocate" in assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_classifier_corpus_too_small_for_dev_split(ws, tmp_path, capsys):
     one = tmp_path / "one.jsonl"
     one.write_text((ws["tiny"] / "classifier_train.jsonl").read_text().splitlines()[0] + "\n")
@@ -838,16 +855,18 @@ def nan_output(ck):
 
 def huge_encoder(hidden):
     # 10**7 describes a ~2.8 PiB encoder, beyond any address space;
-    # 10**12 gives shapes with more elements than numpy can index
+    # 10**12 gives shapes with more elements than numpy can index, and
+    # 10**20 dimensions past int64
     def edit(ck):
         ck.config["encoder_hidden"] = hidden
     return edit
 
 
 @pytest.mark.parametrize("edit", [drop_tensor, shrink_embed, nan_output,
-                                  huge_encoder(10**7), huge_encoder(10**12)],
+                                  huge_encoder(10**7), huge_encoder(10**12),
+                                  huge_encoder(10**20)],
                          ids=["missing-tensor", "embed-shape", "nan-value",
-                              "huge-config", "unindexable-config"])
+                              "huge-config", "unindexable-config", "beyond-int64-config"])
 def test_checkpoint_tensors_checked_against_config(ws, tmp_path, capsys, edit):
     ck = load_checkpoint(ws["qg"])
     edit(ck)
