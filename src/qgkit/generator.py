@@ -13,7 +13,9 @@ through per-example extended ids.
 
 Training is teacher-forced on the gold question with the gold
 interrogative class inserted into the source; inference inserts the
-predicted class instead.
+predicted class instead.  The decoder's only input is the previous
+token, so one decoder serves both: training feeds it every gold token in
+one pass and scores all targets at once, and a decoding step feeds it one.
 """
 
 from __future__ import annotations

@@ -343,7 +343,8 @@ class TestGradients:
             (value, grads), (want, want_grads) = results
             assert abs(value - want) <= 1e-12 * abs(want)
             for name, g in grads.items():
-                assert np.max(np.abs(g - want_grads[name])) <= 1e-12 * np.max(np.abs(want_grads[name])), name
+                scale = np.max(np.abs(want_grads[name]))
+                assert np.max(np.abs(g - want_grads[name])) <= 1e-12 * scale, name
             extended_inputs += any(t >= vocab_size for t in targets[:-1])
         assert extended_inputs >= 3
 
