@@ -449,7 +449,7 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     for t in reversed(range(len(x.data))) if reverse else range(len(x.data)):
         xh = np.concatenate([x.data[t : t + 1], h_t], axis=1)
         z = xh @ W.data + b.data
-        i, f, o = np.split(_sigmoid(z[:, : 3 * d]), 3, axis=1)
+        i, f, o = _sigmoid(z[:, : 3 * d]).reshape(3, 1, d)
         g = np.tanh(z[:, 3 * d : 4 * d])
         c_prev, c_t = c_t, f * c_t + i * g
         tc = np.tanh(c_t)
