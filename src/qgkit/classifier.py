@@ -105,8 +105,10 @@ def encode_summary(
         raise ValueError("empty classifier input")
     rows = ad.lookup(params["embed"], vocab.encode(tokens))
     h = config.encoder_hidden
-    layer1, _ = run_bilstm(rows, params, "enc1", h)
-    layer2, final = run_bilstm(layer1, params, "enc2", h)
+    layer2 = run_bilstm(run_bilstm(rows, params, "enc1", h), params, "enc2", h)
+    # final state [forward at n-1; backward at 0]: rows 2n-2 and 1 of the (2n x h) view
+    n2 = 2 * layer2.shape[0]
+    final = ad.reshape(ad.lookup(ad.reshape(layer2, (n2, h)), [n2 - 2, 1]), (1, 2 * h))
     if not config.use_answer_embedding:
         return final
     if not answer_positions:

@@ -146,7 +146,7 @@ def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> 
         raise ValueError("empty generator input")
     words = ad.lookup(params["embed"], seq.base_ids)
     meta = ad.lookup(params["meta_embed"], seq.meta)
-    U, _ = run_bilstm(ad.concat([words, meta], axis=1), params, "enc", config.encoder_hidden)
+    U = run_bilstm(ad.concat([words, meta], axis=1), params, "enc", config.encoder_hidden)
     scores = ad.matmul(ad.matmul(U, params["att.Ws"]), ad.transpose(U))
     # column t holds u_j' Ws u_t over j, so align over axis 0
     A = ad.softmax(scores, axis=0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, concat, lookup, lstm_step, matmul, uniform_init
+from .autodiff import Tensor, add, concat, lstm_step, matmul, uniform_init
 
 __all__ = [
     "init_lstm",
@@ -41,17 +41,15 @@ def run_bilstm(
     params: dict[str, Tensor],
     prefix: str,
     hidden: int,
-) -> tuple[Tensor, Tensor]:
+) -> Tensor:
     """Bidirectional pass over the rows of ``X`` (n x in), one
     ``lstm_step`` per direction.  Row t of the (n x 2*hidden) states is
-    [forward; backward] at position t; the (1 x 2*hidden) final state
-    joins the two directions' last hidden states."""
+    [forward; backward] at position t."""
     zeros = Tensor(np.zeros((1, hidden)))
     fwd, _ = lstm_step(X, zeros, zeros, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"])
     bwd, _ = lstm_step(X, zeros, zeros, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"],
                        reverse=True)
-    states = concat([fwd, bwd], axis=1)
-    return states, concat([lookup(fwd, [X.shape[0] - 1]), lookup(bwd, [0])], axis=1)
+    return concat([fwd, bwd], axis=1)
 
 
 def init_bilstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str) -> dict[str, Tensor]:
