@@ -6,11 +6,15 @@ pipeline (model classifier or accuracy-controlled oracle), ``evaluate``
 scores a generation dump, ``sweep`` traces metric-vs-classifier-accuracy
 curves, and ``ablate`` trains the five classifier feature variants.
 
-Every command computes its outputs fully before writing anything, then
-writes each file atomically and records a manifest (command, config,
-seeds, input/output hashes) beside them.  Reruns with the same inputs
-and config produce byte-identical artifacts; the only thing that moves
-is the manifest timestamp.
+Each subcommand declares its required flags in ``build_parser``, and
+each ``cmd_*`` only computes: it reads its inputs and returns its staged
+outputs (manifest command name, files, config snapshot, seeds).  ``main``
+does the rest in one place: it checks the required flags, defaults
+``--vocab`` to ``vocab.txt`` beside ``--data``, hashes every input file
+given, then writes each output file atomically and a manifest (command,
+config, seeds, input/output hashes) beside them.  Reruns with the same
+inputs and config produce byte-identical artifacts; the only thing that
+moves is the manifest timestamp.
 """
 
 from __future__ import annotations
@@ -193,28 +197,11 @@ def _split_tokens(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _require(args, name: str) -> str:
-    value = getattr(args, name, None)
-    if value is None:
-        raise InputError(f"--{name.replace('_', '-')} is required", code=2)
-    return value
-
-
 def _load_examples(path: str) -> list[Example]:
     examples = load_corpus(path)
     if not examples:
         raise InputError(f"empty input corpus: {path}")
     return examples
-
-
-def _hashes(*paths) -> dict[str, str]:
-    return {Path(p).name: sha256_file(p) for p in paths}
-
-
-def _vocab_path(args) -> Path:
-    if getattr(args, "vocab", None) is not None:
-        return Path(args.vocab)
-    return Path(_require(args, "data")).parent / "vocab.txt"
 
 
 class _ShapeRng:
@@ -264,9 +251,10 @@ def _train(trainer, examples, config, vocab, what: str):
         raise InputError(f"{what}: {e}") from None
 
 
-def _emit(out_dir: Path, files: dict[str, str | bytes], command: str,
+def _emit(out_dir: Path, command: str, files: dict[str, str | bytes],
           config: dict, seeds: list[int], inputs: dict[str, str]) -> None:
-    """Write fully staged outputs (atomic per file) plus the manifest."""
+    """The one writer of a run directory: fully staged outputs (atomic per
+    file), then the manifest."""
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = {}
     for name, data in files.items():
@@ -309,11 +297,9 @@ def format_iw_table(report: EvalReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_prepare(args, cfg) -> int:
+def cmd_prepare(args, cfg) -> tuple:
     seed, cap = cfg["seed"], cfg["cap"]
-    data_path = _require(args, "data")
-    out_dir = Path(_require(args, "out"))
-    examples = _load_examples(data_path)
+    examples = _load_examples(args.data)
     rng = np.random.default_rng(seed)
     balanced = downsample(examples, cap, rng)
     vocab = Vocabulary.build(examples)
@@ -325,44 +311,28 @@ def cmd_prepare(args, cfg) -> int:
         f"{c.name:<8} {before[c]:>8} {after[c]:>12}" for c in IWClass
     )
     print(f"{'class':<8} {'original':>8} {'downsampled':>12}\n{table}")
-    _emit(
-        out_dir,
-        {
-            "classifier_train.jsonl": corpus_text(balanced),
-            "qg_train.jsonl": corpus_text(examples),
-            "vocab.txt": vocab.text(),
-            "stats.csv": _csv(stats_rows),
-        },
-        command="prepare",
-        config={"cap": cap, "seed": seed},
-        seeds=[seed],
-        inputs=_hashes(data_path),
-    )
-    return 0
+    files = {
+        "classifier_train.jsonl": corpus_text(balanced),
+        "qg_train.jsonl": corpus_text(examples),
+        "vocab.txt": vocab.text(),
+        "stats.csv": _csv(stats_rows),
+    }
+    return "prepare", files, {"cap": cap, "seed": seed}, [seed]
 
 
-def cmd_train(args, cfg) -> int:
-    kind = _require(args, "kind")
+def cmd_train(args, cfg) -> tuple:
+    kind = args.kind
     seed, config = cfg["seed"], cfg[kind]
-    data_path = _require(args, "data")
-    out_dir = Path(_require(args, "out"))
-    examples = _load_examples(data_path)
-    vocab = Vocabulary.load(_vocab_path(args))
+    examples = _load_examples(args.data)
+    vocab = Vocabulary.load(args.vocab)
     trainer = train_classifier if kind == "classifier" else train_qg
     params, log = _train(trainer, examples, config, vocab, f"train:{kind}")
     cols = [k for k in log[0] if k != "epoch"]
     loss_rows = [["epoch", *cols]]
     loss_rows += [[str(e["epoch"]), *(_fmt(e[k]) for k in cols)] for e in log]
     ckpt = checkpoint_bytes(kind, config.to_dict(), params.tensors, vocab.content_hash())
-    _emit(
-        out_dir,
-        {f"{kind}.ckpt": ckpt, "loss.csv": _csv(loss_rows)},
-        command=f"train:{kind}",
-        config=config.to_dict(),
-        seeds=[seed],
-        inputs=_hashes(data_path, _vocab_path(args)),
-    )
-    return 0
+    files = {f"{kind}.ckpt": ckpt, "loss.csv": _csv(loss_rows)}
+    return f"train:{kind}", files, config.to_dict(), [seed]
 
 
 def _dump_line(example: Example, result, provenance: str) -> str:
@@ -380,21 +350,16 @@ def _dump_line(example: Example, result, provenance: str) -> str:
     )
 
 
-def cmd_generate(args, cfg) -> int:
+def cmd_generate(args, cfg) -> tuple:
     seed = cfg["seed"]
-    qg_path = _require(args, "qg")
-    data_path = _require(args, "data")
-    out_dir = Path(_require(args, "out"))
     if (args.classifier is None) == (args.oracle is None):
         raise InputError("provide exactly one of --classifier or --oracle", code=2)
-    vocab = Vocabulary.load(_vocab_path(args))
-    qg = _load_model_checkpoint(qg_path, "qg", vocab)
-    examples = _load_examples(data_path)
-    inputs = _hashes(data_path, _vocab_path(args), qg_path)
+    vocab = Vocabulary.load(args.vocab)
+    qg = _load_model_checkpoint(args.qg, "qg", vocab)
+    examples = _load_examples(args.data)
     if args.classifier is not None:
         predictor = _load_model_checkpoint(args.classifier, "classifier", vocab)
         provenance = "model"
-        inputs.update(_hashes(args.classifier))
     else:
         accuracy = cfg["oracle"]
         rng = np.random.default_rng(seed)
@@ -407,15 +372,8 @@ def cmd_generate(args, cfg) -> int:
         _dump_line(ex, pipeline_generate(ex, predictor, qg, vocab), provenance)
         for ex in examples
     ]
-    _emit(
-        out_dir,
-        {"dump.jsonl": "\n".join(lines) + "\n"},
-        command="generate",
-        config={"provenance": provenance, "seed": seed, "qg": qg.config.to_dict()},
-        seeds=[seed],
-        inputs=inputs,
-    )
-    return 0
+    config = {"provenance": provenance, "seed": seed, "qg": qg.config.to_dict()}
+    return "generate", {"dump.jsonl": "\n".join(lines) + "\n"}, config, [seed]
 
 
 def _is_token_list(value) -> bool:
@@ -440,11 +398,9 @@ def _read_dump(path: str) -> list[dict]:
     return records
 
 
-def cmd_evaluate(args, cfg) -> int:
+def cmd_evaluate(args, cfg) -> tuple:
     seed = cfg["seed"]
-    dump_path = _require(args, "dump")
-    out_dir = Path(_require(args, "out"))
-    records = _read_dump(dump_path)
+    records = _read_dump(args.dump)
     candidates = [r["generated"] for r in records]
     references = [r["gold"] for r in records]
     report = evaluate_generation(candidates, references)
@@ -452,28 +408,18 @@ def cmd_evaluate(args, cfg) -> int:
     values = [_fmt(v) for _, v in report.metric_columns()]
     print(format_iw_table(report))
     _warn_incomplete(report.incomplete_pairs, report.n_examples)
-    _emit(
-        out_dir,
-        {
-            "report.json": json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            "report.csv": _csv([header, values]),
-        },
-        command="evaluate",
-        config={"seed": seed},
-        seeds=[seed],
-        inputs=_hashes(dump_path),
-    )
-    return 0
+    files = {
+        "report.json": json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        "report.csv": _csv([header, values]),
+    }
+    return "evaluate", files, {"seed": seed}, [seed]
 
 
-def cmd_sweep(args, cfg) -> int:
+def cmd_sweep(args, cfg) -> tuple:
     seeds = cfg["seeds"]
-    qg_path = _require(args, "qg")
-    data_path = _require(args, "data")
-    out_dir = Path(_require(args, "out"))
-    vocab = Vocabulary.load(_vocab_path(args))
-    qg = _load_model_checkpoint(qg_path, "qg", vocab)
-    examples = _load_examples(data_path)
+    vocab = Vocabulary.load(args.vocab)
+    qg = _load_model_checkpoint(args.qg, "qg", vocab)
+    examples = _load_examples(args.data)
     references = [tokenize(ex.question) for ex in examples]
     # generate is a pure function of (example, class, params), and the
     # paired draws give each example under one seed either its gold class
@@ -510,16 +456,9 @@ def cmd_sweep(args, cfg) -> int:
         rows.append([acc_token, "mean"] + [_fmt(v) for v in means])
     _warn_incomplete(incomplete, len(cfg["grid"]) * len(seeds) * len(examples))
     csv_rows = [["accuracy", "seed"] + metric_names] + rows
-    _emit(
-        out_dir,
-        {"sweep.csv": _csv(csv_rows)},
-        command="sweep",
-        config={"grid": [token for token, _ in cfg["grid"]], "seeds": seeds,
-                "qg": qg.config.to_dict()},
-        seeds=seeds,
-        inputs=_hashes(data_path, _vocab_path(args), qg_path),
-    )
-    return 0
+    config = {"grid": [token for token, _ in cfg["grid"]], "seeds": seeds,
+              "qg": qg.config.to_dict()}
+    return "sweep", {"sweep.csv": _csv(csv_rows)}, config, seeds
 
 
 # flag order: answer tagging, answer embedding, entity type
@@ -532,12 +471,10 @@ _ABLATION_VARIANTS = [
 ]
 
 
-def cmd_ablate(args, cfg) -> int:
+def cmd_ablate(args, cfg) -> tuple:
     seed, base = cfg["seed"], cfg["classifier"]
-    data_path = _require(args, "data")
-    out_dir = Path(_require(args, "out"))
-    examples = _load_examples(data_path)
-    vocab = Vocabulary.load(_vocab_path(args))
+    examples = _load_examples(args.data)
+    vocab = Vocabulary.load(args.vocab)
     rows = [["label", "accuracy"]]
     for at, ae, ner in _ABLATION_VARIANTS:
         config = replace(base, use_answer_tagging=at, use_answer_embedding=ae,
@@ -547,20 +484,16 @@ def cmd_ablate(args, cfg) -> int:
         accuracy = max(e["dev_accuracy"] for e in log)
         rows.append([config.ablation_label(), _fmt(accuracy)])
         print(f"{config.ablation_label():<16} {accuracy:.4f}")
-    _emit(
-        out_dir,
-        {"ablation.csv": _csv(rows)},
-        command="ablate",
-        config=base.to_dict(),
-        seeds=[seed],
-        inputs=_hashes(data_path, _vocab_path(args)),
-    )
-    return 0
+    return "ablate", {"ablation.csv": _csv(rows)}, base.to_dict(), [seed]
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch.
 # ---------------------------------------------------------------------------
+
+
+# the flags that name an input file; main hashes each one that is given
+_INPUT_FLAGS = ("data", "vocab", "qg", "classifier", "dump")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -582,15 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", default=None, help="input corpus JSONL")
     p.add_argument("--cap", type=int, default=None, help="per-class downsample cap")
-    p.set_defaults(func=cmd_prepare)
+    p.set_defaults(func=cmd_prepare, required=("data", "out"))
 
     p = sub.add_parser("train", help="train the classifier or the generator")
     common(p)
-    p.add_argument("--kind", choices=["classifier", "qg"], default=None)
+    p.add_argument("--kind", choices=list(_MODELS), default=None)
     p.add_argument("--data", default=None, help="training corpus JSONL")
     p.add_argument("--vocab", default=None,
                    help="vocabulary file (default: vocab.txt beside --data)")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, required=("kind", "data", "out"))
 
     p = sub.add_parser("generate", help="run the two-stage pipeline over a corpus")
     common(p)
@@ -600,12 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use a gold-based oracle at this accuracy instead")
     p.add_argument("--data", default=None, help="evaluation corpus JSONL")
     p.add_argument("--vocab", default=None)
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, required=("qg", "data", "out"))
 
     p = sub.add_parser("evaluate", help="score a generation dump")
     common(p)
     p.add_argument("--dump", default=None, help="generation dump JSONL")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, required=("dump", "out"))
 
     p = sub.add_parser("sweep", help="metrics across oracle accuracy levels")
     common(p)
@@ -614,13 +547,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", default=None)
     p.add_argument("--grid", default=None, help="comma-separated accuracies")
     p.add_argument("--seeds", default=None, help="comma-separated seeds")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, required=("qg", "data", "out"))
 
     p = sub.add_parser("ablate", help="train the five classifier feature variants")
     common(p)
     p.add_argument("--data", default=None, help="training corpus JSONL")
     p.add_argument("--vocab", default=None)
-    p.set_defaults(func=cmd_ablate)
+    p.set_defaults(func=cmd_ablate, required=("data", "out"))
 
     return parser
 
@@ -632,7 +565,17 @@ def main(argv=None) -> int:
         if args.print_config:
             cp.write(sys.stdout)
             return 0
-        return args.func(args, cfg)
+        for name in args.required:
+            if getattr(args, name) is None:
+                raise InputError(f"--{name} is required", code=2)
+        if hasattr(args, "vocab"):
+            default = Path(args.data).parent / "vocab.txt"
+            args.vocab = default if args.vocab is None else Path(args.vocab)
+        staged = args.func(args, cfg)
+        inputs = {Path(p).name: sha256_file(p) for p in
+                  (getattr(args, name, None) for name in _INPUT_FLAGS) if p is not None}
+        _emit(Path(args.out), *staged, inputs)
+        return 0
     except InputError as e:
         # one line, whatever the message quotes from the input
         print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)

@@ -317,10 +317,6 @@ class TestTrain:
         assert (out / "qg.ckpt").read_bytes() == Path(ws["qg"]).read_bytes()
         assert (out / "loss.csv").read_bytes() == (ws["qg_dir"] / "loss.csv").read_bytes()
 
-    def test_kind_required(self, ws, tmp_path):
-        assert run("train", "--data", ws["prep"] / "qg_train.jsonl",
-                   "--out", tmp_path / "o") == 2
-
     def test_missing_vocab(self, ws, tmp_path):
         assert run("train", "--kind", "qg", "--data", ws["prep"] / "qg_train.jsonl",
                    "--vocab", tmp_path / "nope.txt", "--config", ws["ini"],
@@ -552,6 +548,15 @@ INPUT_FLAGS = {
     "generate": ["--qg", "--data", "--vocab"],
     "sweep": ["--qg", "--data", "--vocab"],
 }
+# each command's required flags, in the order they are checked
+REQUIRED_FLAGS = {
+    "prepare": ["data", "out"],
+    "train": ["kind", "data", "out"],
+    "generate": ["qg", "data", "out"],
+    "evaluate": ["dump", "out"],
+    "sweep": ["qg", "data", "out"],
+    "ablate": ["data", "out"],
+}
 FLAG_SEED = "error: --seed must be non-negative, got -1"
 CONFIG_SEED = "error: config [run] seed must be non-negative, got -1"
 
@@ -579,6 +584,67 @@ def test_negative_seed_fatal_before_loading(tmp_path, capsys, argv, ini, message
     assert run(*argv, *extra, "--out", tmp_path / "o") == 2
     assert assert_one_error_line(capsys) == message
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in REQUIRED_FLAGS.items() for flag in flags
+], ids=lambda v: v)
+def test_missing_required_flag_fatal_before_reading(tmp_path, capsys, command, flag):
+    # every input file is missing, so only a check made before any load
+    # can name the flag
+    values = {"kind": "qg", "out": tmp_path / "o"}
+    flags = REQUIRED_FLAGS[command]
+    given = [[f"--{f}", values.get(f, tmp_path / "missing")] for f in flags if f != flag]
+    oracle = ["--oracle", "0.5"] if command == "generate" else []
+    capsys.readouterr()
+    assert run(command, *oracle, *(a for pair in given for a in pair)) == 2
+    assert assert_one_error_line(capsys) == f"error: --{flag} is required"
+    # with every later flag (and generate's --oracle) missing too, this
+    # flag is still the one named: the checks run in order, and before
+    # generate's --classifier/--oracle check
+    earlier = given[:flags.index(flag)]
+    assert run(command, *(a for pair in earlier for a in pair)) == 2
+    assert assert_one_error_line(capsys) == f"error: --{flag} is required"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def small_ws(ws, tmp_path_factory):
+    """Twelve examples beside a copy of the prepared vocabulary, and the
+    same vocabulary under another name."""
+    root = tmp_path_factory.mktemp("small")
+    lines = (ws["prep"] / "qg_train.jsonl").read_text().splitlines(keepends=True)
+    (root / "data.jsonl").write_text("".join(lines[:12]))
+    for name in ("vocab.txt", "other_vocab.txt"):
+        (root / name).write_bytes((ws["prep"] / "vocab.txt").read_bytes())
+    return root
+
+
+# upper-case words stand for the input files of test_manifest_inputs_are_the_files_read
+@pytest.mark.parametrize("argv,read", [
+    (["prepare"], ["DATA"]),
+    (["train", "--kind", "classifier"], ["DATA", "VOCAB"]),
+    (["train", "--kind", "qg", "--vocab", "OTHER_VOCAB"], ["DATA", "OTHER_VOCAB"]),
+    (["generate", "--qg", "QG", "--classifier", "CLS"], ["DATA", "VOCAB", "QG", "CLS"]),
+    (["generate", "--qg", "QG", "--oracle", "0.5", "--vocab", "OTHER_VOCAB"],
+     ["DATA", "OTHER_VOCAB", "QG"]),
+    (["evaluate"], ["DUMP"]),
+    (["sweep", "--qg", "QG", "--grid", "1.0", "--seeds", "0"], ["DATA", "VOCAB", "QG"]),
+    (["ablate"], ["DATA", "VOCAB"]),
+], ids=["prepare", "train-classifier-default-vocab", "train-qg-given-vocab",
+        "generate-classifier-default-vocab", "generate-oracle-given-vocab", "evaluate",
+        "sweep-default-vocab", "ablate-default-vocab"])
+def test_manifest_inputs_are_the_files_read(ws, small_ws, tmp_path, argv, read):
+    # --vocab defaults to vocab.txt beside --data; the inputs name exactly
+    # the files read, each with its hash
+    paths = {"DATA": small_ws / "data.jsonl", "VOCAB": small_ws / "vocab.txt",
+             "OTHER_VOCAB": small_ws / "other_vocab.txt", "QG": ws["qg"], "CLS": ws["cls"],
+             "DUMP": ws["dump"]}
+    argv = [paths.get(a, a) for a in argv]
+    source = ["--dump", ws["dump"]] if argv[0] == "evaluate" else ["--data", paths["DATA"]]
+    assert run(*argv, *source, "--config", ws["ini"], "--out", tmp_path / "o") == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["inputs"] == {paths[r].name: sha256_bytes(paths[r].read_bytes()) for r in read}
 
 
 def test_sweep_config_seed_list_named_in_error(ws, tmp_path, capsys):
