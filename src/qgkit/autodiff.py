@@ -3,13 +3,14 @@
 Provides exactly the operator set the classifier and generator need:
 matmul, elementwise arithmetic and activations, stabilized softmax,
 per-segment maxima (for max-capped copy scores), embedding lookup,
-scatter-sum regrouping, cross-entropy, and one fused LSTM op that runs
-the cell over a whole sequence as one tape entry with two outputs.  Ops
-executed while a Tape is active are recorded in execution order;
-``backward`` replays the tape in exact reverse order and accumulates
-gradients into every tensor the loss can reach.  Ops executed with no
-active tape are plain forward evaluations, which keeps inference and
-finite-difference probing cheap.
+scatter-sum regrouping, cross-entropy, and two fused LSTM ops with two
+outputs each, sharing one cell: ``lstm_step`` runs the cell over a whole
+sequence as one tape entry, and ``lstm_cell`` advances k independent
+states by one step.  Ops executed while a Tape is active are recorded in
+execution order; ``backward`` replays the tape in exact reverse order
+and accumulates gradients into every tensor the loss can reach.  Ops
+executed with no active tape are plain forward evaluations, which keeps
+inference and finite-difference probing cheap.
 
 Everything is 64-bit and deterministic: the same seed and the same op
 sequence produce bit-identical values.
@@ -36,9 +37,11 @@ __all__ = [
     "reshape",
     "concat",
     "lstm_step",
+    "lstm_cell",
     "reduce_sum",
     "reduce_mean",
     "softmax",
+    "Segments",
     "segment_max",
     "lookup",
     "scatter_sum",
@@ -331,8 +334,26 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
+class Segments:
+    """Segments of positions, laid end to end so that each is one
+    ``reduceat`` span.  Build it once and pass it to every
+    ``segment_max`` over the same segments."""
+
+    __slots__ = ("order", "starts", "owner")
+
+    def __init__(self, segments: Sequence[Sequence[int]]):
+        sizes = [len(seg) for seg in segments]
+        if not sizes:
+            raise ValueError("no segments")
+        if 0 in sizes:
+            raise ValueError(f"segment {sizes.index(0)} is empty")
+        self.order = np.asarray([i for seg in segments for i in seg], dtype=np.intp)
+        self.starts = np.cumsum([0] + sizes[:-1])
+        self.owner = np.repeat(np.arange(len(sizes)), sizes)
+
+
 def segment_max(
-    scores: Tensor, segments: Sequence[Sequence[int]]
+    scores: Tensor, segments: Segments | Sequence[Sequence[int]]
 ) -> tuple[Tensor, list]:
     """Per-segment maximum over the last axis of a 1-D or 2-D tensor,
     with the winning index of each segment (one list per row for 2-D).
@@ -343,18 +364,15 @@ def segment_max(
     if scores.data.ndim not in (1, 2):
         raise ValueError(f"segment_max expects a 1-D or 2-D score tensor, got {scores.shape}")
     n = scores.data.shape[-1]
-    sizes = [len(seg) for seg in segments]
-    if 0 in sizes:
-        raise ValueError(f"segment {sizes.index(0)} is empty")
-    # the segments laid end to end, so each is one reduceat span
-    order = np.asarray([i for seg in segments for i in seg], dtype=np.intp)
+    if not isinstance(segments, Segments):
+        segments = Segments(segments)
+    order, owner = segments.order, segments.owner
     if order.min() < 0 or order.max() >= n:
         raise ValueError(f"a segment indexes outside 0..{n - 1}")
-    starts = np.cumsum([0] + sizes[:-1])
-    owner = np.repeat(np.arange(len(segments)), sizes)
     vals = scores.data[..., order]
-    maxima = np.maximum.reduceat(vals, starts, axis=-1)
-    winners = np.minimum.reduceat(np.where(vals < maxima[..., owner], n, order), starts, axis=-1)
+    maxima = np.maximum.reduceat(vals, segments.starts, axis=-1)
+    winners = np.minimum.reduceat(np.where(vals < maxima[..., owner], n, order),
+                                  segments.starts, axis=-1)
     out = Tensor(maxima)
 
     def back(g):
@@ -370,7 +388,7 @@ def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Row gather from an embedding table; backward scatter-adds."""
     if table.data.ndim != 2:
         raise ValueError(f"lookup expects a 2-D table, got {table.shape}")
-    idx = np.asarray(list(ids), dtype=np.intp)
+    idx = np.asarray(ids, dtype=np.intp)
     v = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise ValueError(f"lookup id outside 0..{v - 1}")
@@ -390,14 +408,18 @@ def scatter_sum(values: Tensor, index_map: Sequence[int], size: int) -> Tensor:
     along the last axis of a 1-D or 2-D tensor."""
     if values.data.ndim not in (1, 2):
         raise ValueError(f"scatter_sum expects a 1-D or 2-D tensor, got {values.shape}")
-    idx = np.asarray(list(index_map), dtype=np.intp)
+    idx = np.asarray(index_map, dtype=np.intp)
     if idx.shape[0] != values.data.shape[-1]:
         raise ValueError("index_map length must match values length")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ValueError(f"scatter_sum target outside 0..{size - 1}")
-    acc = np.zeros(values.data.shape[:-1] + (size,), dtype=np.float64)
-    np.add.at(acc.T, idx, values.data.T)
-    out = Tensor(acc)
+    # one bincount over the rows laid end to end; it adds each target's
+    # values from 0.0 in index order, as an in-place scatter-add would
+    lead = values.data.shape[:-1]
+    rows = lead[0] if lead else 1
+    flat = (idx + size * np.arange(rows)[:, None]).ravel()
+    acc = np.bincount(flat, weights=values.data.ravel(), minlength=rows * size)
+    out = Tensor(acc.reshape(lead + (size,)))
     _record("scatter_sum", (values,), (out,), lambda g: (g[..., idx],))
     return out
 
@@ -434,6 +456,31 @@ def cross_entropy(pred_dist: Tensor, gold: int | Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _cell(xh: np.ndarray, c: np.ndarray, W: np.ndarray, b: np.ndarray):
+    """One step of the LSTM cell for each row of ``xh`` = [x, h], from
+    the cell state rows ``c``.  Returns the new h and c rows and the gate
+    values the backward needs."""
+    d = c.shape[1]
+    z = xh @ W + b
+    s = _sigmoid(z[:, : 3 * d])
+    i, f, o = s[:, :d], s[:, d : 2 * d], s[:, 2 * d :]
+    g = np.tanh(z[:, 3 * d : 4 * d])
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return o * tc, c_new, (i, f, o, g, tc)
+
+
+def _cell_back(dh, dc, xh, c, gates, W):
+    """Gradients through one ``_cell`` step, from those of its new h and
+    c: the gradient of ``xh``, of the old c, and of the gate
+    pre-activations (whose products with ``xh`` and 1 give dW and db)."""
+    i, f, o, g, tc = gates
+    dc = dc + dh * o * (1.0 - tc * tc)
+    dz = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                         dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+    return dz @ W.T, dc * f, dz
+
+
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
               reverse: bool = False) -> tuple[Tensor, Tensor]:
     """The LSTM cell run over the rows of ``x`` (n x dim), last to first if
@@ -443,36 +490,48 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     repeats, product for product, the cell composed from the elementwise
     ops, and the backward walks the steps as a tape of one-row steps
     would, so values and gradients equal that composition's."""
-    d = h.data.shape[1]
-    H, steps = np.empty((x.data.shape[0], d)), []
+    H, steps = np.empty((x.data.shape[0], h.data.shape[1])), []
     h_t, c_t = h.data, c.data
     for t in reversed(range(len(x.data))) if reverse else range(len(x.data)):
         xh = np.concatenate([x.data[t : t + 1], h_t], axis=1)
-        z = xh @ W.data + b.data
-        i, f, o = _sigmoid(z[:, : 3 * d]).reshape(3, 1, d)
-        g = np.tanh(z[:, 3 * d : 4 * d])
-        c_prev, c_t = c_t, f * c_t + i * g
-        tc = np.tanh(c_t)
-        H[t] = h_t = o * tc
-        steps.append((t, xh, c_prev, i, f, o, g, tc))
+        c_prev = c_t
+        h_t, c_t, gates = _cell(xh, c_prev, W.data, b.data)
+        H[t] = h_t
+        steps.append((t, xh, c_prev, gates))
     H, c_last = Tensor(H), Tensor(c_t)
 
     def back(dH, dc):
         dx, dW, db = np.empty_like(x.data), np.zeros_like(W.data), np.zeros_like(b.data)
         dh = np.zeros_like(h.data)
-        for t, xh, c_prev, i, f, o, g, tc in reversed(steps):
+        for t, xh, c_prev, gates in reversed(steps):
             dh = dH[t : t + 1] + dh
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
-            dx[t : t + 1], dh = np.split(dz @ W.data.T, [x.data.shape[1]], axis=1)
+            dxh, dc, dz = _cell_back(dh, dc, xh, c_prev, gates, W.data)
+            dx[t : t + 1], dh = np.split(dxh, [x.data.shape[1]], axis=1)
             dW += xh.T @ dz
             db += dz
-            dc = dc * f
         return dx, dh, dc, dW, db
 
     _record("lstm_step", (x, h, c, W, b), (H, c_last), back)
     return H, c_last
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor, W: Tensor,
+              b: Tensor) -> tuple[Tensor, Tensor]:
+    """One step of the LSTM cell for each of k independent states: row r
+    of ``x`` (k x dim) advances the state rows ``h[r]``, ``c[r]``, with
+    the arithmetic of one ``lstm_step`` step.  One tape entry; returns
+    the new ``(h, c)``, both (k x d)."""
+    xh = np.concatenate([x.data, h.data], axis=1)
+    h_new, c_new, gates = _cell(xh, c.data, W.data, b.data)
+    out_h, out_c = Tensor(h_new), Tensor(c_new)
+
+    def back(dh, dc):
+        dxh, dc, dz = _cell_back(dh, dc, xh, c.data, gates, W.data)
+        dx, dh = np.split(dxh, [x.data.shape[1]], axis=1)
+        return dx, dh, dc, xh.T @ dz, np.sum(dz, axis=0, keepdims=True)
+
+    _record("lstm_cell", (x, h, c, W, b), (out_h, out_c), back)
+    return out_h, out_c
 
 
 # ---------------------------------------------------------------------------

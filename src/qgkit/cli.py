@@ -40,7 +40,17 @@ from .data import (
     load_corpus,
     tokenize,
 )
-from .generator import QGConfig, generate, init_qg, pipeline_generate, train_qg
+# ``generate`` and ``pipeline_generate`` are not called here; they stay
+# bound because bench/spans.py traces them at this module
+from .generator import (
+    QGConfig,
+    generate,
+    generate_batch,
+    init_qg,
+    pipeline_generate,
+    predict_iw,
+    train_qg,
+)
 from .metrics import EvalReport, evaluate_generation
 from .persist import (
     MANIFEST_NAME,
@@ -368,10 +378,10 @@ def cmd_generate(args, cfg) -> tuple:
         def predictor(ex, _rng=rng, _a=accuracy):
             return oracle_classifier(ex.iw_class, _a, _rng)
 
-    lines = [
-        _dump_line(ex, pipeline_generate(ex, predictor, qg, vocab), provenance)
-        for ex in examples
-    ]
+    # every prediction (and oracle draw) in example order, then the decodes
+    predicted = [predict_iw(ex, predictor, vocab) for ex in examples]
+    results = generate_batch(list(zip(examples, predicted)), qg.config, qg.tensors, vocab)
+    lines = [_dump_line(ex, res, provenance) for ex, res in zip(examples, results)]
     config = {"provenance": provenance, "seed": seed, "qg": qg.config.to_dict()}
     return "generate", {"dump.jsonl": "\n".join(lines) + "\n"}, config, [seed]
 
@@ -421,27 +431,28 @@ def cmd_sweep(args, cfg) -> tuple:
     qg = _load_model_checkpoint(args.qg, "qg", vocab)
     examples = _load_examples(args.data)
     references = [tokenize(ex.question) for ex in examples]
+    # one stream per seed, two draws per example: identical seeds reuse
+    # identical noise across accuracy levels
+    drawn: dict[tuple[float, int], list[IWClass]] = {}
+    for _, accuracy in cfg["grid"]:
+        for sd in seeds:
+            rng = np.random.default_rng(sd)
+            drawn[accuracy, sd] = [oracle_classifier(ex.iw_class, accuracy, rng)
+                                   for ex in examples]
     # generate is a pure function of (example, class, params), and the
     # paired draws give each example under one seed either its gold class
     # or one fixed alternative whatever the accuracy, so each distinct
     # (example, class) is decoded once and shared by every cell drawing it
-    decoded: dict[tuple[int, IWClass], list[str]] = {}
+    pairs = list(dict.fromkeys((i, p) for cell in drawn.values() for i, p in enumerate(cell)))
+    results = generate_batch([(examples[i], p) for i, p in pairs], qg.config, qg.tensors, vocab)
+    decoded = {pair: res.tokens for pair, res in zip(pairs, results)}
     metric_names = None
     rows = []
     incomplete = 0
     for acc_token, accuracy in cfg["grid"]:
         seed_reports = []
         for sd in seeds:
-            # one stream per seed, two draws per example: identical seeds
-            # reuse identical noise across accuracy levels
-            rng = np.random.default_rng(sd)
-            candidates = []
-            for i, ex in enumerate(examples):
-                predicted = oracle_classifier(ex.iw_class, accuracy, rng)
-                if (i, predicted) not in decoded:
-                    decoded[i, predicted] = generate(
-                        ex, predicted, qg.config, qg.tensors, vocab).tokens
-                candidates.append(decoded[i, predicted])
+            candidates = [decoded[i, p] for i, p in enumerate(drawn[accuracy, sd])]
             report = evaluate_generation(candidates, references)
             incomplete += report.incomplete_pairs
             cols = report.metric_columns()

@@ -15,7 +15,14 @@ Training is teacher-forced on the gold question with the gold
 interrogative class inserted into the source; inference inserts the
 predicted class instead.  The decoder's only input is the previous
 token, so one decoder serves both: training feeds it every gold token in
-one pass and scores all targets at once, and a decoding step feeds it one.
+one pass and scores all targets at once, and a decoding step feeds it one
+token per row.
+
+Inference has one batched decoder, ``generate_batch``.  It packs the
+passages of a chunk of (example, class) pairs end to end, runs each step
+with one row per live beam of every pair, and masks each row to its own
+passage, so a pair decodes as it would alone.  ``generate`` is the chunk
+of one.
 """
 
 from __future__ import annotations
@@ -50,9 +57,11 @@ __all__ = [
     "decode_step",
     "encode",
     "generate",
+    "generate_batch",
     "init_decoder_state",
     "init_qg",
     "pipeline_generate",
+    "predict_iw",
     "qg_loss",
     "sequence_loss",
     "target_ids",
@@ -177,8 +186,9 @@ class DecodeStep:
     ``raw_attention``/``attention`` hold one score per source position
     (pre/post softmax); a word's copy score is the maximum raw attention
     over its segment positions; ``final_dist`` covers the vocabulary
-    followed by this example's extended ids.  ``decode_step`` returns
-    the one-state case with every field 1-D."""
+    followed by the extended ids (for a chunk, as many as its longest
+    OOV list).  ``decode_step`` returns the one-state case with every
+    field 1-D."""
 
     raw_attention: Tensor
     attention: Tensor
@@ -192,21 +202,56 @@ def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     return ad.lookup(params["embed"], [t if t < vocab_size else UNK_ID for t in tokens])
 
 
-def _decoder_head(H: Tensor, encoded: EncodedPassage, params: dict[str, Tensor]) -> DecodeStep:
-    """Attention, generate + maxout copy scores and the regrouped final
-    distribution for each row of the decoder states ``H`` (R x dh)."""
-    vocab_size = params["embed"].shape[0]
-    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.states))
-    attn = ad.softmax(raw, axis=1)
-    context = ad.matmul(attn, encoded.states)
-    gen = linear(ad.concat([H, context], axis=1), params["out.W"], params["out.b"])
-    maxima, _ = ad.segment_max(raw, encoded.segments)
-    capped = ad.transpose(ad.lookup(ad.transpose(maxima), encoded.position_segment))
-    combined = ad.softmax(ad.concat([gen, capped], axis=1), axis=1)
-    index_map = list(range(vocab_size)) + list(encoded.source_tokens.ids)
-    final = ad.scatter_sum(
-        combined, index_map, vocab_size + len(encoded.source_tokens.oov_words)
+@dataclass
+class _CopyLayout:
+    """Where copy scores go, for one passage or for a chunk of passages
+    laid end to end: the copy segments, each position's segment, the
+    final-distribution column of each combined-softmax column, and the
+    final distribution's width."""
+
+    segments: ad.Segments
+    position_segment: np.ndarray
+    index_map: np.ndarray
+    size: int
+
+
+def _copy_layout(passages: Sequence[EncodedPassage], vocab_size: int) -> _CopyLayout:
+    """The copy layout of ``passages`` laid end to end.  Extended ids keep
+    their own passage's numbering, so the final distribution is as wide
+    as the vocabulary plus the longest OOV list."""
+    segments: list[list[int]] = []
+    position_segment: list[int] = []
+    ids: list[int] = []
+    for p in passages:
+        first_position, first_segment = len(ids), len(segments)
+        segments += [[first_position + j for j in seg] for seg in p.segments]
+        position_segment += [first_segment + k for k in p.position_segment]
+        ids += p.source_tokens.ids
+    return _CopyLayout(
+        segments=ad.Segments(segments),
+        position_segment=np.asarray(position_segment, dtype=np.intp),
+        index_map=np.asarray([*range(vocab_size), *ids], dtype=np.intp),
+        size=vocab_size + max(len(p.source_tokens.oov_words) for p in passages),
     )
+
+
+def _decoder_head(H: Tensor, states: Tensor, layout: _CopyLayout,
+                  params: dict[str, Tensor], mask: Tensor | None = None) -> DecodeStep:
+    """Attention, generate + maxout copy scores and the regrouped final
+    distribution for each row of the decoder states ``H`` (R x dh), over
+    the source ``states`` (N x 2h) that ``layout`` describes.  ``mask``
+    (R x N) holds 0 or -inf and is added to the attention scores before
+    both softmaxes, so that each row reads only its own passage."""
+    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(states))
+    if mask is not None:
+        raw = ad.add(raw, mask)
+    attn = ad.softmax(raw, axis=1)
+    context = ad.matmul(attn, states)
+    gen = linear(ad.concat([H, context], axis=1), params["out.W"], params["out.b"])
+    maxima, _ = ad.segment_max(raw, layout.segments)
+    capped = ad.transpose(ad.lookup(ad.transpose(maxima), layout.position_segment))
+    combined = ad.softmax(ad.concat([gen, capped], axis=1), axis=1)
+    final = ad.scatter_sum(combined, layout.index_map, layout.size)
     return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
 
@@ -224,7 +269,8 @@ def decode_step(
     attention score over positions holding the same word; the combined
     softmax is regrouped by word id into ``final_dist``."""
     h, c = lstm_step(_embed([prev_token], params), *state, params["dec.W"], params["dec.b"])
-    row = _decoder_head(h, encoded, params)
+    layout = _copy_layout([encoded], params["embed"].shape[0])
+    row = _decoder_head(h, encoded.states, layout, params)
     step = DecodeStep(*(ad.reshape(t, (t.shape[1],)) for t in (
         row.raw_attention, row.attention, row.generate_scores, row.final_dist)))
     return step, (h, c)
@@ -252,7 +298,9 @@ def sequence_loss(
     h0, c0 = init_decoder_state(encoded, config, params)
     H, _ = lstm_step(_embed([SOS_ID, *targets[:-1]], params), h0, c0,
                      params["dec.W"], params["dec.b"])
-    return ad.cross_entropy(_decoder_head(H, encoded, params).final_dist, list(targets))
+    layout = _copy_layout([encoded], params["embed"].shape[0])
+    step = _decoder_head(H, encoded.states, layout, params)
+    return ad.cross_entropy(step.final_dist, list(targets))
 
 
 def _example_source_and_targets(
@@ -333,6 +381,11 @@ class GenerationResult:
         return " ".join(self.tokens)
 
 
+# pairs decoded together; a step costs R x N over the chunk's packed
+# passage (R live beams, N source positions), so a chunk stays small
+_CHUNK = 16
+
+
 def generate(
     example: Example,
     predicted_iw: IWClass,
@@ -347,39 +400,111 @@ def generate(
     ``config.max_len`` steps have run; ties break toward the
     lexicographically smaller id sequence, and width 1 is greedy argmax
     decoding.  Emitted extended ids decode to their source surface
-    forms."""
-    seq = build_qg_input(example, predicted_iw, vocab, insert_iw=config.insert_iw)
-    encoded = encode(seq, config, params)
-    start = init_decoder_state(encoded, config, params)
-    # beam item: (cost, id sequence, prev id, state, attention rows, done)
-    beams = [(0.0, [], SOS_ID, start, [], False)]
+    forms.  This is ``generate_batch`` on one pair."""
+    return _decode_chunk([(example, predicted_iw)], config, params, vocab)[0]
+
+
+def generate_batch(
+    pairs: Sequence[tuple[Example, IWClass]],
+    config: QGConfig,
+    params: dict[str, Tensor],
+    vocab: Vocabulary,
+) -> list[GenerationResult]:
+    """``generate`` for each (example, predicted class) pair, in order.
+
+    Pairs are decoded a chunk at a time: each step runs the decoder once,
+    with one row per live beam of every pair in the chunk."""
+    return [result for start in range(0, len(pairs), _CHUNK)
+            for result in _decode_chunk(pairs[start : start + _CHUNK], config, params, vocab)]
+
+
+def _decode_chunk(
+    pairs: Sequence[tuple[Example, IWClass]],
+    config: QGConfig,
+    params: dict[str, Tensor],
+    vocab: Vocabulary,
+) -> list[GenerationResult]:
+    """Beam search for every pair at once.  The passages are encoded one
+    by one and packed end to end; each row of a step is one live beam,
+    masked to its own passage, so its scores are, up to rounding, the
+    ones its pair would get alone.  Ranking and stopping stay per pair,
+    and a finished beam leaves the rows."""
+    vocab_size = params["embed"].shape[0]
+    seqs = [build_qg_input(ex, iw, vocab, insert_iw=config.insert_iw) for ex, iw in pairs]
+    passages = [encode(seq, config, params) for seq in seqs]
+    starts = [init_decoder_state(p, config, params) for p in passages]
+    states = ad.concat([p.states for p in passages])
+    layout = _copy_layout(passages, vocab_size)
+    bounds = np.cumsum([0] + [len(p) for p in passages]).tolist()
+    # row e: 0 over the positions of passage e, -inf over the others
+    owner = np.repeat(np.arange(len(pairs)), np.diff(bounds))
+    foreign = np.where(owner == np.arange(len(pairs))[:, None], 0.0, -np.inf)
+    h = np.vstack([h0.data for h0, _ in starts])
+    c = np.vstack([c0.data for _, c0 in starts])
+    # beam item: (cost, id sequence, prev id, state row, attention rows, done)
+    beams = [[(0.0, [], SOS_ID, e, [], False)] for e in range(len(pairs))]
     for _ in range(config.max_len):
-        if all(b[5] for b in beams):
+        live = [(e, b) for e, bs in enumerate(beams) for b in bs if not b[5]]
+        if not live:
             break
-        candidates = []
-        for cost, ids, prev, state, rows, done in beams:
-            if done:
-                candidates.append((cost, ids, prev, state, rows, True))
+        rows = [b[3] for _, b in live]
+        h_t, c_t = ad.lstm_cell(_embed([b[2] for _, b in live], params), Tensor(h[rows]),
+                                Tensor(c[rows]), params["dec.W"], params["dec.b"])
+        mask = Tensor(foreign[[e for e, _ in live]]) if len(pairs) > 1 else None
+        step = _decoder_head(h_t, states, layout, params, mask)
+        h, c = h_t.data, c_t.data
+        dist, attention = step.final_dist.data, step.attention.data
+        # a stable sort ranks tied ids in id order, as np.argmax does; a
+        # pair's own ids come first among its zero-probability columns
+        top = np.argsort(-dist, axis=1, kind="stable")[:, : config.beam_size]
+        # each candidate's cost: the cross-entropy of its token
+        nll = -np.log(np.maximum(np.take_along_axis(dist, top, axis=1), ad.PROB_FLOOR))
+        top, nll = top.tolist(), nll.tolist()
+        r = 0
+        for e, bs in enumerate(beams):
+            if all(b[5] for b in bs):
                 continue
-            step, new_state = decode_step(prev, state, encoded, config, params)
-            # a stable sort ranks tied ids in id order, as np.argmax does
-            top = np.argsort(-step.final_dist.data, kind="stable")[: config.beam_size]
-            row = step.attention.data.copy()
-            for tid in top.tolist():
-                total = cost + ad.cross_entropy(step.final_dist, tid).item()
-                if tid == EOS_ID:
-                    candidates.append((total, ids, tid, new_state, rows, True))
-                else:
-                    candidates.append((total, ids + [tid], tid, new_state, rows + [row], False))
-        candidates.sort(key=lambda b: (b[0], b[1]))
-        beams = candidates[: config.beam_size]
-    _, ids, _, _, rows, _ = beams[0]
-    return GenerationResult(
-        tokens=vocab.decode_extended(ids, seq.oov_words),
-        attention=np.vstack(rows) if rows else np.zeros((0, len(seq.surfaces))),
-        predicted_iw=predicted_iw,
-        source=seq,
-    )
+            width = vocab_size + len(seqs[e].oov_words)
+            candidates = []
+            for beam in bs:
+                cost, ids, _, _, att, done = beam
+                if done:
+                    candidates.append(beam)
+                    continue
+                row = attention[r, bounds[e] : bounds[e + 1]].copy()
+                for tid, step_cost in zip(top[r][:width], nll[r]):
+                    if tid == EOS_ID:
+                        candidates.append((cost + step_cost, ids, tid, r, att, True))
+                    else:
+                        candidates.append((cost + step_cost, ids + [tid], tid, r,
+                                           att + [row], False))
+                r += 1
+            candidates.sort(key=lambda b: (b[0], b[1]))
+            beams[e] = candidates[: config.beam_size]
+    results = []
+    for (_, predicted_iw), seq, bs in zip(pairs, seqs, beams):
+        _, ids, _, _, att, _ = bs[0]
+        results.append(GenerationResult(
+            tokens=vocab.decode_extended(ids, seq.oov_words),
+            attention=np.vstack(att) if att else np.zeros((0, len(seq.surfaces))),
+            predicted_iw=predicted_iw,
+            source=seq,
+        ))
+    return results
+
+
+def predict_iw(
+    example: Example,
+    classifier: ModelParams | Callable[[Example], IWClass],
+    vocab: Vocabulary,
+) -> IWClass:
+    """The interrogative class predicted for ``example``.  ``classifier``
+    is either trained classifier parameters (their argmax class) or any
+    ``example -> IWClass`` predictor (for accuracy-controlled oracles)."""
+    if isinstance(classifier, ModelParams):
+        probs = classify(example, classifier.config, classifier.tensors, vocab)
+        return IWClass(int(np.argmax(probs)))
+    return classifier(example)
 
 
 def pipeline_generate(
@@ -388,14 +513,8 @@ def pipeline_generate(
     qg_params: ModelParams,
     vocab: Vocabulary,
 ) -> GenerationResult:
-    """Two-stage inference: predict the interrogative class, then decode
-    with that class inserted.  ``classifier`` is either trained
-    classifier parameters or any ``example -> IWClass`` predictor (for
-    accuracy-controlled oracles); the prediction is recorded on the
-    result."""
-    if isinstance(classifier, ModelParams):
-        probs = classify(example, classifier.config, classifier.tensors, vocab)
-        predicted = IWClass(int(np.argmax(probs)))
-    else:
-        predicted = classifier(example)
+    """Two-stage inference: predict the interrogative class with
+    ``predict_iw``, then decode with that class inserted; the prediction
+    is recorded on the result."""
+    predicted = predict_iw(example, classifier, vocab)
     return generate(example, predicted, qg_params.config, qg_params.tensors, vocab)

@@ -9,6 +9,7 @@ import pytest
 from qgkit import autodiff as ad
 from qgkit.autodiff import (
     AdamState,
+    Segments,
     Tape,
     Tensor,
     adam_step,
@@ -17,6 +18,7 @@ from qgkit.autodiff import (
     concat,
     cross_entropy,
     lookup,
+    lstm_cell,
     lstm_step,
     matmul,
     mul,
@@ -285,6 +287,18 @@ class TestSegmentMax:
             assert np.array_equal(out.data[r], o.data) and winners[r] == win
             assert np.array_equal(grad[r], g)
 
+    def test_prebuilt_segments_serve_every_call(self):
+        segs = [[0, 3, 5], [1], [4, 2]]
+        layout = Segments(segs)
+        scores = Tensor(np.random.default_rng(17).normal(size=(2, 6)))
+        (a, wa), (b, wb) = segment_max(scores, layout), segment_max(scores, segs)
+        assert np.array_equal(a.data, b.data) and wa == wb
+        # each call still checks the positions against its own scores
+        with pytest.raises(ValueError):
+            segment_max(Tensor(np.zeros(5)), layout)
+        with pytest.raises(ValueError):
+            Segments([])
+
     def test_rows_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(15)
         segs = [[0, 3, 5], [1], [4, 2]]
@@ -349,6 +363,19 @@ class TestScatterSum:
             loss = reduce_sum(mul(scatter_sum(v, idx, 3), Tensor(w)))
         backward(tape, loss)
         np.testing.assert_allclose(v.grad, w[idx])
+
+    def test_adds_each_target_in_index_order(self):
+        # bit for bit the running sum from 0.0 in index order, whose
+        # rounding training's checkpoints depend on
+        rng = np.random.default_rng(18)
+        idx = rng.integers(0, 4, size=40).tolist()
+        v = rng.normal(size=(3, 40)) * 10.0 ** rng.integers(-8, 9, size=(3, 40))
+        out = scatter_sum(Tensor(v), idx, 4).data
+        for r in range(3):
+            acc = [0.0] * 4
+            for j, i in enumerate(idx):
+                acc[i] += v[r, j]
+            assert out[r].tolist() == acc
 
     def test_rows_equal_per_row_calls(self):
         rng = np.random.default_rng(16)
@@ -638,6 +665,50 @@ class TestLSTMStep:
         with Tape() as tape:
             encode(seq, qg_cfg, qg_params)
         assert [e.op for e in tape.entries].count("lstm_step") == 2
+
+
+def _cell_inputs(seed, k, d_in=3, d=4):
+    """x, h and c with k rows, and W, b, at a scale that keeps every gate
+    off saturation."""
+    rng = np.random.default_rng(seed)
+    shapes = ((k, d_in), (k, d), (k, d), (d_in + d, 4 * d), (1, 4 * d))
+    return [Tensor(rng.normal(scale=0.5, size=s)) for s in shapes]
+
+
+class TestLSTMCell:
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_one_row_bit_identical_to_lstm_step(self, on_h, on_c):
+        results = []
+        for step in (lstm_cell, lstm_step):
+            inputs = _cell_inputs(20, k=1, d_in=5, d=6)
+            with Tape() as tape:
+                outputs = step(*inputs)
+                loss = _lstm_loss(outputs, on_h, on_c)
+            backward(tape, loss)
+            results.append([t.data for t in outputs] + [t.grad for t in inputs])
+        for cell, step in zip(*results):
+            assert np.array_equal(cell, step)
+
+    def test_rows_are_independent_states(self):
+        x, h, c, W, b = _cell_inputs(21, k=5, d_in=5, d=6)
+        H, C = lstm_cell(x, h, c, W, b)
+        for r in range(5):
+            h_r, c_r = lstm_step(*(Tensor(t.data[r : r + 1]) for t in (x, h, c)), W, b)
+            np.testing.assert_allclose(H.data[r : r + 1], h_r.data, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(C.data[r : r + 1], c_r.data, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_gradients_vs_finite_differences(self, on_h, on_c):
+        inputs = _cell_inputs(22, k=3)
+        with Tape() as tape:
+            loss = _lstm_loss(lstm_cell(*inputs), on_h, on_c)
+        backward(tape, loss)
+        assert [e.op for e in tape.entries].count("lstm_cell") == 1
+
+        def f():
+            return _lstm_loss(lstm_cell(*inputs), on_h, on_c).item()
+
+        assert check_gradients(f, inputs) < 1e-6
 
 
 class TestAdam:

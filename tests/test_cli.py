@@ -18,7 +18,7 @@ from qgkit import cli, metrics
 from qgkit.classifier import oracle_classifier
 from qgkit.cli import main
 from qgkit.data import IWClass, Vocabulary, class_counts, corpus_text, load_corpus, tokenize
-from qgkit.generator import QGConfig, generate
+from qgkit.generator import QGConfig, generate, generate_batch
 from qgkit.metrics import evaluate_generation
 from qgkit.autodiff import Tensor
 from qgkit.persist import checkpoint_bytes, load_checkpoint, sha256_bytes
@@ -500,17 +500,17 @@ class TestSweep:
         grid, seeds = ["0.6", "0.8", "1.0"], [0, 1, 2]
         calls = []
 
-        def counted(ex, predicted, *rest):
-            calls.append((ex.id, predicted))
-            return generate(ex, predicted, *rest)
+        def counted(pairs, *rest):
+            calls.extend((ex.id, predicted) for ex, predicted in pairs)
+            return generate_batch(pairs, *rest)
 
-        monkeypatch.setattr(cli, "generate", counted)
+        monkeypatch.setattr(cli, "generate_batch", counted)
         out = tmp_path / "sweep"
         assert run("sweep", "--qg", ws["qg"], "--data", data,
                    "--vocab", ws["prep"] / "vocab.txt", "--grid", ",".join(grid),
                    "--seeds", ",".join(map(str, seeds)), "--out", out) == 0
 
-        # reference: decode every example afresh in every cell
+        # reference: decode every example afresh, alone, in every cell
         vocab = Vocabulary.load(ws["prep"] / "vocab.txt")
         ck = load_checkpoint(ws["qg"])
         config = QGConfig.from_dict(ck.config)

@@ -14,7 +14,12 @@ import pytest
 from oracles import oracle_encode, oracle_final_dist
 from qgkit import autodiff as ad
 from qgkit.autodiff import Tape, backward
-from qgkit.classifier import ClassifierConfig, _class_distribution, init_classifier
+from qgkit.classifier import (
+    ClassifierConfig,
+    _class_distribution,
+    init_classifier,
+    oracle_classifier,
+)
 from qgkit.data import (
     EOS_ID,
     SOS_ID,
@@ -34,6 +39,7 @@ from qgkit.generator import (
     decode_step,
     encode,
     generate,
+    generate_batch,
     init_decoder_state,
     init_qg,
     pipeline_generate,
@@ -523,6 +529,42 @@ class TestGenerate:
         if res.tokens:
             np.testing.assert_allclose(res.attention.sum(axis=1),
                                        np.ones(len(res.tokens)), atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def copying():
+    """A generator briefly trained on mini200 against the vocabulary of
+    its first 20 examples: most sources hold OOV words, the decoder
+    copies some of them, and its decodes stop at different steps."""
+    corpus = bundled_corpus("mini200")
+    vocab = Vocabulary.build(corpus[:20])
+    cfg = tiny_config(epochs=4, lr=1e-2, max_len=12)
+    params, _ = train_qg(corpus[100:140], cfg, vocab)
+    return corpus, vocab, cfg, params.tensors
+
+
+class TestGenerateBatch:
+    @pytest.mark.parametrize("classes", ["gold", "oracle"])
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_chunks_decode_as_chunks_of_one(self, copying, beam, classes):
+        corpus, vocab, cfg, params = copying
+        cfg = dataclasses.replace(cfg, beam_size=beam)
+        rng = np.random.default_rng(3)
+        pairs = [(ex, ex.iw_class if classes == "gold"
+                  else oracle_classifier(ex.iw_class, 0.6, rng)) for ex in corpus]
+        batched = generate_batch(pairs, cfg, params, vocab)
+        alone = [generate(ex, iw, cfg, params, vocab) for ex, iw in pairs]
+        assert len(batched) == len(alone)
+        for a, b in zip(alone, batched):
+            assert (b.tokens, b.predicted_iw, b.source) == (a.tokens, a.predicted_iw, a.source)
+            assert b.attention.shape == a.attention.shape
+            np.testing.assert_allclose(b.attention, a.attention, rtol=0, atol=1e-12)
+        # the cases a chunk must keep apart: passages of different
+        # lengths, copied OOV words, and rows that stop at different steps
+        assert len({len(r.source.surfaces) for r in alone}) > 1
+        assert any(t in r.source.oov_words for r in alone for t in r.tokens)
+        lengths = {len(r.tokens) for r in alone}
+        assert len(lengths) > 1 and min(lengths) < cfg.max_len
 
 
 class TestInsertionEffect:
