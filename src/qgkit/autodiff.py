@@ -354,9 +354,9 @@ class Segments:
 
 def segment_max(
     scores: Tensor, segments: Segments | Sequence[Sequence[int]]
-) -> tuple[Tensor, list]:
+) -> tuple[Tensor, np.ndarray]:
     """Per-segment maximum over the last axis of a 1-D or 2-D tensor,
-    with the winning index of each segment (one list per row for 2-D).
+    with the winning index of each segment (one row per row for 2-D).
 
     Gradient is routed only to each segment's winning position; ties go
     to the lowest index.  Returns ``(maxima, argmax_indices)``.
@@ -381,7 +381,7 @@ def segment_max(
         return (gs,)
 
     _record("segment_max", (scores,), (out,), back)
-    return out, winners.tolist()
+    return out, winners
 
 
 def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:

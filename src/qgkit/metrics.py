@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .data import IWClass, label_interrogative_class
@@ -146,6 +147,7 @@ def _undouble(s: str) -> str:
     return s
 
 
+@lru_cache(maxsize=1 << 16)
 def stem(token: str) -> str:
     """Tiny suffix stripper: one plural/inflection rule, then a final-e
     strip, so 'loves', 'loved', 'loving' and 'love' share a stem.  Never
@@ -190,86 +192,306 @@ class AlignmentResult:
 _NODE_BUDGET = 500_000
 
 
-def _chunk_count(pairs: Sequence[tuple[int, int]]) -> int:
-    if not pairs:
-        return 0
-    chunks = 1
-    for (c0, r0), (c1, r1) in zip(pairs, pairs[1:]):
-        if c1 != c0 + 1 or r1 != r0 + 1:
-            chunks += 1
-    return chunks
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _max_exact(exact_opts: list[list[int]], n_ref: int) -> int:
+    """Size of a maximum matching on the exact pairs: Kuhn's augmenting
+    paths, walked with an explicit stack."""
+    owner = [-1] * n_ref
+    size = 0
+    for root, opts in enumerate(exact_opts):
+        if not opts:
+            continue
+        seen: set[int] = set()
+        stack = [[root, 0]]  # [candidate position, options tried]
+        while stack:
+            frame = stack[-1]
+            i, k = frame
+            if k == len(exact_opts[i]):
+                stack.pop()
+                continue
+            frame[1] = k + 1
+            j = exact_opts[i][k]
+            if j in seen:
+                continue
+            seen.add(j)
+            if owner[j] >= 0:
+                stack.append([owner[j], 0])
+                continue
+            # j is free: each position on the path takes the reference
+            # it tried last
+            for i, k in stack:
+                owner[exact_opts[i][k - 1]] = i
+            size += 1
+            break
+    return size
+
+
+def _greedy_runs(here: list[int], exact_at: list[int]) -> tuple[list[tuple[int, int]], int, int]:
+    """Greedy longest-common-run alignment: the maximal diagonal runs of
+    matchable pairs, longest first (then most exact, then earliest), each
+    adding the pairs whose two positions are still free.  Returns the
+    pairs in candidate order, their exact count and their chunk count."""
+    n = len(here)
+    runs = []
+    for i, mask in enumerate(here):
+        starts = mask & ~(here[i - 1] << 1) if i else mask
+        for j in _bits(starts) if starts else ():
+            length = exact = 0
+            while i + length < n and here[i + length] >> (j + length) & 1:
+                exact += exact_at[i + length] >> (j + length) & 1
+                length += 1
+            runs.append((-length, -exact, i, j))
+    runs.sort()
+    used_cand = used_ref = 0
+    pairs = []
+    for neg_length, _, i, j in runs:
+        for d in range(-neg_length):
+            if not (used_cand >> (i + d) & 1 or used_ref >> (j + d) & 1):
+                used_cand |= 1 << (i + d)
+                used_ref |= 1 << (j + d)
+                pairs.append((i + d, j + d))
+    pairs.sort()
+    exact = chunks = 0
+    last_i = last_j = -2
+    for i, j in pairs:
+        exact += exact_at[i] >> j & 1
+        chunks += i != last_i + 1 or j != last_j + 1
+        last_i, last_j = i, j
+    return pairs, exact, chunks
+
+
+def _bigram_kinds(here: list[int]) -> tuple[list[tuple[tuple[int, int], ...]], list[int]]:
+    """What bounds the run extensions after each position.
+
+    Position k can extend a run into the references ``here[k] &
+    here[k - 1] << 1`` (k - 1 can take the reference before).  Positions
+    with the same such set are one bigram kind, and no more of a kind
+    extend runs than its count or the references in its set that are
+    still free together with the one before.  For each position p this
+    returns the (set, count) pairs of the kinds after p, except that the
+    kinds whose count is never the smaller are merged into one set (the
+    second list)."""
+    n = len(here)
+    scarce: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
+    plenty = [0] * (n + 1)
+    kinds: dict[int, int] = {}
+    split: tuple = ((), 0)
+    for p in range(n - 1, -1, -1):
+        scarce[p], plenty[p] = split
+        links = here[p] and p and here[p] & here[p - 1] << 1
+        if links:
+            kinds[links] = kinds.get(links, 0) + 1
+            merged = 0
+            for refs, count in kinds.items():
+                if count >= refs.bit_count():
+                    merged |= refs
+            split = (tuple((refs, count) for refs, count in kinds.items()
+                           if count < refs.bit_count()), merged)
+    return scarce, plenty
 
 
 def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
-    """Search every injective candidate-to-reference matching and keep
-    the objective-optimal one.
+    """Find the objective-optimal injective candidate-to-reference matching.
 
-    Depth-first over candidate positions with an admissible bound on the
-    first two objective components.  ``complete`` is False only if the
-    node budget ran out (pathological repeated-token inputs); the search
-    still runs to its first full alignment and returns the best found."""
-    n_cand = len(cand)
-    exact_opts: list[list[int]] = []
-    stem_opts: list[list[int]] = []
-    ref_stems = [stem(t) for t in ref]
-    for tok in cand:
-        s = stem(tok)
-        exact_opts.append([j for j, t in enumerate(ref) if t == tok])
-        stem_opts.append(
-            [j for j, t in enumerate(ref) if t != tok and ref_stems[j] == s]
-        )
-    # suffix bounds: how many exact / any matches could still be made
-    can_exact = [0] * (n_cand + 1)
-    can_any = [0] * (n_cand + 1)
-    for i in range(n_cand - 1, -1, -1):
-        can_exact[i] = can_exact[i + 1] + (1 if exact_opts[i] else 0)
-        can_any[i] = can_any[i + 1] + (1 if exact_opts[i] or stem_opts[i] else 0)
+    Every optimum has as many exact matches as a maximum matching on the
+    exact pairs, so that count is fixed first.  A memoised depth-first
+    search then runs over states (candidate position, used-reference
+    bitmask, previous reference position, exact matches still needed); a
+    state's value is the (total, chunks) that its best completion adds,
+    and positions whose options are all used are skipped on the way to
+    the next state.  Each position tries its matches by reference
+    position and then the skip, and only a strictly better value replaces
+    the best so far, which is the ``pairs`` tie-break.  A greedy
+    longest-common-run alignment is the first incumbent, and a state is
+    not expanded when its bound cannot beat what its caller already
+    holds: one more match per remaining position with an option (no more
+    than the free references), each opening a chunk unless it extends a
+    run, with no more run extensions than the free reference bigrams of
+    their kind allow (``_bigram_kinds``).  The search keeps its own
+    stack, so a long candidate does not deepen Python's.
 
-    best: list = [None]  # objective tuple (-exact, -total, chunks, pairs)
-    nodes = [0]
-    used = [False] * len(ref)
-    pairs: list[tuple[int, int]] = []
+    The node budget counts expanded states.  ``complete`` is False only
+    if it ran out (pathological repeated-token inputs: minimising chunks
+    is NP-hard when every token matches); the greedy incumbent is then
+    returned."""
+    n, n_ref = len(cand), len(ref)
+    exact_bits: dict[str, int] = {}  # token -> bitmask of its reference positions
+    stem_bits: dict[str, int] = {}  # stem -> bitmask of the positions with it
+    for j, t in enumerate(ref):
+        exact_bits[t] = exact_bits.get(t, 0) | 1 << j
+        s = stem(t)
+        stem_bits[s] = stem_bits.get(s, 0) | 1 << j
+    exact_at = [exact_bits.get(t, 0) for t in cand]
+    here = [stem_bits.get(stem(t), 0) for t in cand]  # every option, exact ones too
+    if not any(here):
+        return AlignmentResult(0, 0, 0, (), True)
 
-    def dfs(i: int, exact: int, total: int) -> None:
-        if nodes[0] > _NODE_BUDGET and best[0] is not None:
-            return
-        nodes[0] += 1
-        if best[0] is not None:
-            b_exact, b_total = -best[0][0], -best[0][1]
-            hi_exact = exact + can_exact[i]
-            hi_total = total + can_any[i]
-            if (hi_exact, hi_total) < (b_exact, b_total):
-                return
-        if i == n_cand:
-            key = (-exact, -total, _chunk_count(pairs), tuple(pairs))
-            if best[0] is None or key < best[0]:
-                best[0] = key
-            return
-        for j in exact_opts[i]:
-            if not used[j]:
-                used[j] = True
-                pairs.append((i, j))
-                dfs(i + 1, exact + 1, total + 1)
-                pairs.pop()
-                used[j] = False
-        for j in stem_opts[i]:
-            if not used[j]:
-                used[j] = True
-                pairs.append((i, j))
-                dfs(i + 1, exact, total + 1)
-                pairs.pop()
-                used[j] = False
-        dfs(i + 1, exact, total)
+    # Each position's choices in tie-break order, listed when the search
+    # first reaches it: matches by reference position, then the skip
+    # (coded n_ref).  step_to[i] is the first position from i on with
+    # any option.  Over each suffix: the references its positions can
+    # use, and how many of them have an exact or any option.
+    choices: list[list[int] | None] = [None] * n
+    step_to = [n] * (n + 1)
+    reach = [0] * (n + 1)
+    can_exact = [0] * (n + 1)
+    can_any = [0] * (n + 1)
+    exact_refs = 0
+    for i in range(n - 1, -1, -1):
+        step_to[i] = i if here[i] else step_to[i + 1]
+        reach[i] = reach[i + 1] | here[i]
+        can_exact[i] = can_exact[i + 1] + (exact_at[i] != 0)
+        can_any[i] = can_any[i + 1] + (here[i] != 0)
+        exact_refs |= exact_at[i]
+    greedy, greedy_exact, greedy_chunks = _greedy_runs(here, exact_at)
+    # the greedy's exact pairs are a matching: when none can be larger,
+    # they already have the target count
+    target = greedy_exact
+    if target < min(can_exact[0], exact_refs.bit_count()):
+        target = _max_exact([_bits(mask) for mask in exact_at], n_ref)
 
-    dfs(0, 0, 0)
-    b = best[0]
-    return AlignmentResult(
-        exact=-b[0],
-        total=-b[1],
-        chunks=b[2],
-        pairs=b[3],
-        complete=nodes[0] <= _NODE_BUDGET,
-    )
+    scale = n + 1  # a value is total * scale - chunks: total comes first
+    width = n_ref + 2  # decision codes: j matches ref[j], n_ref skips,
+    unsettled = n_ref + 1  # and this one marks a stored upper bound
+    memo: dict[int, int] = {}  # state key -> value * width + decision
+
+    bigram_kinds: tuple = ()  # _bigram_kinds(here), once a bound needs it
+
+    def extensions(p, free):
+        # the most run extensions the positions after p can make while
+        # only the references in ``free`` are left
+        nonlocal bigram_kinds
+        if not bigram_kinds:
+            bigram_kinds = _bigram_kinds(here)
+        scarce, plenty = bigram_kinds
+        bigrams = free & free << 1
+        total = (plenty[p] & bigrams).bit_count()
+        for refs, count in scarce[p]:
+            usable = (refs & bigrams).bit_count()
+            total += usable if usable < count else count
+        return total
+
+    def key_of(i, mask, cont, need):
+        return ((mask * (n_ref + 1) + cont + 1) * (target + 1) + need) * (n + 1) + i
+
+    def settle(i, mask):
+        # the first position from i on that still has a free option: the
+        # positions before it can only be skipped
+        i = step_to[i]
+        while i < n and not here[i] & ~mask:
+            i = step_to[i + 1]
+        return i
+
+    def visit(i, mask, cont, need, key, floor):
+        # A generator: it yields each child it must expand, is sent the
+        # child's value and returns its own.  A value at or below
+        # ``floor`` is only an upper bound; a negative one is infeasible.
+        best, choice = -1, unsettled
+        skip_to = settle(i + 1, mask)
+        order = choices[i]
+        if order is None:
+            order = choices[i] = _bits(here[i]) + [n_ref]
+        for j in order:
+            top = floor if floor > best else best
+            if j < n_ref:
+                if mask >> j & 1:
+                    continue
+                gain = scale - (j != cont)
+                child_mask, child_need = mask | 1 << j, need - (exact_at[i] >> j & 1)
+                nxt = (skip_to if skip_to == n or here[skip_to] & ~child_mask
+                       else settle(skip_to, child_mask))
+                child_cont = j + 1 if nxt == i + 1 else -1
+            else:
+                gain, child_mask, child_cont, child_need, nxt = 0, mask, -1, need, skip_to
+            ahead = reach[nxt]
+            child_mask &= ahead
+            free = ahead & ~child_mask
+            n_free = free.bit_count()
+            if child_need > can_exact[nxt] or child_need > n_free:
+                continue
+            if not n_free:
+                value = 0
+            else:
+                if child_cont >= 0 and not (free & here[nxt]) >> child_cont & 1:
+                    child_cont = -1
+                child_floor = top - gain
+                # Bound the child first; then no value stored for it can
+                # beat its floor either.  It makes at most ``most`` more
+                # matches, and each one opens a chunk unless it extends a
+                # run: the prefix's (child_cont) or one of ``extensions``.
+                # Its bound cannot beat the floor while slack >= 0.
+                most = n_free if n_free < can_any[nxt] else can_any[nxt]
+                slack = child_floor - most * (scale - 1)
+                if slack < most:
+                    slack -= child_cont >= 0
+                    if slack >= 0:
+                        slack -= extensions(nxt, free)
+                if slack >= 0:
+                    value = child_floor
+                else:
+                    child_key = key_of(nxt, child_mask, child_cont, child_need)
+                    # a stored upper bound is never negative, so an absent
+                    # state reads as (-1, unsettled)
+                    value, decision = divmod(memo.get(child_key, unsettled - width), width)
+                    if decision == unsettled and (value < 0 or value > child_floor):
+                        value = yield nxt, child_mask, child_cont, child_need, child_key, child_floor
+            if value >= 0 and value + gain > best:
+                best, choice = value + gain, j
+        if best < 0:
+            choice = n_ref  # infeasible: settled, whatever the floor
+        elif best <= floor:
+            choice = unsettled
+        memo[key] = best * width + choice
+        return best
+
+    first = step_to[0]
+    floor = len(greedy) * scale - greedy_chunks - 1 if greedy_exact == target else -1
+    request, sent = (first, 0, -1, target, key_of(first, 0, -1, target), floor), None
+    stack = []
+    expanded = 0
+    while True:
+        if request is not None:
+            expanded += 1
+            if expanded > _NODE_BUDGET:
+                return AlignmentResult(greedy_exact, len(greedy), greedy_chunks,
+                                       tuple(greedy), False)
+            stack.append(visit(*request))
+            sent = None
+        try:
+            request = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                break
+            request, sent = None, done.value
+
+    # follow the stored decisions from the root
+    pairs = []
+    chunks = 0
+    i, mask, cont, need = first, 0, -1, target
+    while i < n:
+        mask &= reach[i]
+        if cont >= 0 and not (reach[i] & ~mask & here[i]) >> cont & 1:
+            cont = -1
+        j = memo[key_of(i, mask, cont, need)] % width
+        if j < n_ref:
+            pairs.append((i, j))
+            chunks += j != cont
+            mask |= 1 << j
+            need -= exact_at[i] >> j & 1
+        nxt = settle(i + 1, mask)
+        cont = j + 1 if j < n_ref and nxt == i + 1 else -1
+        i = nxt
+    return AlignmentResult(target, len(pairs), chunks, tuple(pairs), True)
 
 
 def _meteor_pair(cand: TokenSeq, ref: TokenSeq) -> tuple[float, bool]:

@@ -225,17 +225,17 @@ class TestSegmentMax:
         scores = Tensor([0.2, 0.9, 0.5])
         out, winners = segment_max(scores, [[0, 2]])
         assert out.data[0] == pytest.approx(0.5)
-        assert winners == [2]
+        assert winners.tolist() == [2]
 
     def test_singleton_segments_identity(self):
         scores = Tensor([0.3, -1.0, 2.0])
         out, winners = segment_max(scores, [[0], [1], [2]])
         np.testing.assert_array_equal(out.data, scores.data)
-        assert winners == [0, 1, 2]
+        assert winners.tolist() == [0, 1, 2]
 
     def test_tie_goes_to_lowest_index(self):
         out, winners = segment_max(Tensor([1.0, 1.0]), [[1, 0]])
-        assert winners == [0]
+        assert winners.tolist() == [0]
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -281,10 +281,10 @@ class TestSegmentMax:
         scores[1, [0, 5]] = 2.0  # a tie, won by the lower index
         w = rng.normal(size=(4, 3))
         (out, winners), grad = _weighted_pass(lambda x: segment_max(x, segs), scores, w)
-        assert winners[1][0] == 0
+        assert winners.tolist()[1][0] == 0
         for r in range(4):
             (o, win), g = _weighted_pass(lambda x: segment_max(x, segs), scores[r], w[r])
-            assert np.array_equal(out.data[r], o.data) and winners[r] == win
+            assert np.array_equal(out.data[r], o.data) and winners[r].tolist() == win.tolist()
             assert np.array_equal(grad[r], g)
 
     def test_prebuilt_segments_serve_every_call(self):
@@ -292,7 +292,7 @@ class TestSegmentMax:
         layout = Segments(segs)
         scores = Tensor(np.random.default_rng(17).normal(size=(2, 6)))
         (a, wa), (b, wb) = segment_max(scores, layout), segment_max(scores, segs)
-        assert np.array_equal(a.data, b.data) and wa == wb
+        assert np.array_equal(a.data, b.data) and wa.tolist() == wb.tolist()
         # each call still checks the positions against its own scores
         with pytest.raises(ValueError):
             segment_max(Tensor(np.zeros(5)), layout)

@@ -659,10 +659,11 @@ def test_sweep_config_seed_list_named_in_error(ws, tmp_path, capsys):
 
 
 def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path, capsys):
-    # 5 words x 4 repeats in two seeded orders: the aligner's node
-    # budget runs out before the search finishes
+    # 2 words x 17 repeats in two seeded orders, the smallest seeded
+    # words x repeats shape whose search runs out of its budget of
+    # expanded states (every smaller one finishes)
     rng = np.random.default_rng(0)
-    bag = [w for w in ("a", "b", "c", "d", "e") for _ in range(4)]
+    bag = [w for w in ("a", "b") for _ in range(17)]
     dump = tmp_path / "dump.jsonl"
     dump.write_text(json.dumps({
         "generated": [str(t) for t in rng.permutation(bag)],
@@ -683,14 +684,32 @@ def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path, capsys):
 
 
 def test_sweep_warns_on_truncated_meteor(ws, tmp_path, capsys, monkeypatch):
-    # the fixture model decodes at most 7 tokens here, so every search
-    # reaches one full alignment (8 nodes) before the budget cuts it short
-    monkeypatch.setattr(metrics, "_NODE_BUDGET", 10)
+    # the budget counts expanded states: at 1, a search is cut short as
+    # soon as it must expand a second one, as most searches here do
+    monkeypatch.setattr(metrics, "_NODE_BUDGET", 1)
     assert run("sweep", "--qg", ws["qg"], "--data", ws["prep"] / "qg_train.jsonl",
                "--vocab", ws["prep"] / "vocab.txt", "--grid", "0.5,1.0", "--seeds", "0",
                "--out", tmp_path / "s") == 0
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("warning: "), lines
+
+
+def test_evaluate_scores_a_long_candidate(tmp_path, capsys):
+    # an aligner that recursed once per candidate token would end in a
+    # RecursionError here
+    cand, ref = ["x"] * 1100, ["y", "x"]
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps({"generated": cand, "gold": ref}) + "\n")
+    assert run("evaluate", "--dump", dump, "--out", tmp_path / "o") == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    # oracle_meteor_pair's formula on the alignment the search returns
+    aligned = metrics.align_tokens(cand, ref)
+    m, chunks = aligned.total, aligned.chunks
+    p, r = m / len(cand), m / len(ref)
+    want = (10.0 * p * r) / (r + 9.0 * p) * (1.0 - 0.5 * (chunks / m) ** 3)
+    assert (m, chunks, report["incomplete_pairs"]) == (1, 1, 0)
+    assert report["meteor_variant"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["prepare", "evaluate"])

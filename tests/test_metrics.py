@@ -1,7 +1,12 @@
 """Tests for BLEU, ROUGE-L, METEOR-ex and the interrogative-word table,
 checked against the brute-force oracles."""
 
+import functools
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +34,46 @@ from qgkit.metrics import (
     rouge_l,
     stem,
 )
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+# Word families that share a stem, so that pairs also match by stem only.
+STEM_FAMILIES = (("cat", "cats"), ("run", "running"), ("dog",), ("the",))
+
+
+def repeated_token_pair(rng):
+    """Candidate and reference drawn from one to three word families:
+    heavy repeats, stem-only matches, unequal lengths of at most 12
+    tokens together (small enough for the enumeration oracle)."""
+    picked = rng.choice(len(STEM_FAMILIES), size=int(rng.integers(1, 4)), replace=False)
+    words = [w for f in picked for w in STEM_FAMILIES[f]]
+    n_cand = int(rng.integers(1, 9))
+    n_ref = int(rng.integers(1, 13 - n_cand))
+    return ([str(w) for w in rng.choice(words, n_cand)],
+            [str(w) for w in rng.choice(words, n_ref)])
+
+
+def permutation_pair(words, repeats, seed=0):
+    """Two seeded orders of one multiset: ``words`` letters, each
+    ``repeats`` times."""
+    rng = np.random.default_rng(seed)
+    bag = [w for w in "abcdefghijklmnop"[:words] for _ in range(repeats)]
+    return [str(t) for t in rng.permutation(bag)], [str(t) for t in rng.permutation(bag)]
+
+
+def fewest_chunks_all_matched(cand, ref):
+    """Fewest chunks over the alignments that match every candidate token
+    to an equal reference token, by memoised recursion over (position,
+    used references, previous reference)."""
+
+    @functools.lru_cache(maxsize=None)
+    def go(i, used, prev):
+        if i == len(cand):
+            return 0
+        return min(go(i + 1, used | 1 << j, j) + (prev != j - 1)
+                   for j, tok in enumerate(ref) if tok == cand[i] and not used >> j & 1)
+
+    return go(0, 0, -2)
 
 
 class TestBleu:
@@ -207,10 +252,50 @@ class TestMeteor:
         with pytest.raises(ValueError):
             meteor_variant([["a"]], [])
 
+    def test_repeated_tokens_match_enumeration(self):
+        rng = np.random.default_rng(30)
+        stem_only = unequal = 0
+        for _ in range(500):
+            cand, ref = repeated_token_pair(rng)
+            res = align_tokens(cand, ref)
+            assert res.complete
+            assert (res.exact, res.total, res.chunks, res.pairs) == oracle_align(cand, ref)
+            stem_only += res.total > res.exact
+            unequal += len(cand) != len(ref)
+        assert stem_only >= 50 and unequal >= 400
+
+    @pytest.mark.parametrize("words,repeats,truncated", [(5, 4, 16), (4, 5, 16), (10, 3, 27)])
+    def test_seeded_permutations_complete(self, words, repeats, truncated):
+        # ``truncated``: the chunks of the alignment that a depth-first
+        # search bounded only on match counts returned when its budget ran
+        # out on these pairs
+        cand, ref = permutation_pair(words, repeats)
+        res = align_tokens(cand, ref)
+        assert res.complete and (res.exact, res.total) == (len(cand), len(cand))
+        assert res.chunks <= truncated
+        if words * repeats <= 20:
+            assert res.chunks == fewest_chunks_all_matched(cand, ref)
+
+    def test_long_workload_pairs_stay_far_under_budget(self, monkeypatch, tmp_path):
+        # the benchmark's nine seed-0 repeated-token pairs each finish
+        # within 5% of the budget of expanded states
+        spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        inputs = workloads.make_inputs("long", tmp_path, 0)
+        lines = inputs.files["pairs"].read_text().splitlines()
+        assert len(lines) == len(workloads.PAIR_SHAPES) == 9
+        monkeypatch.setattr(metrics, "_NODE_BUDGET", metrics._NODE_BUDGET // 20)
+        for line in lines:
+            pair = json.loads(line)
+            assert align_tokens(pair["generated"], pair["gold"]).complete
+
     @pytest.mark.parametrize("budget", [0, 1])
     def test_budget_spent_before_first_alignment(self, monkeypatch, budget):
-        # the budget runs out before the search reaches a leaf; it still
-        # finishes one full alignment and flags it incomplete
+        # the budget counts expanded states, and this search expands more
+        # than one; cut short, it returns its greedy longest-run
+        # incumbent, which is optimal here, and flags it incomplete
         monkeypatch.setattr(metrics, "_NODE_BUDGET", budget)
         cand, ref = ["b", "a", "cats"], ["a", "cat", "b"]
         res = align_tokens(cand, ref)
