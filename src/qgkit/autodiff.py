@@ -234,6 +234,8 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+# No model uses relu; it stays because acceptance gate A1's gradient
+# suite (tests/test_acceptance.py) checks it.
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
-from .data import Example, IWClass, Vocabulary, build_classifier_input
+from .data import EntityType, Example, IWClass, Vocabulary, build_classifier_input
 from .layers import init_bilstm, init_linear, linear, run_bilstm
 from .metrics import ClassScore, class_scores
 from .persist import InputError, ModelConfig, ModelParams, build_model
@@ -32,7 +32,7 @@ __all__ = [
     "train_classifier",
 ]
 
-NUM_ENTITY_TYPES = 7
+NUM_ENTITY_TYPES = len(EntityType)
 
 
 @dataclass
@@ -249,7 +249,7 @@ def oracle_classifier(
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError(f"accuracy {accuracy} outside [0, 1]")
     u = rng.random()
-    alt = int(rng.integers(0, 7))
+    alt = int(rng.integers(0, len(IWClass) - 1))
     if u < accuracy:
         return gold
     return [c for c in IWClass if c != gold][alt]

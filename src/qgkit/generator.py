@@ -41,6 +41,7 @@ from .data import (
     UNK_ID,
     Example,
     IWClass,
+    MetaTag,
     TaggedSequence,
     Vocabulary,
     build_qg_input,
@@ -68,7 +69,7 @@ __all__ = [
     "train_qg",
 ]
 
-NUM_META_TAGS = 3
+NUM_META_TAGS = len(MetaTag)
 
 
 @dataclass

@@ -202,39 +202,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _max_exact(exact_opts: list[list[int]], n_ref: int) -> int:
-    """Size of a maximum matching on the exact pairs: Kuhn's augmenting
-    paths, walked with an explicit stack."""
-    owner = [-1] * n_ref
-    size = 0
-    for root, opts in enumerate(exact_opts):
-        if not opts:
-            continue
-        seen: set[int] = set()
-        stack = [[root, 0]]  # [candidate position, options tried]
-        while stack:
-            frame = stack[-1]
-            i, k = frame
-            if k == len(exact_opts[i]):
-                stack.pop()
-                continue
-            frame[1] = k + 1
-            j = exact_opts[i][k]
-            if j in seen:
-                continue
-            seen.add(j)
-            if owner[j] >= 0:
-                stack.append([owner[j], 0])
-                continue
-            # j is free: each position on the path takes the reference
-            # it tried last
-            for i, k in stack:
-                owner[exact_opts[i][k - 1]] = i
-            size += 1
-            break
-    return size
-
-
 def _greedy_runs(here: list[int], exact_at: list[int]) -> tuple[list[tuple[int, int]], int, int]:
     """Greedy longest-common-run alignment: the maximal diagonal runs of
     matchable pairs, longest first (then most exact, then earliest), each
@@ -302,20 +269,21 @@ def _bigram_kinds(here: list[int]) -> tuple[list[tuple[tuple[int, int], ...]], l
 def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
     """Find the objective-optimal injective candidate-to-reference matching.
 
-    Every optimum has as many exact matches as a maximum matching on the
-    exact pairs, so that count is fixed first.  A memoised depth-first
-    search then runs over states (candidate position, used-reference
-    bitmask, previous reference position, exact matches still needed); a
-    state's value is the (total, chunks) that its best completion adds,
-    and positions whose options are all used are skipped on the way to
-    the next state.  Each position tries its matches by reference
-    position and then the skip, and only a strictly better value replaces
-    the best so far, which is the ``pairs`` tie-break.  A greedy
-    longest-common-run alignment is the first incumbent, and a state is
-    not expanded when its bound cannot beat what its caller already
-    holds: one more match per remaining position with an option (no more
-    than the free references), each opening a chunk unless it extends a
-    run, with no more run extensions than the free reference bigrams of
+    The objective is additive along the candidate, so one integer ranks
+    it: ``(exact * scale + total) * scale - chunks`` with ``scale = n + 1``.
+    A memoised depth-first search runs over states (candidate position,
+    used-reference bitmask, previous reference position); a state's value
+    is what its best completion adds, and positions whose options are all
+    used are skipped on the way to the next state.  Each position tries
+    its matches by reference position and then the skip, and only a
+    strictly better value replaces the best so far, which is the
+    ``pairs`` tie-break.  A greedy longest-common-run alignment is the
+    first incumbent, and a state is not expanded when its bound cannot
+    beat what its caller already holds: one more match per remaining
+    position with an option (no more than the free references), exact
+    for no more of them than have an exact option or than there are free
+    references they match exactly, each opening a chunk unless it extends
+    a run, with no more run extensions than the free reference bigrams of
     their kind allow (``_bigram_kinds``).  The search keeps its own
     stack, so a long candidate does not deepen Python's.
 
@@ -339,27 +307,24 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
     # first reaches it: matches by reference position, then the skip
     # (coded n_ref).  step_to[i] is the first position from i on with
     # any option.  Over each suffix: the references its positions can
-    # use, and how many of them have an exact or any option.
+    # use (exactly or at all), and how many of them have an exact or any
+    # option.
     choices: list[list[int] | None] = [None] * n
     step_to = [n] * (n + 1)
     reach = [0] * (n + 1)
+    exact_reach = [0] * (n + 1)
     can_exact = [0] * (n + 1)
     can_any = [0] * (n + 1)
-    exact_refs = 0
     for i in range(n - 1, -1, -1):
         step_to[i] = i if here[i] else step_to[i + 1]
         reach[i] = reach[i + 1] | here[i]
+        exact_reach[i] = exact_reach[i + 1] | exact_at[i]
         can_exact[i] = can_exact[i + 1] + (exact_at[i] != 0)
         can_any[i] = can_any[i + 1] + (here[i] != 0)
-        exact_refs |= exact_at[i]
     greedy, greedy_exact, greedy_chunks = _greedy_runs(here, exact_at)
-    # the greedy's exact pairs are a matching: when none can be larger,
-    # they already have the target count
-    target = greedy_exact
-    if target < min(can_exact[0], exact_refs.bit_count()):
-        target = _max_exact([_bits(mask) for mask in exact_at], n_ref)
 
-    scale = n + 1  # a value is total * scale - chunks: total comes first
+    scale = n + 1  # a value is (exact * scale + total) * scale - chunks
+    exact_gain = scale * scale
     width = n_ref + 2  # decision codes: j matches ref[j], n_ref skips,
     unsettled = n_ref + 1  # and this one marks a stored upper bound
     memo: dict[int, int] = {}  # state key -> value * width + decision
@@ -380,8 +345,8 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
             total += usable if usable < count else count
         return total
 
-    def key_of(i, mask, cont, need):
-        return ((mask * (n_ref + 1) + cont + 1) * (target + 1) + need) * (n + 1) + i
+    def key_of(i, mask, cont):
+        return (mask * (n_ref + 1) + cont + 1) * (n + 1) + i
 
     def settle(i, mask):
         # the first position from i on that still has a free option: the
@@ -391,10 +356,10 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
             i = step_to[i + 1]
         return i
 
-    def visit(i, mask, cont, need, key, floor):
+    def visit(i, mask, cont, key, floor):
         # A generator: it yields each child it must expand, is sent the
         # child's value and returns its own.  A value at or below
-        # ``floor`` is only an upper bound; a negative one is infeasible.
+        # ``floor`` is only an upper bound.
         best, choice = -1, unsettled
         skip_to = settle(i + 1, mask)
         order = choices[i]
@@ -405,19 +370,17 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
             if j < n_ref:
                 if mask >> j & 1:
                     continue
-                gain = scale - (j != cont)
-                child_mask, child_need = mask | 1 << j, need - (exact_at[i] >> j & 1)
+                gain = scale - (j != cont) + (exact_at[i] >> j & 1) * exact_gain
+                child_mask = mask | 1 << j
                 nxt = (skip_to if skip_to == n or here[skip_to] & ~child_mask
                        else settle(skip_to, child_mask))
                 child_cont = j + 1 if nxt == i + 1 else -1
             else:
-                gain, child_mask, child_cont, child_need, nxt = 0, mask, -1, need, skip_to
+                gain, child_mask, child_cont, nxt = 0, mask, -1, skip_to
             ahead = reach[nxt]
             child_mask &= ahead
             free = ahead & ~child_mask
             n_free = free.bit_count()
-            if child_need > can_exact[nxt] or child_need > n_free:
-                continue
             if not n_free:
                 value = 0
             else:
@@ -426,11 +389,15 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
                 child_floor = top - gain
                 # Bound the child first; then no value stored for it can
                 # beat its floor either.  It makes at most ``most`` more
-                # matches, and each one opens a chunk unless it extends a
-                # run: the prefix's (child_cont) or one of ``extensions``.
-                # Its bound cannot beat the floor while slack >= 0.
+                # matches, ``most_exact`` of them exact, and each one opens
+                # a chunk unless it extends a run: the prefix's
+                # (child_cont) or one of ``extensions``.  Its bound cannot
+                # beat the floor while slack >= 0.
                 most = n_free if n_free < can_any[nxt] else can_any[nxt]
-                slack = child_floor - most * (scale - 1)
+                most_exact = (free & exact_reach[nxt]).bit_count()
+                if most_exact > can_exact[nxt]:
+                    most_exact = can_exact[nxt]
+                slack = child_floor - most_exact * exact_gain - most * (scale - 1)
                 if slack < most:
                     slack -= child_cont >= 0
                     if slack >= 0:
@@ -438,24 +405,23 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
                 if slack >= 0:
                     value = child_floor
                 else:
-                    child_key = key_of(nxt, child_mask, child_cont, child_need)
-                    # a stored upper bound is never negative, so an absent
-                    # state reads as (-1, unsettled)
+                    child_key = key_of(nxt, child_mask, child_cont)
+                    # a stored value is never negative, so an absent state
+                    # reads as (-1, unsettled)
                     value, decision = divmod(memo.get(child_key, unsettled - width), width)
                     if decision == unsettled and (value < 0 or value > child_floor):
-                        value = yield nxt, child_mask, child_cont, child_need, child_key, child_floor
-            if value >= 0 and value + gain > best:
+                        value = yield nxt, child_mask, child_cont, child_key, child_floor
+            if value + gain > best:
                 best, choice = value + gain, j
-        if best < 0:
-            choice = n_ref  # infeasible: settled, whatever the floor
-        elif best <= floor:
+        if best <= floor:
             choice = unsettled
         memo[key] = best * width + choice
         return best
 
     first = step_to[0]
-    floor = len(greedy) * scale - greedy_chunks - 1 if greedy_exact == target else -1
-    request, sent = (first, 0, -1, target, key_of(first, 0, -1, target), floor), None
+    # the greedy alignment is feasible, so the optimum is at least its value
+    floor = (greedy_exact * scale + len(greedy)) * scale - greedy_chunks - 1
+    request, sent = (first, 0, -1, key_of(first, 0, -1), floor), None
     stack = []
     expanded = 0
     while True:
@@ -476,22 +442,22 @@ def align_tokens(cand: TokenSeq, ref: TokenSeq) -> AlignmentResult:
 
     # follow the stored decisions from the root
     pairs = []
-    chunks = 0
-    i, mask, cont, need = first, 0, -1, target
+    exact = chunks = 0
+    i, mask, cont = first, 0, -1
     while i < n:
         mask &= reach[i]
         if cont >= 0 and not (reach[i] & ~mask & here[i]) >> cont & 1:
             cont = -1
-        j = memo[key_of(i, mask, cont, need)] % width
+        j = memo[key_of(i, mask, cont)] % width
         if j < n_ref:
             pairs.append((i, j))
+            exact += exact_at[i] >> j & 1
             chunks += j != cont
             mask |= 1 << j
-            need -= exact_at[i] >> j & 1
         nxt = settle(i + 1, mask)
         cont = j + 1 if j < n_ref and nxt == i + 1 else -1
         i = nxt
-    return AlignmentResult(target, len(pairs), chunks, tuple(pairs), True)
+    return AlignmentResult(exact, len(pairs), chunks, tuple(pairs), True)
 
 
 def _meteor_pair(cand: TokenSeq, ref: TokenSeq) -> tuple[float, bool]:

@@ -61,6 +61,13 @@ def permutation_pair(words, repeats, seed=0):
     return [str(t) for t in rng.permutation(bag)], [str(t) for t in rng.permutation(bag)]
 
 
+def greedy_exact(cand, ref):
+    """Exact matches in the aligner's greedy longest-run alignment."""
+    here = [sum(1 << j for j, r in enumerate(ref) if stem(r) == stem(t)) for t in cand]
+    exact_at = [sum(1 << j for j, r in enumerate(ref) if r == t) for t in cand]
+    return metrics._greedy_runs(here, exact_at)[1]
+
+
 def fewest_chunks_all_matched(cand, ref):
     """Fewest chunks over the alignments that match every candidate token
     to an equal reference token, by memoised recursion over (position,
@@ -254,7 +261,9 @@ class TestMeteor:
 
     def test_repeated_tokens_match_enumeration(self):
         rng = np.random.default_rng(30)
-        stem_only = unequal = 0
+        # beats_greedy: the optimum has more exact matches than the greedy
+        # alignment, whose value is the search's first floor
+        stem_only = unequal = beats_greedy = 0
         for _ in range(500):
             cand, ref = repeated_token_pair(rng)
             res = align_tokens(cand, ref)
@@ -262,7 +271,8 @@ class TestMeteor:
             assert (res.exact, res.total, res.chunks, res.pairs) == oracle_align(cand, ref)
             stem_only += res.total > res.exact
             unequal += len(cand) != len(ref)
-        assert stem_only >= 50 and unequal >= 400
+            beats_greedy += res.exact > greedy_exact(cand, ref)
+        assert stem_only >= 50 and unequal >= 400 and beats_greedy >= 50
 
     @pytest.mark.parametrize("words,repeats,truncated", [(5, 4, 16), (4, 5, 16), (10, 3, 27)])
     def test_seeded_permutations_complete(self, words, repeats, truncated):
