@@ -3,14 +3,14 @@
 Provides exactly the operator set the classifier and generator need:
 matmul, elementwise arithmetic and activations, stabilized softmax,
 per-segment maxima (for max-capped copy scores), embedding lookup,
-scatter-sum regrouping, cross-entropy, and two fused LSTM ops with two
-outputs each, sharing one cell: ``lstm_step`` runs the cell over a whole
-sequence as one tape entry, and ``lstm_cell`` advances k independent
-states by one step.  Ops executed while a Tape is active are recorded in
-execution order; ``backward`` replays the tape in exact reverse order
-and accumulates gradients into every tensor the loss can reach.  Ops
-executed with no active tape are plain forward evaluations, which keeps
-inference and finite-difference probing cheap.
+scatter-sum regrouping, cross-entropy, and one fused LSTM op with two
+outputs, ``lstm_step``, which advances k independent states over a whole
+sequence as one tape entry (an encoder pass is k = 1, a decoder step
+n = 1).  Ops executed while a Tape is active are recorded in execution
+order; ``backward`` replays the tape in exact reverse order and
+accumulates gradients into every tensor the loss can reach.  Ops executed
+with no active tape are plain forward evaluations, which keeps inference
+and finite-difference probing cheap.
 
 Everything is 64-bit and deterministic: the same seed and the same op
 sequence produce bit-identical values.
@@ -37,7 +37,6 @@ __all__ = [
     "reshape",
     "concat",
     "lstm_step",
-    "lstm_cell",
     "reduce_sum",
     "reduce_mean",
     "softmax",
@@ -458,82 +457,59 @@ def cross_entropy(pred_dist: Tensor, gold: int | Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _cell(xh: np.ndarray, c: np.ndarray, W: np.ndarray, b: np.ndarray):
-    """One step of the LSTM cell for each row of ``xh`` = [x, h], from
-    the cell state rows ``c``.  Returns the new h and c rows and the gate
-    values the backward needs."""
-    d = c.shape[1]
-    z = xh @ W + b
-    s = _sigmoid(z[:, : 3 * d])
-    i, f, o = s[:, :d], s[:, d : 2 * d], s[:, 2 * d :]
-    g = np.tanh(z[:, 3 * d : 4 * d])
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    return o * tc, c_new, (i, f, o, g, tc)
-
-
-def _cell_back(dh, dc, xh, c, gates, W):
-    """Gradients through one ``_cell`` step, from those of its new h and
-    c: the gradient of ``xh``, of the old c, and of the gate
-    pre-activations (whose products with ``xh`` and 1 give dW and db)."""
-    i, f, o, g, tc = gates
-    dc = dc + dh * o * (1.0 - tc * tc)
-    dz = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
-                         dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
-    return dz @ W.T, dc * f, dz
-
-
 def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
               reverse: bool = False) -> tuple[Tensor, Tensor]:
-    """The LSTM cell run over the rows of ``x`` (n x dim), last to first if
-    ``reverse``, from the state rows ``h`` and ``c``, as one tape entry.
-    Returns ``(H, c_last)``: row t of H is the hidden state after row t.
+    """The LSTM cell advancing k independent states, the rows of ``h``
+    and ``c`` (k x d), over n steps, last to first if ``reverse``, as one
+    tape entry.  ``x`` (n*k x dim) is step-major: rows t*k .. t*k+k-1
+    feed step t, row r of each block advancing state r.  Returns
+    ``(H, c_last)``: H has the layout of ``x``, holding the hidden states
+    after each step, and c_last is the (k x d) cell state after the last.
     The gates in ``W``/``b`` are input, forget, output, cell.  Each step
     repeats, product for product, the cell composed from the elementwise
-    ops, and the backward walks the steps as a tape of one-row steps
+    ops, and the backward walks the steps as a tape of one-step entries
     would, so values and gradients equal that composition's."""
-    H, steps = np.empty((x.data.shape[0], h.data.shape[1])), []
+    k, d = h.data.shape
+    if c.data.shape != h.data.shape:
+        raise ValueError(f"lstm_step: h and c disagree, {h.data.shape} and {c.data.shape}")
+    if x.data.shape[0] % k:
+        raise ValueError(f"lstm_step: x rows are not a multiple of h rows, "
+                         f"{x.data.shape} and {h.data.shape}")
+    if x.data.shape[1] + d != W.data.shape[0]:
+        raise ValueError(f"lstm_step: x and h widths do not sum to W rows, "
+                         f"{x.data.shape} + {h.data.shape} vs {W.data.shape}")
+    n = x.data.shape[0] // k
+    H, steps = np.empty((n * k, d)), []
     h_t, c_t = h.data, c.data
-    for t in reversed(range(len(x.data))) if reverse else range(len(x.data)):
-        xh = np.concatenate([x.data[t : t + 1], h_t], axis=1)
-        c_prev = c_t
-        h_t, c_t, gates = _cell(xh, c_prev, W.data, b.data)
-        H[t] = h_t
-        steps.append((t, xh, c_prev, gates))
+    for t in reversed(range(n)) if reverse else range(n):
+        rows = slice(t * k, t * k + k)
+        xh = np.concatenate([x.data[rows], h_t], axis=1)
+        z = xh @ W.data + b.data
+        s = _sigmoid(z[:, : 3 * d])
+        i, f, o = s[:, :d], s[:, d : 2 * d], s[:, 2 * d :]
+        g = np.tanh(z[:, 3 * d :])
+        c_prev, c_t = c_t, f * c_t + i * g
+        tc = np.tanh(c_t)
+        H[rows] = h_t = o * tc
+        steps.append((rows, xh, c_prev, i, f, o, g, tc))
     H, c_last = Tensor(H), Tensor(c_t)
 
     def back(dH, dc):
         dx, dW, db = np.empty_like(x.data), np.zeros_like(W.data), np.zeros_like(b.data)
         dh = np.zeros_like(h.data)
-        for t, xh, c_prev, gates in reversed(steps):
-            dh = dH[t : t + 1] + dh
-            dxh, dc, dz = _cell_back(dh, dc, xh, c_prev, gates, W.data)
-            dx[t : t + 1], dh = np.split(dxh, [x.data.shape[1]], axis=1)
+        for rows, xh, c_prev, i, f, o, g, tc in reversed(steps):
+            dh = dH[rows] + dh
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
+            dx[rows], dh = np.split(dz @ W.data.T, [x.data.shape[1]], axis=1)
+            dc = dc * f
             dW += xh.T @ dz
-            db += dz
+            db += dz.sum(0, keepdims=True)
         return dx, dh, dc, dW, db
 
     _record("lstm_step", (x, h, c, W, b), (H, c_last), back)
     return H, c_last
-
-
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, W: Tensor,
-              b: Tensor) -> tuple[Tensor, Tensor]:
-    """One step of the LSTM cell for each of k independent states: row r
-    of ``x`` (k x dim) advances the state rows ``h[r]``, ``c[r]``, with
-    the arithmetic of one ``lstm_step`` step.  One tape entry; returns
-    the new ``(h, c)``, both (k x d)."""
-    xh = np.concatenate([x.data, h.data], axis=1)
-    h_new, c_new, gates = _cell(xh, c.data, W.data, b.data)
-    out_h, out_c = Tensor(h_new), Tensor(c_new)
-
-    def back(dh, dc):
-        dxh, dc, dz = _cell_back(dh, dc, xh, c.data, gates, W.data)
-        dx, dh = np.split(dxh, [x.data.shape[1]], axis=1)
-        return dx, dh, dc, xh.T @ dz, np.sum(dz, axis=0, keepdims=True)
-
-    _record("lstm_cell", (x, h, c, W, b), (out_h, out_c), back)
-    return out_h, out_c
 
 
 # ---------------------------------------------------------------------------

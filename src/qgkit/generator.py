@@ -449,8 +449,8 @@ def _decode_chunk(
         if not live:
             break
         rows = [b[3] for _, b in live]
-        h_t, c_t = ad.lstm_cell(_embed([b[2] for _, b in live], params), Tensor(h[rows]),
-                                Tensor(c[rows]), params["dec.W"], params["dec.b"])
+        h_t, c_t = lstm_step(_embed([b[2] for _, b in live], params), Tensor(h[rows]),
+                             Tensor(c[rows]), params["dec.W"], params["dec.b"])
         mask = Tensor(foreign[[e for e, _ in live]]) if len(pairs) > 1 else None
         step = _decoder_head(h_t, states, layout, params, mask)
         h, c = h_t.data, c_t.data

@@ -18,7 +18,6 @@ from qgkit.autodiff import (
     concat,
     cross_entropy,
     lookup,
-    lstm_cell,
     lstm_step,
     matmul,
     mul,
@@ -542,11 +541,11 @@ class TestStructuralOps:
         np.testing.assert_allclose(x.grad, np.full(4, 0.25))
 
 
-def _lstm_inputs(seed, d_in=3, d=4, n=1):
-    """x (n rows), h, c, W, b at a scale that keeps every gate off
-    saturation."""
+def _lstm_inputs(seed, d_in=3, d=4, n=1, k=1):
+    """x (n*k rows, step-major), h and c (k rows), W, b at a scale that
+    keeps every gate off saturation."""
     rng = np.random.default_rng(seed)
-    shapes = ((n, d_in), (1, d), (1, d), (d_in + d, 4 * d), (1, 4 * d))
+    shapes = ((n * k, d_in), (k, d), (k, d), (d_in + d, 4 * d), (1, 4 * d))
     return [Tensor(rng.normal(scale=0.5, size=s)) for s in shapes]
 
 
@@ -564,12 +563,13 @@ def _pass(x, h, c, W, b, reverse):
 
 
 def _row_loop(x, h, c, W, b, reverse):
-    """The same pass as one-row steps, rows gathered with lookup and the
-    hidden states stacked with concat."""
-    n = x.shape[0]
+    """The same pass as one-step calls, each step's k rows gathered with
+    lookup and the hidden states stacked with concat."""
+    k = h.shape[0]
+    n = x.shape[0] // k
     states = [None] * n
     for t in range(n - 1, -1, -1) if reverse else range(n):
-        h, c = lstm_step(lookup(x, [t]), h, c, W, b)
+        h, c = lstm_step(lookup(x, list(range(t * k, t * k + k))), h, c, W, b)
         states[t] = h
     return concat(states, axis=0), c
 
@@ -588,15 +588,18 @@ def _lstm_loss(outputs, on_h, on_c):
 class TestLSTMStep:
     @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
     def test_gradients_vs_finite_differences(self, on_h, on_c):
-        inputs = _lstm_inputs(11)
-        with Tape() as tape:
-            loss = _lstm_loss(lstm_step(*inputs), on_h, on_c)
-        backward(tape, loss)
+        # k = 3 states over 4 steps, in either direction, as one entry
+        for reverse in (False, True):
+            inputs = _lstm_inputs(22, n=4, k=3)
+            with Tape() as tape:
+                loss = _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c)
+            backward(tape, loss)
+            assert [e.op for e in tape.entries].count("lstm_step") == 1
 
-        def f():
-            return _lstm_loss(lstm_step(*inputs), on_h, on_c).item()
+            def f():
+                return _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c).item()
 
-        assert check_gradients(f, inputs) < 1e-6
+            assert check_gradients(f, inputs) < 1e-6
 
     @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
     def test_bit_identical_to_composed_cell(self, on_h, on_c):
@@ -615,38 +618,64 @@ class TestLSTMStep:
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
     def test_pass_gradients_vs_finite_differences(self, on_h, on_c, n, reverse):
-        inputs = _lstm_inputs(14, n=n)
-        with Tape() as tape:
-            loss = _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c)
-        backward(tape, loss)
+        for k in (1, 3):
+            inputs = _lstm_inputs(14, n=n, k=k)
+            with Tape() as tape:
+                loss = _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c)
+            backward(tape, loss)
 
-        def f():
-            return _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c).item()
+            def f():
+                return _lstm_loss(lstm_step(*inputs, reverse=reverse), on_h, on_c).item()
 
-        assert check_gradients(f, inputs) < 1e-6
+            assert check_gradients(f, inputs) < 1e-6
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
     def test_pass_bit_identical_to_row_loop(self, on_h, on_c, reverse):
-        results = []
-        for run in (_pass, _row_loop):
-            inputs = _lstm_inputs(15, d_in=5, d=6, n=7)
-            with Tape() as tape:
-                outputs = run(*inputs, reverse)
-                loss = _lstm_loss(outputs, on_h, on_c)
-            backward(tape, loss)
-            results.append([t.data for t in outputs] + [t.grad for t in inputs])
-        for fused, looped in zip(*results):
-            assert np.array_equal(fused, looped)
+        # k = 3 is the decoder's use: one call per step over the live rows
+        for k in (1, 3):
+            results = []
+            for run in (_pass, _row_loop):
+                inputs = _lstm_inputs(15, d_in=5, d=6, n=7, k=k)
+                with Tape() as tape:
+                    outputs = run(*inputs, reverse)
+                    loss = _lstm_loss(outputs, on_h, on_c)
+                backward(tape, loss)
+                results.append([t.data for t in outputs] + [t.grad for t in inputs])
+            for fused, looped in zip(*results):
+                assert np.array_equal(fused, looped)
+
+    def test_rows_are_independent_states(self):
+        # state r follows row r of each step's block, as if it ran alone
+        for n in (1, 4):
+            for reverse in (False, True):
+                x, h, c, W, b = _lstm_inputs(21, d_in=5, d=6, n=n, k=5)
+                H, C = lstm_step(x, h, c, W, b, reverse=reverse)
+                for r in range(5):
+                    h_r, c_r = lstm_step(Tensor(x.data[r::5]), Tensor(h.data[r : r + 1]),
+                                         Tensor(c.data[r : r + 1]), W, b, reverse=reverse)
+                    np.testing.assert_allclose(H.data[r::5], h_r.data, rtol=0, atol=1e-15)
+                    np.testing.assert_allclose(C.data[r : r + 1], c_r.data, rtol=0, atol=1e-15)
 
     def test_one_tape_entry_per_step(self):
-        # a pass over n rows, in either direction, is one entry
-        for n, reverse in [(1, False), (5, False), (5, True)]:
-            x, h, c, W, b = _lstm_inputs(13, n=n)
+        # a pass of k states over n steps, in either direction, is one entry
+        for n, k, reverse in [(1, 1, False), (5, 1, False), (5, 1, True), (4, 3, False),
+                              (4, 3, True)]:
+            x, h, c, W, b = _lstm_inputs(13, n=n, k=k)
             with Tape() as tape:
                 H, c_last = lstm_step(x, h, c, W, b, reverse=reverse)
             assert [(e.op, e.outputs) for e in tape.entries] == [("lstm_step", (H, c_last))]
-            assert H.shape == (n, 4) and c_last.shape == (1, 4)
+            assert H.shape == (n * k, 4) and c_last.shape == (k, 4)
+
+    @pytest.mark.parametrize("x_shape,c_shape,message", [
+        ((7, 3), (3, 4), "x rows are not a multiple of h rows"),
+        ((6, 3), (2, 4), "h and c disagree"),
+        ((6, 2), (3, 4), "x and h widths do not sum to W rows"),
+    ], ids=["rows", "state", "width"])
+    def test_bad_shapes_rejected(self, x_shape, c_shape, message):
+        x, h, c = Tensor(np.zeros(x_shape)), Tensor(np.zeros((3, 4))), Tensor(np.zeros(c_shape))
+        with pytest.raises(ValueError, match=message):
+            lstm_step(x, h, c, Tensor(np.zeros((7, 16))), Tensor(np.zeros((1, 16))))
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_encoders_tape_one_entry_per_pass(self, n):
@@ -665,50 +694,6 @@ class TestLSTMStep:
         with Tape() as tape:
             encode(seq, qg_cfg, qg_params)
         assert [e.op for e in tape.entries].count("lstm_step") == 2
-
-
-def _cell_inputs(seed, k, d_in=3, d=4):
-    """x, h and c with k rows, and W, b, at a scale that keeps every gate
-    off saturation."""
-    rng = np.random.default_rng(seed)
-    shapes = ((k, d_in), (k, d), (k, d), (d_in + d, 4 * d), (1, 4 * d))
-    return [Tensor(rng.normal(scale=0.5, size=s)) for s in shapes]
-
-
-class TestLSTMCell:
-    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
-    def test_one_row_bit_identical_to_lstm_step(self, on_h, on_c):
-        results = []
-        for step in (lstm_cell, lstm_step):
-            inputs = _cell_inputs(20, k=1, d_in=5, d=6)
-            with Tape() as tape:
-                outputs = step(*inputs)
-                loss = _lstm_loss(outputs, on_h, on_c)
-            backward(tape, loss)
-            results.append([t.data for t in outputs] + [t.grad for t in inputs])
-        for cell, step in zip(*results):
-            assert np.array_equal(cell, step)
-
-    def test_rows_are_independent_states(self):
-        x, h, c, W, b = _cell_inputs(21, k=5, d_in=5, d=6)
-        H, C = lstm_cell(x, h, c, W, b)
-        for r in range(5):
-            h_r, c_r = lstm_step(*(Tensor(t.data[r : r + 1]) for t in (x, h, c)), W, b)
-            np.testing.assert_allclose(H.data[r : r + 1], h_r.data, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(C.data[r : r + 1], c_r.data, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
-    def test_gradients_vs_finite_differences(self, on_h, on_c):
-        inputs = _cell_inputs(22, k=3)
-        with Tape() as tape:
-            loss = _lstm_loss(lstm_cell(*inputs), on_h, on_c)
-        backward(tape, loss)
-        assert [e.op for e in tape.entries].count("lstm_cell") == 1
-
-        def f():
-            return _lstm_loss(lstm_cell(*inputs), on_h, on_c).item()
-
-        assert check_gradients(f, inputs) < 1e-6
 
 
 class TestAdam:
