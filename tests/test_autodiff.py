@@ -696,6 +696,24 @@ class TestLSTMStep:
         assert [e.op for e in tape.entries].count("lstm_step") == 2
 
 
+class TestLSTMCell:
+    """lstm_step as one cell step (n = 1) over k state rows: the decoder's
+    call, one per step over its live rows."""
+
+    @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
+    def test_gradients_vs_finite_differences(self, on_h, on_c):
+        inputs = _lstm_inputs(22, n=1, k=3)
+        with Tape() as tape:
+            loss = _lstm_loss(lstm_step(*inputs), on_h, on_c)
+        backward(tape, loss)
+        assert [e.op for e in tape.entries].count("lstm_step") == 1
+
+        def f():
+            return _lstm_loss(lstm_step(*inputs), on_h, on_c).item()
+
+        assert check_gradients(f, inputs) < 1e-6
+
+
 class TestAdam:
     def test_zero_grad_zero_decay_unchanged(self):
         p = Tensor([1.0, -2.0])
