@@ -465,10 +465,13 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     feed step t, row r of each block advancing state r.  Returns
     ``(H, c_last)``: H has the layout of ``x``, holding the hidden states
     after each step, and c_last is the (k x d) cell state after the last.
-    The gates in ``W``/``b`` are input, forget, output, cell.  Each step
-    repeats, product for product, the cell composed from the elementwise
-    ops, and the backward walks the steps as a tape of one-step entries
-    would, so values and gradients equal that composition's."""
+    The gates in ``W``/``b`` are input, forget, output, cell; W's first
+    dim rows multiply x and its last d rows multiply h.  The input half
+    of every pre-activation, x @ W[:dim] + b, is one GEMM over all n*k
+    rows before the loop, so a step multiplies only h by W[dim:]; the
+    backward stacks the steps' gate gradients and takes dx and dW in one
+    GEMM each after its loop.  The values are the cell's up to the
+    rounding of those reassociated sums."""
     k, d = h.data.shape
     if c.data.shape != h.data.shape:
         raise ValueError(f"lstm_step: h and c disagree, {h.data.shape} and {c.data.shape}")
@@ -478,38 +481,50 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     if x.data.shape[1] + d != W.data.shape[0]:
         raise ValueError(f"lstm_step: x and h widths do not sum to W rows, "
                          f"{x.data.shape} + {h.data.shape} vs {W.data.shape}")
-    n = x.data.shape[0] // k
+    n, m = x.data.shape[0] // k, x.data.shape[1]
+    Wx, Wh = W.data[:m], W.data[m:]
+    Z = x.data @ Wx
+    Z += b.data
     H, steps = np.empty((n * k, d)), []
     h_t, c_t = h.data, c.data
     for t in reversed(range(n)) if reverse else range(n):
         rows = slice(t * k, t * k + k)
-        xh = np.concatenate([x.data[rows], h_t], axis=1)
-        z = xh @ W.data + b.data
+        z = h_t @ Wh
+        z += Z[rows]
         s = _sigmoid(z[:, : 3 * d])
         i, f, o = s[:, :d], s[:, d : 2 * d], s[:, 2 * d :]
         g = np.tanh(z[:, 3 * d :])
         c_prev, c_t = c_t, f * c_t + i * g
         tc = np.tanh(c_t)
         H[rows] = h_t = o * tc
-        steps.append((rows, xh, c_prev, i, f, o, g, tc))
-    H, c_last = Tensor(H), Tensor(c_t)
+        steps.append((rows, c_prev, i, f, o, g, tc))
 
     def back(dH, dc):
-        dx, dW, db = np.empty_like(x.data), np.zeros_like(W.data), np.zeros_like(b.data)
-        dh = np.zeros_like(h.data)
-        for rows, xh, c_prev, i, f, o, g, tc in reversed(steps):
+        DZ, dh = np.empty((n * k, 4 * d)), np.zeros_like(h.data)
+        for rows, c_prev, i, f, o, g, tc in reversed(steps):
             dh = dH[rows] + dh
             dc = dc + dh * o * (1.0 - tc * tc)
-            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                                 dh * tc * o * (1.0 - o), dc * i * (1.0 - g * g)], axis=1)
-            dx[rows], dh = np.split(dz @ W.data.T, [x.data.shape[1]], axis=1)
+            dz = DZ[rows]
+            dz[:, :d] = dc * g * i * (1.0 - i)
+            dz[:, d : 2 * d] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * d : 3 * d] = dh * tc * o * (1.0 - o)
+            dz[:, 3 * d :] = dc * i * (1.0 - g * g)
+            dh = dz @ Wh.T
             dc = dc * f
-            dW += xh.T @ dz
-            db += dz.sum(0, keepdims=True)
-        return dx, dh, dc, dW, db
+        # a step's incoming h is h0 at the first step and the output of
+        # the step before it after that: H shifted by one block of k rows
+        if reverse:
+            first, rest, prev = slice((n - 1) * k, None), slice(0, (n - 1) * k), slice(k, None)
+        else:
+            first, rest, prev = slice(0, k), slice(k, None), slice(0, (n - 1) * k)
+        dW = np.empty_like(W.data)
+        dW[:m] = x.data.T @ DZ
+        dW[m:] = h.data.T @ DZ[first] + H[prev].T @ DZ[rest]
+        return DZ @ Wx.T, dh, dc, dW, DZ.sum(0, keepdims=True)
 
-    _record("lstm_step", (x, h, c, W, b), (H, c_last), back)
-    return H, c_last
+    out, c_last = Tensor(H), Tensor(c_t)
+    _record("lstm_step", (x, h, c, W, b), (out, c_last), back)
+    return out, c_last
 
 
 # ---------------------------------------------------------------------------

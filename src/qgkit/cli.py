@@ -252,13 +252,17 @@ def _load_model_checkpoint(path: str, kind: str, vocab: Vocabulary) -> ModelPara
 
 def _train(trainer, examples, config, vocab, what: str):
     """Run a trainer; a corpus it cannot train on or a non-finite loss
-    ends in one error line.  The trainers check the loss themselves, so
-    numpy's overflow warnings on the way there are muted."""
+    ends in one error line.  An overflow or invalid operation anywhere in
+    training raises at once: an infinity can saturate every gate and
+    leave a finite loss behind it, which the trainers' own check of the
+    loss would pass."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise"):
             return trainer(examples, config, vocab)
     except InputError as e:
         raise InputError(f"{what}: {e}") from None
+    except FloatingPointError as e:
+        raise InputError(f"{what}: non-finite loss: {e}") from None
 
 
 def _emit(out_dir: Path, command: str, files: dict[str, str | bytes],

@@ -602,7 +602,9 @@ class TestLSTMStep:
             assert check_gradients(f, inputs) < 1e-6
 
     @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
-    def test_bit_identical_to_composed_cell(self, on_h, on_c):
+    def test_within_rounding_of_composed_cell(self, on_h, on_c):
+        # the op sums x @ W[:dim] + b and h @ W[dim:] where the composition
+        # multiplies [x, h] by the whole W, so they agree up to rounding
         results = []
         for step in (lstm_step, _composed_lstm_step):
             inputs = _lstm_inputs(12, d_in=5, d=6)
@@ -612,7 +614,7 @@ class TestLSTMStep:
             backward(tape, loss)
             results.append([t.data for t in outputs] + [t.grad for t in inputs])
         for fused, composed in zip(*results):
-            assert np.array_equal(fused, composed)
+            np.testing.assert_allclose(fused, composed, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     @pytest.mark.parametrize("n", [1, 5])
@@ -632,7 +634,12 @@ class TestLSTMStep:
     @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
     @pytest.mark.parametrize("on_h,on_c", _LSTM_LOSSES)
     def test_pass_bit_identical_to_row_loop(self, on_h, on_c, reverse):
-        # k = 3 is the decoder's use: one call per step over the live rows
+        # k = 3 is the decoder's use: one call per step over the live rows.
+        # Its values and the gradients of x, h and c are bit-identical, the
+        # pass's GEMMs rounding each 3-row block as a 3-row call does; dW
+        # and db sum all steps in one GEMM where the calls add step by step.
+        # numpy hands a 1-row product to BLAS's vector routine, which rounds
+        # otherwise, so k = 1 agrees up to rounding throughout.
         for k in (1, 3):
             results = []
             for run in (_pass, _row_loop):
@@ -642,8 +649,11 @@ class TestLSTMStep:
                     loss = _lstm_loss(outputs, on_h, on_c)
                 backward(tape, loss)
                 results.append([t.data for t in outputs] + [t.grad for t in inputs])
-            for fused, looped in zip(*results):
-                assert np.array_equal(fused, looped)
+            for j, (fused, looped) in enumerate(zip(*results)):
+                if k == 3 and j < 5:  # H, c_last and the gradients of x, h, c
+                    assert np.array_equal(fused, looped)
+                else:
+                    np.testing.assert_allclose(fused, looped, rtol=1e-12, atol=0)
 
     def test_rows_are_independent_states(self):
         # state r follows row r of each step's block, as if it ran alone

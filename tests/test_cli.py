@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgkit import cli, metrics
+from qgkit import autodiff, cli, metrics
 from qgkit.classifier import oracle_classifier
 from qgkit.cli import main
 from qgkit.data import IWClass, Vocabulary, class_counts, corpus_text, load_corpus, tokenize
@@ -811,6 +811,22 @@ def test_non_finite_loss_fatal(ws, tmp_path, capsys, command):
     ini.write_text(SMALL_INI.replace("epochs = 2\n", "epochs = 2\nlr = 1e300\n"))
     capsys.readouterr()
     assert run(*command, "--data", ws["tiny"] / "classifier_train.jsonl",
+               "--vocab", ws["tiny"] / "vocab.txt", "--config", ini,
+               "--out", tmp_path / "o") == 1
+    assert "non-finite loss" in assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["classifier", "qg"])
+def test_overflow_behind_finite_loss_fatal(ws, tmp_path, capsys, monkeypatch, kind):
+    # every sigmoid input overflows to +-inf and saturates, as the gates do
+    # behind a huge pre-activation: the forward overflows, the loss stays finite
+    sigmoid = autodiff._sigmoid
+    monkeypatch.setattr(autodiff, "_sigmoid", lambda d: sigmoid(d * 1e300 * 1e300))
+    ini = tmp_path / "small.ini"
+    ini.write_text(SMALL_INI)
+    capsys.readouterr()
+    assert run("train", "--kind", kind, "--data", ws["tiny"] / "classifier_train.jsonl",
                "--vocab", ws["tiny"] / "vocab.txt", "--config", ini,
                "--out", tmp_path / "o") == 1
     assert "non-finite loss" in assert_one_error_line(capsys)
