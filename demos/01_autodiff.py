@@ -21,8 +21,8 @@ from qgkit.autodiff import AdamState, Tape, Tensor, adam_step, backward
 # float64; Tensors are plain containers until a Tape is active.
 
 rng = np.random.default_rng(0)
-W1 = Tensor(rng.standard_normal((4, 8)) * 0.3, name="W1")
-W2 = Tensor(rng.standard_normal((8, 3)) * 0.3, name="W2")
+W1 = Tensor(rng.standard_normal((4, 8)) * 0.3)
+W2 = Tensor(rng.standard_normal((8, 3)) * 0.3)
 x = Tensor(rng.standard_normal((1, 4)))
 gold = 2
 

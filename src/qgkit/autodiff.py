@@ -63,27 +63,24 @@ class Tensor:
     ``data``.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), name=self.name)
-        return out
+        return Tensor(self.data.copy())
 
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
-        label = f" {self.name!r}" if self.name else ""
-        return f"Tensor{label}(shape={self.shape})"
+        return f"Tensor(shape={self.shape})"
 
 
 class _TapeEntry:
@@ -576,9 +573,7 @@ def adam_step(
         p.data -= lr * update
 
 
-def uniform_init(
-    rng: np.random.Generator, shape: Sequence[int], fan_in: int, name: str | None = None
-) -> Tensor:
+def uniform_init(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -> Tensor:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
     bound = 1.0 / math.sqrt(fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=tuple(shape)), name=name)
+    return Tensor(rng.uniform(-bound, bound, size=tuple(shape)))

@@ -80,15 +80,12 @@ def init_classifier(
     config.validate()
     h = config.encoder_hidden
     tensors: dict[str, Tensor] = {}
-    tensors["embed"] = uniform_init(rng, (vocab_size, config.word_dim),
-                                    fan_in=config.word_dim, name="embed")
+    tensors["embed"] = uniform_init(rng, (vocab_size, config.word_dim), fan_in=config.word_dim)
     tensors.update(init_bilstm(rng, config.word_dim, h, "enc1"))
     tensors.update(init_bilstm(rng, 2 * h, h, "enc2"))
     if config.use_entity_type:
-        tensors["entity_embed"] = uniform_init(
-            rng, (NUM_ENTITY_TYPES, config.entity_embed_dim),
-            fan_in=config.entity_embed_dim, name="entity_embed",
-        )
+        tensors["entity_embed"] = uniform_init(rng, (NUM_ENTITY_TYPES, config.entity_embed_dim),
+                                               fan_in=config.entity_embed_dim)
     tensors.update(init_linear(rng, config.ff_input_dim, len(IWClass), "ff"))
     return ModelParams(config=config, tensors=tensors)
 

@@ -268,14 +268,22 @@ def _train(trainer, examples, config, vocab, what: str):
 def _emit(out_dir: Path, command: str, files: dict[str, str | bytes],
           config: dict, seeds: list[int], inputs: dict[str, str]) -> None:
     """The one writer of a run directory: fully staged outputs (atomic per
-    file), then the manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    file), then the manifest.  A directory where one of them goes is
+    rejected before anything is written; any other failed write ends in
+    one error line."""
     artifacts = {}
-    for name, data in files.items():
-        payload = data.encode("utf-8") if isinstance(data, str) else data
-        atomic_write_bytes(out_dir / name, payload)
-        artifacts[name] = sha256_bytes(payload)
-    write_manifest(out_dir, command, config, seeds, inputs, artifacts)
+    try:
+        for name in (*files, MANIFEST_NAME):
+            if (out_dir / name).is_dir():
+                raise InputError(f"--out {out_dir}: {out_dir / name} is a directory", code=2)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, data in files.items():
+            payload = data.encode("utf-8") if isinstance(data, str) else data
+            atomic_write_bytes(out_dir / name, payload)
+            artifacts[name] = sha256_bytes(payload)
+        write_manifest(out_dir, command, config, seeds, inputs, artifacts)
+    except OSError as e:
+        raise InputError(f"--out {out_dir}: {e.strerror or e}") from None
 
 
 def _warn_incomplete(incomplete: int, scored: int) -> None:

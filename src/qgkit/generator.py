@@ -5,11 +5,12 @@ embeddings, then refines each state with gated self-attention: every
 position attends over the whole sequence through a bilinear form and a
 fusion gate interpolates between the raw and the attended state.  The
 decoder attends over the fused states, scores generation over the fixed
-vocabulary, and scores copying per source position with each position's
-score capped at the maximum over positions holding the same word; the
-combined softmax is then regrouped so every surface word carries a
-single probability.  Out-of-vocabulary source words are addressable
-through per-example extended ids.
+vocabulary, and scores copying once per distinct source word: the
+maximum attention over the word's positions plus the log of how many
+there are, so a word seen c times weighs c times its best position.  One
+softmax runs over both, and each copy column lands on its word's id.
+Out-of-vocabulary source words are addressable through per-example
+extended ids.
 
 Training is teacher-forced on the gold question with the gold
 interrogative class inserted into the source; inference inserts the
@@ -98,18 +99,17 @@ def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> Mode
     h = config.encoder_hidden
     dh = config.decoder_hidden
     tensors: dict[str, Tensor] = {}
-    tensors["embed"] = uniform_init(rng, (vocab_size, config.word_dim),
-                                    fan_in=config.word_dim, name="embed")
+    tensors["embed"] = uniform_init(rng, (vocab_size, config.word_dim), fan_in=config.word_dim)
     tensors["meta_embed"] = uniform_init(rng, (NUM_META_TAGS, config.meta_dim),
-                                         fan_in=config.meta_dim, name="meta_embed")
+                                         fan_in=config.meta_dim)
     tensors.update(init_bilstm(rng, config.word_dim + config.meta_dim, h, "enc"))
-    tensors["att.Ws"] = uniform_init(rng, (2 * h, 2 * h), fan_in=2 * h, name="att.Ws")
+    tensors["att.Ws"] = uniform_init(rng, (2 * h, 2 * h), fan_in=2 * h)
     tensors.update(init_linear(rng, 4 * h, 2 * h, "fuse.f"))
     tensors.update(init_linear(rng, 4 * h, 2 * h, "fuse.g"))
     tensors.update(init_linear(rng, 2 * h, dh, "bridge.h"))
     tensors.update(init_linear(rng, 2 * h, dh, "bridge.c"))
     tensors.update(init_lstm(rng, config.word_dim, dh, "dec"))
-    tensors["att.Wa"] = uniform_init(rng, (dh, 2 * h), fan_in=dh, name="att.Wa")
+    tensors["att.Wa"] = uniform_init(rng, (dh, 2 * h), fan_in=dh)
     tensors.update(init_linear(rng, dh + 2 * h, vocab_size, "out"))
     return ModelParams(config=config, tensors=tensors)
 
@@ -119,55 +119,42 @@ class EncodedPassage:
     """Fused encoder states plus copy-addressing structure.
 
     ``segments`` groups source positions by extended word id (first
-    occurrence order) and ``position_segment[j]`` maps position j to
-    its segment."""
+    occurrence order); each segment is one copy column of the decoder."""
 
     states: Tensor
     source_tokens: TaggedSequence
     segments: list[list[int]] = field(default_factory=list)
-    position_segment: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.source_tokens.surfaces)
 
 
-def _copy_segments(ids: Sequence[int]) -> tuple[list[list[int]], list[int]]:
-    segments: list[list[int]] = []
-    seg_of: dict[int, int] = {}
-    pos_seg: list[int] = []
+def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
+    segments: dict[int, list[int]] = {}
     for j, wid in enumerate(ids):
-        k = seg_of.get(wid)
-        if k is None:
-            k = len(segments)
-            seg_of[wid] = k
-            segments.append([])
-        segments[k].append(j)
-        pos_seg.append(k)
-    return segments, pos_seg
+        segments.setdefault(wid, []).append(j)
+    return list(segments.values())
 
 
 def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> EncodedPassage:
     """Fused passage states (n x 2h).
 
-    u = bidirectional pass over [word; meta] rows; a_t = softmax over j
-    of u_j' Ws u_t; s_t = sum_j a_tj u_j; f = tanh([u; s] Wf + bf),
+    u = bidirectional pass over [word; meta] rows; A = softmax over
+    rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t;
+    S = A U; f = tanh([u; s] Wf + bf),
     g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u."""
     if not seq.surfaces:
         raise ValueError("empty generator input")
     words = ad.lookup(params["embed"], seq.base_ids)
     meta = ad.lookup(params["meta_embed"], seq.meta)
     U = run_bilstm(ad.concat([words, meta], axis=1), params, "enc", config.encoder_hidden)
-    scores = ad.matmul(ad.matmul(U, params["att.Ws"]), ad.transpose(U))
-    # column t holds u_j' Ws u_t over j, so align over axis 0
-    A = ad.softmax(scores, axis=0)
-    S = ad.matmul(ad.transpose(A), U)
+    A = ad.softmax(ad.matmul(U, ad.transpose(ad.matmul(U, params["att.Ws"]))), axis=1)
+    S = ad.matmul(A, U)
     fused_in = ad.concat([U, S], axis=1)
     F = ad.tanh(linear(fused_in, params["fuse.f.W"], params["fuse.f.b"]))
     G = ad.sigmoid(linear(fused_in, params["fuse.g.W"], params["fuse.g.b"]))
     states = ad.add(ad.mul(G, F), ad.mul(ad.sub(1.0, G), U))
-    segments, pos_seg = _copy_segments(seq.ids)
-    return EncodedPassage(states=states, source_tokens=seq, segments=segments,
-                          position_segment=pos_seg)
+    return EncodedPassage(states=states, source_tokens=seq, segments=_copy_segments(seq.ids))
 
 
 def init_decoder_state(
@@ -186,10 +173,10 @@ class DecodeStep:
 
     ``raw_attention``/``attention`` hold one score per source position
     (pre/post softmax); a word's copy score is the maximum raw attention
-    over its segment positions; ``final_dist`` covers the vocabulary
-    followed by the extended ids (for a chunk, as many as its longest
-    OOV list).  ``decode_step`` returns the one-state case with every
-    field 1-D."""
+    over its segment positions plus the log of their count;
+    ``final_dist`` covers the vocabulary followed by the extended ids
+    (for a chunk, as many as its longest OOV list).  ``decode_step``
+    returns the one-state case with every field 1-D."""
 
     raw_attention: Tensor
     attention: Tensor
@@ -206,12 +193,13 @@ def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
 @dataclass
 class _CopyLayout:
     """Where copy scores go, for one passage or for a chunk of passages
-    laid end to end: the copy segments, each position's segment, the
-    final-distribution column of each combined-softmax column, and the
-    final distribution's width."""
+    laid end to end: the copy segments, the (1 x S) row of the log of
+    each segment's size, the final-distribution column of each
+    combined-softmax column (the vocabulary, then one per segment), and
+    the final distribution's width."""
 
     segments: ad.Segments
-    position_segment: np.ndarray
+    log_count: Tensor
     index_map: np.ndarray
     size: int
 
@@ -220,18 +208,16 @@ def _copy_layout(passages: Sequence[EncodedPassage], vocab_size: int) -> _CopyLa
     """The copy layout of ``passages`` laid end to end.  Extended ids keep
     their own passage's numbering, so the final distribution is as wide
     as the vocabulary plus the longest OOV list."""
-    segments: list[list[int]] = []
-    position_segment: list[int] = []
-    ids: list[int] = []
-    for p in passages:
-        first_position, first_segment = len(ids), len(segments)
-        segments += [[first_position + j for j in seg] for seg in p.segments]
-        position_segment += [first_segment + k for k in p.position_segment]
-        ids += p.source_tokens.ids
+    firsts = np.cumsum([0] + [len(p) for p in passages[:-1]]).tolist()
+    segments = ad.Segments([[first + j for j in seg]
+                            for p, first in zip(passages, firsts) for seg in p.segments])
+    ids = np.concatenate([p.source_tokens.ids for p in passages])
     return _CopyLayout(
-        segments=ad.Segments(segments),
-        position_segment=np.asarray(position_segment, dtype=np.intp),
-        index_map=np.asarray([*range(vocab_size), *ids], dtype=np.intp),
+        segments=segments,
+        log_count=Tensor(np.log(np.bincount(segments.owner))[None, :]),
+        # a segment's extended id is the id at its first position
+        index_map=np.concatenate([np.arange(vocab_size),
+                                  ids[segments.order[segments.starts]]]),
         size=vocab_size + max(len(p.source_tokens.oov_words) for p in passages),
     )
 
@@ -250,8 +236,9 @@ def _decoder_head(H: Tensor, states: Tensor, layout: _CopyLayout,
     context = ad.matmul(attn, states)
     gen = linear(ad.concat([H, context], axis=1), params["out.W"], params["out.b"])
     maxima, _ = ad.segment_max(raw, layout.segments)
-    capped = ad.transpose(ad.lookup(ad.transpose(maxima), layout.position_segment))
-    combined = ad.softmax(ad.concat([gen, capped], axis=1), axis=1)
+    # c positions of a word copy with c * exp(max) = exp(max + log c)
+    copy = ad.add(maxima, layout.log_count)
+    combined = ad.softmax(ad.concat([gen, copy], axis=1), axis=1)
     final = ad.scatter_sum(combined, layout.index_map, layout.size)
     return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
@@ -266,9 +253,9 @@ def decode_step(
     """Recurrent update, bilinear attention, generate + maxout copy.
 
     ``prev_token`` may be an extended id; it is clamped to [UNK] for the
-    embedding lookup.  Each position's copy logit is the maximum raw
-    attention score over positions holding the same word; the combined
-    softmax is regrouped by word id into ``final_dist``."""
+    embedding lookup.  Each source word's copy logit is the maximum raw
+    attention score over its positions plus the log of their count; the
+    combined softmax is regrouped by word id into ``final_dist``."""
     h, c = lstm_step(_embed([prev_token], params), *state, params["dec.W"], params["dec.b"])
     layout = _copy_layout([encoded], params["embed"].shape[0])
     row = _decoder_head(h, encoded.states, layout, params)

@@ -31,8 +31,8 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str
     """
     fan_in = input_dim + hidden
     return {
-        f"{prefix}.W": uniform_init(rng, (fan_in, 4 * hidden), fan_in, name=f"{prefix}.W"),
-        f"{prefix}.b": uniform_init(rng, (1, 4 * hidden), fan_in, name=f"{prefix}.b"),
+        f"{prefix}.W": uniform_init(rng, (fan_in, 4 * hidden), fan_in),
+        f"{prefix}.b": uniform_init(rng, (1, 4 * hidden), fan_in),
     }
 
 
@@ -61,8 +61,8 @@ def init_bilstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: s
 
 def init_linear(rng: np.random.Generator, input_dim: int, output_dim: int, prefix: str) -> dict[str, Tensor]:
     return {
-        f"{prefix}.W": uniform_init(rng, (input_dim, output_dim), input_dim, name=f"{prefix}.W"),
-        f"{prefix}.b": uniform_init(rng, (1, output_dim), input_dim, name=f"{prefix}.b"),
+        f"{prefix}.W": uniform_init(rng, (input_dim, output_dim), input_dim),
+        f"{prefix}.b": uniform_init(rng, (1, output_dim), input_dim),
     }
 
 

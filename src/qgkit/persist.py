@@ -234,7 +234,7 @@ def load_checkpoint(path: str | Path, kind: str | None = None,
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-        tensors[name] = Tensor(data.reshape(shape).astype(np.float64, copy=True), name=name)
+        tensors[name] = Tensor(data.reshape(shape).astype(np.float64, copy=True))
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after tensor payload")

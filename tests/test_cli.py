@@ -740,6 +740,26 @@ def test_out_the_os_rejects_fatal_before_reading(ws, tmp_path, capsys, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("name", ["report.csv", "manifest.json"])
+def test_out_holding_a_directory_where_a_file_goes(ws, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert run("evaluate", "--dump", ws["dump"], "--out", out) == 2
+    assert assert_one_error_line(capsys) == f"error: --out {out}: {out / name} is a directory"
+    assert [p.name for p in out.iterdir()] == [name]
+    assert list((out / name).iterdir()) == []
+
+
+def test_failed_write_fatal(ws, tmp_path, capsys, monkeypatch):
+    def full(path, data):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "atomic_write_bytes", full)
+    out = tmp_path / "out"
+    assert run("evaluate", "--dump", ws["dump"], "--out", out) == 1
+    assert assert_one_error_line(capsys) == f"error: --out {out}: No space left on device"
+
+
 def test_dump_line_may_hold_unicode_line_breaks(tmp_path):
     # U+2028, U+2029 and U+0085 are legal raw inside a JSON string; only
     # "\n" ends a JSONL record

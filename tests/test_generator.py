@@ -35,7 +35,9 @@ from qgkit.data import (
 from qgkit.gradcheck import check_gradients
 from qgkit.generator import (
     QGConfig,
+    _copy_layout,
     _copy_segments,
+    _decoder_head,
     decode_step,
     encode,
     generate,
@@ -190,10 +192,9 @@ class TestEncode:
 
     def test_copy_segment_grouping(self):
         ids = [5, 9, 5, 14, 9]
-        segments, pos_seg = _copy_segments(ids)
+        segments = _copy_segments(ids)
         assert segments == [[0, 2], [1, 4], [3]]
         assert [ids[seg[0]] for seg in segments] == [5, 9, 14]
-        assert pos_seg == [0, 1, 0, 2, 1]
 
 
 class TestDecodeStep:
@@ -231,6 +232,38 @@ class TestDecodeStep:
                 copy_mass = sizes[k] * np.exp(capped[k] - shift) / z
                 assert step.final_dist.data[wid] == pytest.approx(
                     gen_share[wid] + copy_mass, rel=0, abs=1e-12)
+
+    def test_chunk_rows_match_enumeration_of_own_passage(self):
+        # both passages hold in-vocabulary word 7 and extended id 18,
+        # which names a different word in each; each row is masked to
+        # its own passage
+        cfg, rng, vocab_size = tiny_config(), np.random.default_rng(5), 18
+        params = init_qg(cfg, vocab_size, rng).tensors
+        sources = [([7, 18, 9, 7, 19, 18], ["novel0", "novel1"]),
+                   ([10, 7, 18, 10, 11], ["other0"])]
+        passages = [encode(TaggedSequence(
+            surfaces=[f"w{i}" if i < vocab_size else oov[i - vocab_size] for i in ids],
+            ids=ids, base_ids=[i if i < vocab_size else UNK_ID for i in ids],
+            meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov), cfg, params)
+            for ids, oov in sources]
+        bounds = np.cumsum([0] + [len(p) for p in passages])
+        owner = [0, 0, 1, 1, 1]
+        mask = np.full((len(owner), bounds[-1]), -np.inf)
+        for r, e in enumerate(owner):
+            mask[r, bounds[e] : bounds[e + 1]] = 0.0
+        H = ad.Tensor(rng.standard_normal((len(owner), cfg.decoder_hidden)))
+        step = _decoder_head(H, ad.concat([p.states for p in passages]),
+                             _copy_layout(passages, vocab_size), params, ad.Tensor(mask))
+        dist = step.final_dist.data
+        assert dist.shape == (len(owner), vocab_size + 2)
+        for r, e in enumerate(owner):
+            ids, oov = sources[e]
+            width = vocab_size + len(oov)
+            want = oracle_final_dist(step.generate_scores.data[r],
+                                     step.raw_attention.data[r, bounds[e] : bounds[e + 1]],
+                                     ids, vocab_size, len(oov))
+            np.testing.assert_allclose(dist[r, :width], want, rtol=0, atol=1e-12)
+            assert not dist[r, width:].any()
 
     def test_copy_scores_cover_source_words(self):
         cfg, params, seq, _, _ = random_model_and_seq(11)
@@ -379,7 +412,7 @@ def test_training_tapes_stay_small():
             sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words),
                           qg_cfg, qg_params)
         ops = [e.op for e in tape.entries]
-        assert len(ops) <= 48 and ops.count("lstm_step") == 3
+        assert len(ops) <= 45 and ops.count("lstm_step") == 3
         with Tape() as tape:
             ad.cross_entropy(_class_distribution(ex, cls_cfg, cls_params, vocab), int(ex.iw_class))
         assert len(tape) <= 14
