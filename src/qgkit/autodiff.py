@@ -5,12 +5,12 @@ matmul, elementwise arithmetic and activations, stabilized softmax,
 per-segment maxima (for max-capped copy scores), embedding lookup,
 scatter-sum regrouping, cross-entropy, and one fused LSTM op with two
 outputs, ``lstm_step``, which advances k independent states over a whole
-sequence as one tape entry (an encoder pass is k = 1, a decoder step
-n = 1).  Ops executed while a Tape is active are recorded in execution
-order; ``backward`` replays the tape in exact reverse order and
-accumulates gradients into every tensor the loss can reach.  Ops executed
-with no active tape are plain forward evaluations, which keeps inference
-and finite-difference probing cheap.
+sequence as one tape entry (an encoder pass has one state per sequence
+of its chunk, a decoder step n = 1).  Ops executed while a Tape is
+active are recorded in execution order; ``backward`` replays the tape in
+exact reverse order and accumulates gradients into every tensor the loss
+can reach.  Ops executed with no active tape are plain forward
+evaluations, which keeps inference and finite-difference probing cheap.
 
 Everything is 64-bit and deterministic: the same seed and the same op
 sequence produce bit-identical values.

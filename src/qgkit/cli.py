@@ -364,7 +364,7 @@ def _dump_line(example: Example, result, provenance: str) -> str:
             "predicted_iw": result.predicted_iw.name.lower(),
             "generated": result.tokens,
             "gold": tokenize(example.question),
-            "attention": [[float(v) for v in row] for row in result.attention],
+            "attention": result.attention.tolist(),
             "provenance": provenance,
             "manifest": MANIFEST_NAME,
         },
@@ -391,7 +391,7 @@ def cmd_generate(args, cfg) -> tuple:
             return oracle_classifier(ex.iw_class, _a, _rng)
 
     # every prediction (and oracle draw) in example order, then the decodes
-    predicted = [predict_iw(ex, predictor, vocab) for ex in examples]
+    predicted = predict_iw(examples, predictor, vocab)
     results = generate_batch(list(zip(examples, predicted)), qg.config, qg.tensors, vocab)
     lines = [_dump_line(ex, res, provenance) for ex, res in zip(examples, results)]
     config = {"provenance": provenance, "seed": seed, "qg": qg.config.to_dict()}

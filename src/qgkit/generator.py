@@ -2,8 +2,11 @@
 
 The encoder runs a bidirectional recurrent pass over word-plus-role
 embeddings, then refines each state with gated self-attention: every
-position attends over the whole sequence through a bilinear form and a
-fusion gate interpolates between the raw and the attended state.  The
+position attends over its whole passage through a bilinear form and a
+fusion gate interpolates between the raw and the attended state.  It
+encodes a chunk of passages packed end to end in one pass: one recurrent
+pass per direction for all of them, and one self-attention product
+masked so that each position reads only its own passage.  The
 decoder attends over the fused states, scores generation over the fixed
 vocabulary, and scores copying once per distinct source word: the
 maximum attention over the word's positions plus the log of how many
@@ -19,16 +22,17 @@ token, so one decoder serves both: training feeds it every gold token in
 one pass and scores all targets at once, and a decoding step feeds it one
 token per row.
 
-Inference has one batched decoder, ``generate_batch``.  It packs the
-passages of a chunk of (example, class) pairs end to end, runs each step
-with one row per live beam of every pair, and masks each row to its own
-passage, so a pair decodes as it would alone.  ``generate`` is the chunk
-of one.
+Inference has one batched decoder, ``generate_batch``.  It encodes the
+passages of a chunk of (example, class) pairs in one pass, runs each
+step with one row per live beam of every pair, and masks each row to its
+own passage, so a pair decodes as it would alone.  ``generate`` is the
+chunk of one, and training encodes a chunk of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +57,7 @@ from .persist import InputError, ModelConfig, ModelParams, build_model
 
 __all__ = [
     "DecodeStep",
-    "EncodedPassage",
+    "EncodedChunk",
     "GenerationResult",
     "QGConfig",
     "decode_step",
@@ -115,18 +119,23 @@ def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> Mode
 
 
 @dataclass
-class EncodedPassage:
-    """Fused encoder states plus copy-addressing structure.
+class EncodedChunk:
+    """Fused encoder states of a chunk of passages packed end to end,
+    plus copy-addressing structure.
 
-    ``segments`` groups source positions by extended word id (first
-    occurrence order); each segment is one copy column of the decoder."""
+    Passage p is ``sources[p]``, at rows ``bounds[p]:bounds[p + 1]`` of
+    the (N x 2h) ``states``.  ``segments`` groups each passage's
+    positions by extended word id (passages in order, words in first
+    occurrence order), in packed positions; each segment is one copy
+    column of the decoder."""
 
     states: Tensor
-    source_tokens: TaggedSequence
-    segments: list[list[int]] = field(default_factory=list)
+    sources: list[TaggedSequence]
+    bounds: list[int]
+    segments: list[list[int]]
 
     def __len__(self) -> int:
-        return len(self.source_tokens.surfaces)
+        return self.bounds[-1]
 
 
 def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
@@ -136,32 +145,59 @@ def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
     return list(segments.values())
 
 
-def encode(seq: TaggedSequence, config: QGConfig, params: dict[str, Tensor]) -> EncodedPassage:
-    """Fused passage states (n x 2h).
+def _foreign(bounds: Sequence[int]) -> np.ndarray:
+    """(P x N): row p holds 0 over passage p's positions and -inf over
+    the other passages'."""
+    owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    return np.where(owner == np.arange(len(bounds) - 1)[:, None], 0.0, -np.inf)
+
+
+def encode(
+    seqs: TaggedSequence | Sequence[TaggedSequence],
+    config: QGConfig,
+    params: dict[str, Tensor],
+) -> EncodedChunk:
+    """Fused states (N x 2h) of one passage, or of a chunk of passages
+    packed end to end in one pass.
 
     u = bidirectional pass over [word; meta] rows; A = softmax over
-    rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t;
-    S = A U; f = tanh([u; s] Wf + bf),
-    g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u."""
-    if not seq.surfaces:
+    rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t,
+    j ranging over t's own passage; S = A U; f = tanh([u; s] Wf + bf),
+    g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u.  For a
+    chunk, one (N x N) product scores every pair of positions and a
+    block-diagonal -inf mask keeps each row to its own passage."""
+    if isinstance(seqs, TaggedSequence):
+        seqs = [seqs]
+    if not seqs or not all(seq.surfaces for seq in seqs):
         raise ValueError("empty generator input")
-    words = ad.lookup(params["embed"], seq.base_ids)
-    meta = ad.lookup(params["meta_embed"], seq.meta)
-    U = run_bilstm(ad.concat([words, meta], axis=1), params, "enc", config.encoder_hidden)
-    A = ad.softmax(ad.matmul(U, ad.transpose(ad.matmul(U, params["att.Ws"]))), axis=1)
+    lengths = [len(seq.surfaces) for seq in seqs]
+    bounds = list(accumulate(lengths, initial=0))
+    words = ad.lookup(params["embed"], [i for seq in seqs for i in seq.base_ids])
+    meta = ad.lookup(params["meta_embed"], [m for seq in seqs for m in seq.meta])
+    U = run_bilstm(ad.concat([words, meta], axis=1), lengths, params, "enc",
+                   config.encoder_hidden)
+    scores = ad.matmul(U, ad.transpose(ad.matmul(U, params["att.Ws"])))
+    if len(seqs) > 1:
+        # each position takes the mask row of its own passage
+        owner = np.repeat(np.arange(len(seqs)), lengths)
+        scores = ad.add(scores, Tensor(_foreign(bounds)[owner]))
+    A = ad.softmax(scores, axis=1)
     S = ad.matmul(A, U)
     fused_in = ad.concat([U, S], axis=1)
     F = ad.tanh(linear(fused_in, params["fuse.f.W"], params["fuse.f.b"]))
     G = ad.sigmoid(linear(fused_in, params["fuse.g.W"], params["fuse.g.b"]))
     states = ad.add(ad.mul(G, F), ad.mul(ad.sub(1.0, G), U))
-    return EncodedPassage(states=states, source_tokens=seq, segments=_copy_segments(seq.ids))
+    segments = [[first + j for j in seg]
+                for seq, first in zip(seqs, bounds) for seg in _copy_segments(seq.ids)]
+    return EncodedChunk(states=states, sources=list(seqs), bounds=bounds, segments=segments)
 
 
 def init_decoder_state(
-    encoded: EncodedPassage, config: QGConfig, params: dict[str, Tensor]
+    encoded: EncodedChunk, config: QGConfig, params: dict[str, Tensor]
 ) -> tuple[Tensor, Tensor]:
-    """Learned bridge from the last fused encoder state to (h0, c0)."""
-    last = ad.lookup(encoded.states, [len(encoded) - 1])
+    """Learned bridge from each passage's last fused encoder state to
+    (h0, c0), one row per passage."""
+    last = ad.lookup(encoded.states, [end - 1 for end in encoded.bounds[1:]])
     h0 = ad.tanh(linear(last, params["bridge.h.W"], params["bridge.h.b"]))
     c0 = ad.tanh(linear(last, params["bridge.c.W"], params["bridge.c.b"]))
     return h0, c0
@@ -204,21 +240,19 @@ class _CopyLayout:
     size: int
 
 
-def _copy_layout(passages: Sequence[EncodedPassage], vocab_size: int) -> _CopyLayout:
-    """The copy layout of ``passages`` laid end to end.  Extended ids keep
+def _copy_layout(encoded: EncodedChunk, vocab_size: int) -> _CopyLayout:
+    """The copy layout of the passages of ``encoded``.  Extended ids keep
     their own passage's numbering, so the final distribution is as wide
     as the vocabulary plus the longest OOV list."""
-    firsts = np.cumsum([0] + [len(p) for p in passages[:-1]]).tolist()
-    segments = ad.Segments([[first + j for j in seg]
-                            for p, first in zip(passages, firsts) for seg in p.segments])
-    ids = np.concatenate([p.source_tokens.ids for p in passages])
+    segments = ad.Segments(encoded.segments)
+    ids = np.concatenate([seq.ids for seq in encoded.sources])
     return _CopyLayout(
         segments=segments,
         log_count=Tensor(np.log(np.bincount(segments.owner))[None, :]),
         # a segment's extended id is the id at its first position
         index_map=np.concatenate([np.arange(vocab_size),
                                   ids[segments.order[segments.starts]]]),
-        size=vocab_size + max(len(p.source_tokens.oov_words) for p in passages),
+        size=vocab_size + max(len(seq.oov_words) for seq in encoded.sources),
     )
 
 
@@ -246,18 +280,19 @@ def _decoder_head(H: Tensor, states: Tensor, layout: _CopyLayout,
 def decode_step(
     prev_token: int,
     state: tuple[Tensor, Tensor],
-    encoded: EncodedPassage,
+    encoded: EncodedChunk,
     config: QGConfig,
     params: dict[str, Tensor],
 ) -> tuple[DecodeStep, tuple[Tensor, Tensor]]:
-    """Recurrent update, bilinear attention, generate + maxout copy.
+    """Recurrent update, bilinear attention, generate + maxout copy,
+    over the one passage of ``encoded``.
 
     ``prev_token`` may be an extended id; it is clamped to [UNK] for the
     embedding lookup.  Each source word's copy logit is the maximum raw
     attention score over its positions plus the log of their count; the
     combined softmax is regrouped by word id into ``final_dist``."""
     h, c = lstm_step(_embed([prev_token], params), *state, params["dec.W"], params["dec.b"])
-    layout = _copy_layout([encoded], params["embed"].shape[0])
+    layout = _copy_layout(encoded, params["embed"].shape[0])
     row = _decoder_head(h, encoded.states, layout, params)
     step = DecodeStep(*(ad.reshape(t, (t.shape[1],)) for t in (
         row.raw_attention, row.attention, row.generate_scores, row.final_dist)))
@@ -286,7 +321,7 @@ def sequence_loss(
     h0, c0 = init_decoder_state(encoded, config, params)
     H, _ = lstm_step(_embed([SOS_ID, *targets[:-1]], params), h0, c0,
                      params["dec.W"], params["dec.b"])
-    layout = _copy_layout([encoded], params["embed"].shape[0])
+    layout = _copy_layout(encoded, params["embed"].shape[0])
     step = _decoder_head(H, encoded.states, layout, params)
     return ad.cross_entropy(step.final_dist, list(targets))
 
@@ -369,8 +404,9 @@ class GenerationResult:
         return " ".join(self.tokens)
 
 
-# pairs decoded together; a step costs R x N over the chunk's packed
-# passage (R live beams, N source positions), so a chunk stays small
+# pairs decoded together.  Their passages are encoded in one pass, packed
+# end to end; a decoder step costs R x N over them (R live beams, N source
+# positions), so a chunk stays small
 _CHUNK = 16
 
 
@@ -412,23 +448,19 @@ def _decode_chunk(
     params: dict[str, Tensor],
     vocab: Vocabulary,
 ) -> list[GenerationResult]:
-    """Beam search for every pair at once.  The passages are encoded one
-    by one and packed end to end; each row of a step is one live beam,
-    masked to its own passage, so its scores are, up to rounding, the
-    ones its pair would get alone.  Ranking and stopping stay per pair,
-    and a finished beam leaves the rows."""
+    """Beam search for every pair at once.  The passages are encoded in
+    one pass, packed end to end, and bridged to their first decoder
+    states in one call; each row of a step is one live beam, masked to
+    its own passage, so its scores are, up to rounding, the ones its pair
+    would get alone.  Ranking and stopping stay per pair, and a finished
+    beam leaves the rows."""
     vocab_size = params["embed"].shape[0]
     seqs = [build_qg_input(ex, iw, vocab, insert_iw=config.insert_iw) for ex, iw in pairs]
-    passages = [encode(seq, config, params) for seq in seqs]
-    starts = [init_decoder_state(p, config, params) for p in passages]
-    states = ad.concat([p.states for p in passages])
-    layout = _copy_layout(passages, vocab_size)
-    bounds = np.cumsum([0] + [len(p) for p in passages]).tolist()
-    # row e: 0 over the positions of passage e, -inf over the others
-    owner = np.repeat(np.arange(len(pairs)), np.diff(bounds))
-    foreign = np.where(owner == np.arange(len(pairs))[:, None], 0.0, -np.inf)
-    h = np.vstack([h0.data for h0, _ in starts])
-    c = np.vstack([c0.data for _, c0 in starts])
+    encoded = encode(seqs, config, params)
+    h0, c0 = init_decoder_state(encoded, config, params)
+    layout = _copy_layout(encoded, vocab_size)
+    bounds, foreign = encoded.bounds, _foreign(encoded.bounds)
+    h, c = h0.data, c0.data
     # beam item: (cost, id sequence, prev id, state row, attention rows, done)
     beams = [[(0.0, [], SOS_ID, e, [], False)] for e in range(len(pairs))]
     for _ in range(config.max_len):
@@ -439,7 +471,7 @@ def _decode_chunk(
         h_t, c_t = lstm_step(_embed([b[2] for _, b in live], params), Tensor(h[rows]),
                              Tensor(c[rows]), params["dec.W"], params["dec.b"])
         mask = Tensor(foreign[[e for e, _ in live]]) if len(pairs) > 1 else None
-        step = _decoder_head(h_t, states, layout, params, mask)
+        step = _decoder_head(h_t, encoded.states, layout, params, mask)
         h, c = h_t.data, c_t.data
         dist, attention = step.final_dist.data, step.attention.data
         # a stable sort ranks tied ids in id order, as np.argmax does; a
@@ -482,17 +514,19 @@ def _decode_chunk(
 
 
 def predict_iw(
-    example: Example,
+    examples: Sequence[Example],
     classifier: ModelParams | Callable[[Example], IWClass],
     vocab: Vocabulary,
-) -> IWClass:
-    """The interrogative class predicted for ``example``.  ``classifier``
-    is either trained classifier parameters (their argmax class) or any
-    ``example -> IWClass`` predictor (for accuracy-controlled oracles)."""
+) -> list[IWClass]:
+    """The interrogative class predicted for each of ``examples``, in
+    order.  ``classifier`` is either trained classifier parameters (their
+    argmax class, from one ``classify`` call) or any ``example ->
+    IWClass`` predictor (for accuracy-controlled oracles), called once
+    per example in order."""
     if isinstance(classifier, ModelParams):
-        probs = classify(example, classifier.config, classifier.tensors, vocab)
-        return IWClass(int(np.argmax(probs)))
-    return classifier(example)
+        probs = classify(examples, classifier.config, classifier.tensors, vocab)
+        return [IWClass(int(c)) for c in np.argmax(probs, axis=1)]
+    return [classifier(ex) for ex in examples]
 
 
 def pipeline_generate(
@@ -504,5 +538,5 @@ def pipeline_generate(
     """Two-stage inference: predict the interrogative class with
     ``predict_iw``, then decode with that class inserted; the prediction
     is recorded on the result."""
-    predicted = predict_iw(example, classifier, vocab)
+    [predicted] = predict_iw([example], classifier, vocab)
     return generate(example, predicted, qg_params.config, qg_params.tensors, vocab)

@@ -694,7 +694,7 @@ class TestLSTMStep:
         cls_cfg = ClassifierConfig(word_dim=4, encoder_hidden=3, use_answer_embedding=True)
         cls_params = init_classifier(cls_cfg, len(vocab), np.random.default_rng(0)).tensors
         with Tape() as tape:
-            encode_summary(tokens, [n - 1], cls_cfg, cls_params, vocab)
+            encode_summary([tokens], [[n - 1]], cls_cfg, cls_params, vocab)
         assert [e.op for e in tape.entries].count("lstm_step") == 4
         qg_cfg = QGConfig(word_dim=4, meta_dim=2, encoder_hidden=3, decoder_hidden=5)
         qg_params = init_qg(qg_cfg, len(vocab), np.random.default_rng(0)).tensors

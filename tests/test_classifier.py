@@ -16,7 +16,7 @@ from qgkit.classifier import (
 )
 from qgkit.data import Example, IWClass, Vocabulary, build_classifier_input
 from qgkit.persist import ModelParams
-from qgkit.synthetic import make_separable_corpus
+from qgkit.synthetic import bundled_corpus, make_separable_corpus
 
 
 @pytest.fixture(scope="module")
@@ -87,23 +87,23 @@ class TestEncodeSummary:
 
     def test_width_without_answer_embedding(self, vocab, corpus):
         cfg, params, built = self._setup(vocab, corpus)
-        out = encode_summary(built.tokens, built.answer_positions, cfg,
+        out = encode_summary([built.tokens], [built.answer_positions], cfg,
                              params.tensors, vocab)
         assert out.shape == (1, 2 * cfg.encoder_hidden)
 
     def test_width_with_answer_embedding(self, vocab, corpus):
         cfg, params, built = self._setup(vocab, corpus, use_answer_embedding=True)
-        out = encode_summary(built.tokens, built.answer_positions, cfg,
+        out = encode_summary([built.tokens], [built.answer_positions], cfg,
                              params.tensors, vocab)
         assert out.shape == (1, 4 * cfg.encoder_hidden)
 
     def test_order_sensitive(self, vocab, corpus):
         cfg, params, built = self._setup(vocab, corpus)
-        base = encode_summary(built.tokens, built.answer_positions, cfg,
+        base = encode_summary([built.tokens], [built.answer_positions], cfg,
                               params.tensors, vocab)
         swapped = list(built.tokens)
         swapped[1], swapped[2] = swapped[2], swapped[1]  # non-answer context
-        other = encode_summary(swapped, built.answer_positions, cfg,
+        other = encode_summary([swapped], [built.answer_positions], cfg,
                                params.tensors, vocab)
         assert not np.allclose(base.data, other.data)
 
@@ -112,9 +112,9 @@ class TestEncodeSummary:
         params = init_classifier(cfg, len(vocab), np.random.default_rng(3))
         plain = build_classifier_input(corpus[0], answer_tagging=False)
         tagged = build_classifier_input(corpus[0], answer_tagging=True)
-        a = encode_summary(plain.tokens, plain.answer_positions, cfg,
+        a = encode_summary([plain.tokens], [plain.answer_positions], cfg,
                            params.tensors, vocab)
-        b = encode_summary(tagged.tokens, tagged.answer_positions, cfg,
+        b = encode_summary([tagged.tokens], [tagged.answer_positions], cfg,
                            params.tensors, vocab)
         assert not np.allclose(a.data, b.data)
 
@@ -130,7 +130,7 @@ class TestClassify:
         cfg = small_config(use_answer_tagging=True, use_entity_type=True)
         params = init_classifier(cfg, len(vocab), np.random.default_rng(4))
         for ex in corpus[:10]:
-            probs = classify(ex, cfg, params.tensors, vocab)
+            probs = classify([ex], cfg, params.tensors, vocab)[0]
             assert probs.shape == (8,)
             assert np.all(probs >= 0)
             assert abs(probs.sum() - 1.0) < 1e-9
@@ -138,7 +138,7 @@ class TestClassify:
     def test_untrained_near_uniform(self, vocab, corpus):
         cfg = small_config()
         params = init_classifier(cfg, len(vocab), np.random.default_rng(5))
-        probs = classify(corpus[0], cfg, params.tensors, vocab)
+        probs = classify([corpus[0]], cfg, params.tensors, vocab)[0]
         assert np.all(probs > 0.02)
         assert np.all(probs < 0.4)
 
@@ -147,7 +147,7 @@ class TestClassify:
         params = init_classifier(cfg, len(vocab), np.random.default_rng(6))
         params.tensors["ff.W"].data[:] = 0.0
         params.tensors["ff.b"].data[:] = 0.0
-        probs = classify(corpus[0], cfg, params.tensors, vocab)
+        probs = classify([corpus[0]], cfg, params.tensors, vocab)[0]
         np.testing.assert_allclose(probs, np.full(8, 1 / 8))
 
     def test_entity_row_permutation_permutes_output(self, vocab, corpus):
@@ -159,12 +159,32 @@ class TestClassify:
         from qgkit.data import EntityType
         ex_a = Example(**{**ex.__dict__, "entity_type": EntityType.Person})
         ex_b = Example(**{**ex.__dict__, "entity_type": EntityType.Org})
-        before_a = classify(ex_a, cfg, params.tensors, vocab)
+        before_a = classify([ex_a], cfg, params.tensors, vocab)[0]
         table = params.tensors["entity_embed"].data
         i, j = int(EntityType.Person), int(EntityType.Org)
         table[[i, j]] = table[[j, i]]
-        after_b = classify(ex_b, cfg, params.tensors, vocab)
+        after_b = classify([ex_b], cfg, params.tensors, vocab)[0]
         np.testing.assert_allclose(before_a, after_b)
+
+    @pytest.mark.parametrize("flags", [{}, dict(use_answer_tagging=True, use_answer_embedding=True,
+                                               use_entity_type=True)],
+                             ids=["plain", "AT+AE+NER"])
+    def test_batch_matches_one_at_a_time_on_mini200(self, flags):
+        # more examples than one packed pass holds, of mixed lengths
+        mini = bundled_corpus("mini200")
+        mini_vocab = Vocabulary.build(mini)
+        cfg = ClassifierConfig(**flags)
+        params = init_classifier(cfg, len(mini_vocab), np.random.default_rng(11))
+        batched = classify(mini, cfg, params.tensors, mini_vocab)
+        alone = np.vstack([classify([ex], cfg, params.tensors, mini_vocab) for ex in mini])
+        assert batched.shape == (len(mini), len(IWClass))
+        np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(batched.argmax(axis=1), alone.argmax(axis=1))
+
+    def test_empty_batch(self, vocab):
+        cfg = small_config()
+        params = init_classifier(cfg, len(vocab), np.random.default_rng(4))
+        assert classify([], cfg, params.tensors, vocab).shape == (0, len(IWClass))
 
 
 class TestTraining:
@@ -248,6 +268,12 @@ class TestEvalClassifier:
         only_who = [ex for ex in corpus if ex.iw_class == IWClass.Who]
         result = eval_classifier(only_who, params, vocab)
         assert set(result.per_class) == {IWClass.Who}
+
+    def test_empty_dataset(self, trained, vocab):
+        params, _ = trained
+        result = eval_classifier([], params, vocab)
+        assert result.accuracy == 0.0
+        assert result.per_class == {}
 
     def test_support_sums_to_size(self, trained, heldout, vocab):
         params, _ = trained

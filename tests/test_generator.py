@@ -190,6 +190,31 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(empty, cfg, params)
 
+    def test_chunk_rows_match_numpy_forward(self):
+        # passages of mixed lengths, one of them a single token, encoded
+        # in one pass: each passage's rows are its solo oracle states
+        cfg, params, _, vocab_size, rng = random_model_and_seq(4)
+        seqs = [random_sequence(rng, vocab_size, n) for n in (6, 1, 9, 3, 6)]
+        enc = encode(seqs, cfg, params)
+        P = {k: t.data for k, t in params.items()}
+        assert enc.bounds == [0, 6, 7, 16, 19, 25] and len(enc) == 25
+        for seq, start, end in zip(seqs, enc.bounds, enc.bounds[1:]):
+            *_, states = oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)
+            np.testing.assert_allclose(enc.states.data[start:end], states, rtol=0, atol=1e-12)
+        # segments are each passage's own, in packed positions
+        assert enc.segments == [[start + j for j in seg]
+                                for seq, start in zip(seqs, enc.bounds)
+                                for seg in _copy_segments(seq.ids)]
+
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_empty_passage_in_chunk_rejected(self, where):
+        cfg, params, _, vocab_size, rng = random_model_and_seq(0)
+        seqs = [random_sequence(rng, vocab_size, 4) for _ in range(2)]
+        seqs.insert(where, TaggedSequence(surfaces=[], ids=[], base_ids=[], meta=[],
+                                          oov_words=[]))
+        with pytest.raises(ValueError, match="empty generator input"):
+            encode(seqs, cfg, params)
+
     def test_copy_segment_grouping(self):
         ids = [5, 9, 5, 14, 9]
         segments = _copy_segments(ids)
@@ -241,19 +266,19 @@ class TestDecodeStep:
         params = init_qg(cfg, vocab_size, rng).tensors
         sources = [([7, 18, 9, 7, 19, 18], ["novel0", "novel1"]),
                    ([10, 7, 18, 10, 11], ["other0"])]
-        passages = [encode(TaggedSequence(
+        enc = encode([TaggedSequence(
             surfaces=[f"w{i}" if i < vocab_size else oov[i - vocab_size] for i in ids],
             ids=ids, base_ids=[i if i < vocab_size else UNK_ID for i in ids],
-            meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov), cfg, params)
-            for ids, oov in sources]
-        bounds = np.cumsum([0] + [len(p) for p in passages])
+            meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
+            for ids, oov in sources], cfg, params)
+        bounds = enc.bounds
         owner = [0, 0, 1, 1, 1]
         mask = np.full((len(owner), bounds[-1]), -np.inf)
         for r, e in enumerate(owner):
             mask[r, bounds[e] : bounds[e + 1]] = 0.0
         H = ad.Tensor(rng.standard_normal((len(owner), cfg.decoder_hidden)))
-        step = _decoder_head(H, ad.concat([p.states for p in passages]),
-                             _copy_layout(passages, vocab_size), params, ad.Tensor(mask))
+        step = _decoder_head(H, enc.states, _copy_layout(enc, vocab_size), params,
+                             ad.Tensor(mask))
         dist = step.final_dist.data
         assert dist.shape == (len(owner), vocab_size + 2)
         for r, e in enumerate(owner):
