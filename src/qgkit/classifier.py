@@ -6,9 +6,10 @@ the mean answer-token state (AE) and a learned entity-type embedding
 (NER); a single feed-forward layer maps that to the eight class logits.
 Several passages are classified in one pass: they are packed end to end,
 each layer's recurrence advances all of them at once, and each gets its
-own row of summaries and probabilities.  Training classifies one example
-at a time.  Also provides a noise-controlled oracle predictor for
-accuracy sweeps.
+own row of summaries and probabilities.  Only the taped training step
+classifies one example at a time; the untrained loss over the train
+split and each dev pass go through ``classify``.  Also provides a
+noise-controlled oracle predictor for accuracy sweeps.
 """
 
 from __future__ import annotations
@@ -129,14 +130,12 @@ def encode_summary(
 
 
 def _class_distribution(
-    examples: Example | Sequence[Example],
+    examples: Sequence[Example],
     config: ClassifierConfig,
     params: dict[str, Tensor],
     vocab: Vocabulary,
 ) -> Tensor:
     """Class probabilities (P x 8), one row per example."""
-    if isinstance(examples, Example):
-        examples = [examples]
     built = [build_classifier_input(ex, config.use_answer_tagging) for ex in examples]
     features = encode_summary([b.tokens for b in built], [b.answer_positions for b in built],
                               config, params, vocab)
@@ -168,11 +167,8 @@ def classify(
 
 
 def _mean_loss(dataset, config, params, vocab) -> float:
-    total = 0.0
-    for ex in dataset:
-        dist = _class_distribution(ex, config, params, vocab)
-        total += ad.cross_entropy(dist, int(ex.iw_class)).item()
-    return total / len(dataset)
+    golds = [int(ex.iw_class) for ex in dataset]
+    return ad.cross_entropy(Tensor(classify(dataset, config, params, vocab)), golds).item()
 
 
 def train_classifier(
@@ -212,7 +208,7 @@ def train_classifier(
         for i in order_rng.permutation(len(train)):
             ex = train[i]
             with Tape() as tape:
-                dist = _class_distribution(ex, config, params.tensors, vocab)
+                dist = _class_distribution([ex], config, params.tensors, vocab)
                 loss = ad.cross_entropy(dist, int(ex.iw_class))
             if not np.isfinite(loss.item()):
                 raise InputError(f"non-finite loss {loss.item()} at epoch {epoch}")

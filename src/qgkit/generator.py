@@ -121,18 +121,30 @@ def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> Mode
 @dataclass
 class EncodedChunk:
     """Fused encoder states of a chunk of passages packed end to end,
-    plus copy-addressing structure.
+    plus everything a decoder row reads besides them.
 
     Passage p is ``sources[p]``, at rows ``bounds[p]:bounds[p + 1]`` of
     the (N x 2h) ``states``.  ``segments`` groups each passage's
     positions by extended word id (passages in order, words in first
     occurrence order), in packed positions; each segment is one copy
-    column of the decoder."""
+    column of the decoder, and ``columns`` lays them out for
+    ``segment_max``.  Row p of the (P x N) ``foreign`` holds 0 over
+    passage p's positions and -inf over the others'.  ``log_count``
+    (1 x S) is the log of each column's size, ``index_map`` the
+    final-distribution id of each combined-softmax column (the
+    vocabulary, then one per copy column), and ``width`` the final
+    distribution's width: extended ids keep their own passage's
+    numbering, so it is the vocabulary plus the longest OOV list."""
 
     states: Tensor
     sources: list[TaggedSequence]
     bounds: list[int]
     segments: list[list[int]]
+    foreign: np.ndarray
+    columns: ad.Segments
+    log_count: Tensor
+    index_map: np.ndarray
+    width: int
 
     def __len__(self) -> int:
         return self.bounds[-1]
@@ -145,20 +157,14 @@ def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
     return list(segments.values())
 
 
-def _foreign(bounds: Sequence[int]) -> np.ndarray:
-    """(P x N): row p holds 0 over passage p's positions and -inf over
-    the other passages'."""
-    owner = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    return np.where(owner == np.arange(len(bounds) - 1)[:, None], 0.0, -np.inf)
-
-
 def encode(
     seqs: TaggedSequence | Sequence[TaggedSequence],
     config: QGConfig,
     params: dict[str, Tensor],
 ) -> EncodedChunk:
     """Fused states (N x 2h) of one passage, or of a chunk of passages
-    packed end to end in one pass.
+    packed end to end in one pass, with the copy columns and passage
+    mask every decoder row reads.
 
     u = bidirectional pass over [word; meta] rows; A = softmax over
     rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t,
@@ -172,6 +178,8 @@ def encode(
         raise ValueError("empty generator input")
     lengths = [len(seq.surfaces) for seq in seqs]
     bounds = list(accumulate(lengths, initial=0))
+    owner = np.repeat(np.arange(len(seqs)), lengths)
+    foreign = np.where(owner == np.arange(len(seqs))[:, None], 0.0, -np.inf)
     words = ad.lookup(params["embed"], [i for seq in seqs for i in seq.base_ids])
     meta = ad.lookup(params["meta_embed"], [m for seq in seqs for m in seq.meta])
     U = run_bilstm(ad.concat([words, meta], axis=1), lengths, params, "enc",
@@ -179,8 +187,7 @@ def encode(
     scores = ad.matmul(U, ad.transpose(ad.matmul(U, params["att.Ws"])))
     if len(seqs) > 1:
         # each position takes the mask row of its own passage
-        owner = np.repeat(np.arange(len(seqs)), lengths)
-        scores = ad.add(scores, Tensor(_foreign(bounds)[owner]))
+        scores = ad.add(scores, Tensor(foreign[owner]))
     A = ad.softmax(scores, axis=1)
     S = ad.matmul(A, U)
     fused_in = ad.concat([U, S], axis=1)
@@ -189,7 +196,16 @@ def encode(
     states = ad.add(ad.mul(G, F), ad.mul(ad.sub(1.0, G), U))
     segments = [[first + j for j in seg]
                 for seq, first in zip(seqs, bounds) for seg in _copy_segments(seq.ids)]
-    return EncodedChunk(states=states, sources=list(seqs), bounds=bounds, segments=segments)
+    ids = np.concatenate([seq.ids for seq in seqs])
+    vocab_size = params["embed"].shape[0]
+    return EncodedChunk(
+        states=states, sources=list(seqs), bounds=bounds, segments=segments,
+        foreign=foreign, columns=ad.Segments(segments),
+        log_count=Tensor(np.log([len(seg) for seg in segments])[None, :]),
+        # a column's extended id is the id at its first position
+        index_map=np.concatenate([np.arange(vocab_size), ids[[seg[0] for seg in segments]]]),
+        width=vocab_size + max(len(seq.oov_words) for seq in seqs),
+    )
 
 
 def init_decoder_state(
@@ -226,54 +242,24 @@ def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     return ad.lookup(params["embed"], [t if t < vocab_size else UNK_ID for t in tokens])
 
 
-@dataclass
-class _CopyLayout:
-    """Where copy scores go, for one passage or for a chunk of passages
-    laid end to end: the copy segments, the (1 x S) row of the log of
-    each segment's size, the final-distribution column of each
-    combined-softmax column (the vocabulary, then one per segment), and
-    the final distribution's width."""
-
-    segments: ad.Segments
-    log_count: Tensor
-    index_map: np.ndarray
-    size: int
-
-
-def _copy_layout(encoded: EncodedChunk, vocab_size: int) -> _CopyLayout:
-    """The copy layout of the passages of ``encoded``.  Extended ids keep
-    their own passage's numbering, so the final distribution is as wide
-    as the vocabulary plus the longest OOV list."""
-    segments = ad.Segments(encoded.segments)
-    ids = np.concatenate([seq.ids for seq in encoded.sources])
-    return _CopyLayout(
-        segments=segments,
-        log_count=Tensor(np.log(np.bincount(segments.owner))[None, :]),
-        # a segment's extended id is the id at its first position
-        index_map=np.concatenate([np.arange(vocab_size),
-                                  ids[segments.order[segments.starts]]]),
-        size=vocab_size + max(len(seq.oov_words) for seq in encoded.sources),
-    )
-
-
-def _decoder_head(H: Tensor, states: Tensor, layout: _CopyLayout,
-                  params: dict[str, Tensor], mask: Tensor | None = None) -> DecodeStep:
+def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor],
+                  passages: Sequence[int] | None = None) -> DecodeStep:
     """Attention, generate + maxout copy scores and the regrouped final
     distribution for each row of the decoder states ``H`` (R x dh), over
-    the source ``states`` (N x 2h) that ``layout`` describes.  ``mask``
-    (R x N) holds 0 or -inf and is added to the attention scores before
-    both softmaxes, so that each row reads only its own passage."""
-    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(states))
-    if mask is not None:
-        raw = ad.add(raw, mask)
+    the passages of ``encoded``.  With ``passages``, row r reads only
+    passage ``passages[r]``: its row of ``encoded.foreign`` is added to
+    the attention scores before both softmaxes."""
+    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.states))
+    if passages is not None:
+        raw = ad.add(raw, Tensor(encoded.foreign[passages]))
     attn = ad.softmax(raw, axis=1)
-    context = ad.matmul(attn, states)
+    context = ad.matmul(attn, encoded.states)
     gen = linear(ad.concat([H, context], axis=1), params["out.W"], params["out.b"])
-    maxima, _ = ad.segment_max(raw, layout.segments)
+    maxima, _ = ad.segment_max(raw, encoded.columns)
     # c positions of a word copy with c * exp(max) = exp(max + log c)
-    copy = ad.add(maxima, layout.log_count)
+    copy = ad.add(maxima, encoded.log_count)
     combined = ad.softmax(ad.concat([gen, copy], axis=1), axis=1)
-    final = ad.scatter_sum(combined, layout.index_map, layout.size)
+    final = ad.scatter_sum(combined, encoded.index_map, encoded.width)
     return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
 
@@ -285,15 +271,15 @@ def decode_step(
     params: dict[str, Tensor],
 ) -> tuple[DecodeStep, tuple[Tensor, Tensor]]:
     """Recurrent update, bilinear attention, generate + maxout copy,
-    over the one passage of ``encoded``.
+    over the one passage of ``encoded``, through the copy columns
+    ``encode`` laid out; no passage mask is added.
 
     ``prev_token`` may be an extended id; it is clamped to [UNK] for the
     embedding lookup.  Each source word's copy logit is the maximum raw
     attention score over its positions plus the log of their count; the
     combined softmax is regrouped by word id into ``final_dist``."""
     h, c = lstm_step(_embed([prev_token], params), *state, params["dec.W"], params["dec.b"])
-    layout = _copy_layout(encoded, params["embed"].shape[0])
-    row = _decoder_head(h, encoded.states, layout, params)
+    row = _decoder_head(h, encoded, params)
     step = DecodeStep(*(ad.reshape(t, (t.shape[1],)) for t in (
         row.raw_attention, row.attention, row.generate_scores, row.final_dist)))
     return step, (h, c)
@@ -321,8 +307,7 @@ def sequence_loss(
     h0, c0 = init_decoder_state(encoded, config, params)
     H, _ = lstm_step(_embed([SOS_ID, *targets[:-1]], params), h0, c0,
                      params["dec.W"], params["dec.b"])
-    layout = _copy_layout(encoded, params["embed"].shape[0])
-    step = _decoder_head(H, encoded.states, layout, params)
+    step = _decoder_head(H, encoded, params)
     return ad.cross_entropy(step.final_dist, list(targets))
 
 
@@ -458,8 +443,6 @@ def _decode_chunk(
     seqs = [build_qg_input(ex, iw, vocab, insert_iw=config.insert_iw) for ex, iw in pairs]
     encoded = encode(seqs, config, params)
     h0, c0 = init_decoder_state(encoded, config, params)
-    layout = _copy_layout(encoded, vocab_size)
-    bounds, foreign = encoded.bounds, _foreign(encoded.bounds)
     h, c = h0.data, c0.data
     # beam item: (cost, id sequence, prev id, state row, attention rows, done)
     beams = [[(0.0, [], SOS_ID, e, [], False)] for e in range(len(pairs))]
@@ -470,8 +453,7 @@ def _decode_chunk(
         rows = [b[3] for _, b in live]
         h_t, c_t = lstm_step(_embed([b[2] for _, b in live], params), Tensor(h[rows]),
                              Tensor(c[rows]), params["dec.W"], params["dec.b"])
-        mask = Tensor(foreign[[e for e, _ in live]]) if len(pairs) > 1 else None
-        step = _decoder_head(h_t, encoded.states, layout, params, mask)
+        step = _decoder_head(h_t, encoded, params, [e for e, _ in live])
         h, c = h_t.data, c_t.data
         dist, attention = step.final_dist.data, step.attention.data
         # a stable sort ranks tied ids in id order, as np.argmax does; a
@@ -491,7 +473,7 @@ def _decode_chunk(
                 if done:
                     candidates.append(beam)
                     continue
-                row = attention[r, bounds[e] : bounds[e + 1]].copy()
+                row = attention[r, encoded.bounds[e] : encoded.bounds[e + 1]].copy()
                 for tid, step_cost in zip(top[r][:width], nll[r]):
                     if tid == EOS_ID:
                         candidates.append((cost + step_cost, ids, tid, r, att, True))

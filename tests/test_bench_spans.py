@@ -75,3 +75,35 @@ def test_traced_sweep_decodes_each_pair_once(tmp_path):
     assert len(set(handed)) == len(handed) > 0
     # 10 examples x 3 accuracies x 2 seeds cells share the decodes
     assert names.count("classifier.oracle_classifier") == 60 > len(handed)
+
+
+def test_traced_training_records_each_layer(tmp_path):
+    # a refactor that moves a call off the module attribute the tracer
+    # wraps leaves these spans, and the metrics built on them, empty
+    from qgkit import cli
+
+    prep = tmp_path / "prep"
+    corpus = ROOT / "src" / "qgkit" / "assets" / "overfit10.jsonl"
+    assert cli.main(["prepare", "--data", str(corpus), "--out", str(prep)]) == 0
+    ini = tmp_path / "one_epoch.ini"
+    ini.write_text("[classifier]\nepochs = 1\n\n[qg]\nepochs = 1\n")
+    taped = {"autodiff.backward", "autodiff.adam_step", "layers.lstm_step"}
+    want = {
+        "classifier": taped | {"classifier.classify", "classifier.encode_summary"},
+        "qg": taped | {"generator.sequence_loss", "generator.encode"},
+    }
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        for kind in want:
+            with tracer.root(kind):
+                assert cli.main(["train", "--kind", kind, "--config", str(ini),
+                                 "--data", str(prep / f"{kind}_train.jsonl"),
+                                 "--vocab", str(prep / "vocab.txt"),
+                                 "--out", str(tmp_path / kind)]) == 0
+    finally:
+        tracer.uninstall()
+    for kind, names in want.items():
+        seen = {s[0] for s in tracer.spans if s is not None and s[5] == kind}
+        assert names <= seen, sorted(names - seen)

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qgkit import autodiff as ad
 from qgkit.classifier import (
     ClassifierConfig,
+    _class_distribution,
+    _mean_loss,
     classify,
     encode_summary,
     eval_classifier,
@@ -235,6 +238,31 @@ class TestTraining:
     def test_empty_dataset_rejected(self, vocab):
         with pytest.raises(ValueError):
             train_classifier([], small_config(), vocab)
+
+    @pytest.mark.parametrize("flags", [{}, dict(use_answer_tagging=True, use_answer_embedding=True,
+                                               use_entity_type=True)],
+                             ids=["plain", "AT+AE+NER"])
+    def test_mean_loss_matches_per_example_mean_on_mini200(self, flags):
+        mini = bundled_corpus("mini200")
+        mini_vocab = Vocabulary.build(mini)
+        cfg = ClassifierConfig(**flags)
+        params = init_classifier(cfg, len(mini_vocab), np.random.default_rng(11)).tensors
+        alone = [ad.cross_entropy(_class_distribution([ex], cfg, params, mini_vocab),
+                                  int(ex.iw_class)).item() for ex in mini]
+        assert _mean_loss(mini, cfg, params, mini_vocab) == pytest.approx(
+            math.fsum(alone) / len(alone), rel=1e-12, abs=0)
+
+    def test_epoch0_loss_is_mean_loss_of_train_split(self, corpus, vocab):
+        cfg = small_config(epochs=1)
+        _, log = train_classifier(corpus, cfg, vocab)
+        # the trainer's seeded draws: initial parameters, then the split,
+        # whose first tenth is the dev set
+        init_rng, split_rng, _ = (np.random.default_rng(s)
+                                  for s in np.random.SeedSequence(cfg.seed).spawn(3))
+        params = init_classifier(cfg, len(vocab), init_rng)
+        order = split_rng.permutation(len(corpus))
+        train = [corpus[i] for i in order[len(corpus) // 10 :]]
+        assert log[0]["train_loss"] == _mean_loss(train, cfg, params.tensors, vocab)
 
 
 class TestEvalClassifier:

@@ -35,7 +35,6 @@ from qgkit.data import (
 from qgkit.gradcheck import check_gradients
 from qgkit.generator import (
     QGConfig,
-    _copy_layout,
     _copy_segments,
     _decoder_head,
     decode_step,
@@ -206,6 +205,30 @@ class TestEncode:
                                 for seq, start in zip(seqs, enc.bounds)
                                 for seg in _copy_segments(seq.ids)]
 
+    def test_chunk_layout_is_each_passage_layout_offset(self):
+        # the decoder's copy columns, passage mask and widths for a chunk
+        # are what each passage gives alone, moved to packed positions
+        cfg, params, _, vocab_size, rng = random_model_and_seq(6)
+        seqs = [random_sequence(rng, vocab_size, n, max_oov=3) for n in (5, 2, 7)]
+        enc = encode(seqs, cfg, params)
+        alone = [encode(seq, cfg, params) for seq in seqs]
+        assert enc.foreign.shape == (3, len(enc))
+        for p, (start, end) in enumerate(zip(enc.bounds, enc.bounds[1:])):
+            assert not enc.foreign[p, start:end].any()
+            assert np.all(np.delete(enc.foreign[p], np.arange(start, end)) == -np.inf)
+        np.testing.assert_array_equal(
+            enc.columns.order,
+            np.concatenate([one.columns.order + start for one, start in zip(alone, enc.bounds)]))
+        np.testing.assert_array_equal(
+            enc.log_count.data, np.concatenate([one.log_count.data for one in alone], axis=1))
+        np.testing.assert_array_equal(
+            enc.index_map,
+            np.concatenate([np.arange(vocab_size)] + [one.index_map[vocab_size:] for one in alone]))
+        assert enc.width == max(one.width for one in alone)
+        assert [one.width for one in alone] == [vocab_size + len(seq.oov_words) for seq in seqs]
+        for one in alone:
+            assert not one.foreign.any() and one.foreign.shape == (1, len(one))
+
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_empty_passage_in_chunk_rejected(self, where):
         cfg, params, _, vocab_size, rng = random_model_and_seq(0)
@@ -273,12 +296,8 @@ class TestDecodeStep:
             for ids, oov in sources], cfg, params)
         bounds = enc.bounds
         owner = [0, 0, 1, 1, 1]
-        mask = np.full((len(owner), bounds[-1]), -np.inf)
-        for r, e in enumerate(owner):
-            mask[r, bounds[e] : bounds[e + 1]] = 0.0
         H = ad.Tensor(rng.standard_normal((len(owner), cfg.decoder_hidden)))
-        step = _decoder_head(H, enc.states, _copy_layout(enc, vocab_size), params,
-                             ad.Tensor(mask))
+        step = _decoder_head(H, enc, params, owner)
         dist = step.final_dist.data
         assert dist.shape == (len(owner), vocab_size + 2)
         for r, e in enumerate(owner):
@@ -439,7 +458,8 @@ def test_training_tapes_stay_small():
         ops = [e.op for e in tape.entries]
         assert len(ops) <= 45 and ops.count("lstm_step") == 3
         with Tape() as tape:
-            ad.cross_entropy(_class_distribution(ex, cls_cfg, cls_params, vocab), int(ex.iw_class))
+            ad.cross_entropy(_class_distribution([ex], cls_cfg, cls_params, vocab),
+                             int(ex.iw_class))
         assert len(tape) <= 14
 
 
