@@ -4,10 +4,11 @@ The encoder runs a bidirectional recurrent pass over word-plus-role
 embeddings, then refines each state with gated self-attention: every
 position attends over its whole passage through a bilinear form and a
 fusion gate interpolates between the raw and the attended state.  It
-encodes a chunk of passages packed end to end in one pass: one recurrent
-pass per direction for all of them, and one self-attention product
-masked so that each position reads only its own passage.  The
-decoder attends over the fused states, scores generation over the fixed
+encodes a chunk of passages packed end to end: one recurrent pass per
+direction for all of them, then self-attention one passage at a time
+over that passage's own rows, so a chunk costs the sum of its passages'
+squared lengths, not the square of its total length.  The decoder
+attends over the fused states, scores generation over the fixed
 vocabulary, and scores copying once per distinct source word: the
 maximum attention over the word's positions plus the log of how many
 there are, so a word seen c times weighs c times its best position.  One
@@ -18,15 +19,16 @@ extended ids.
 Training is teacher-forced on the gold question with the gold
 interrogative class inserted into the source; inference inserts the
 predicted class instead.  The decoder's only input is the previous
-token, so one decoder serves both: training feeds it every gold token in
-one pass and scores all targets at once, and a decoding step feeds it one
-token per row.
+token, so one decoder serves both: a teacher-forced pass feeds it every
+gold token of a chunk of pairs in one packed recurrence and scores all
+targets at once, and a decoding step feeds it one token per row.
 
-Inference has one batched decoder, ``generate_batch``.  It encodes the
-passages of a chunk of (example, class) pairs in one pass, runs each
-step with one row per live beam of every pair, and masks each row to its
-own passage, so a pair decodes as it would alone.  ``generate`` is the
-chunk of one, and training encodes a chunk of one.
+Both work on chunks of pairs, each row masked to its own passage, so a
+pair scores and decodes as it would alone.  ``generate_batch`` encodes
+the passages of a chunk of (example, class) pairs together and runs each
+step with one row per live beam of every pair; ``generate`` is the chunk
+of one.  ``qg_loss`` scores a chunk of (source, targets) pairs per
+``sequence_loss`` call, and the taped training step is the chunk of one.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .data import (
     build_qg_input,
     tokenize,
 )
-from .layers import init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm
+from .layers import init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm, run_lstm
 from .persist import InputError, ModelConfig, ModelParams, build_model
 
 __all__ = [
@@ -157,21 +159,27 @@ def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
     return list(segments.values())
 
 
+def _self_attend(U: Tensor, params: dict[str, Tensor]) -> Tensor:
+    """S = A U over the rows of one passage, A = softmax(U (U Ws)')."""
+    return ad.matmul(ad.softmax(ad.matmul(U, ad.transpose(ad.matmul(U, params["att.Ws"]))),
+                                axis=1), U)
+
+
 def encode(
     seqs: TaggedSequence | Sequence[TaggedSequence],
     config: QGConfig,
     params: dict[str, Tensor],
 ) -> EncodedChunk:
     """Fused states (N x 2h) of one passage, or of a chunk of passages
-    packed end to end in one pass, with the copy columns and passage
-    mask every decoder row reads.
+    packed end to end, with the copy columns and passage mask every
+    decoder row reads.
 
     u = bidirectional pass over [word; meta] rows; A = softmax over
     rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t,
     j ranging over t's own passage; S = A U; f = tanh([u; s] Wf + bf),
-    g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u.  For a
-    chunk, one (N x N) product scores every pair of positions and a
-    block-diagonal -inf mask keeps each row to its own passage."""
+    g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u.  The
+    recurrence is one packed pass for the whole chunk; A and S are taken
+    per passage, over its own rows of U, and S is one concat of them."""
     if isinstance(seqs, TaggedSequence):
         seqs = [seqs]
     if not seqs or not all(seq.surfaces for seq in seqs):
@@ -184,12 +192,11 @@ def encode(
     meta = ad.lookup(params["meta_embed"], [m for seq in seqs for m in seq.meta])
     U = run_bilstm(ad.concat([words, meta], axis=1), lengths, params, "enc",
                    config.encoder_hidden)
-    scores = ad.matmul(U, ad.transpose(ad.matmul(U, params["att.Ws"])))
-    if len(seqs) > 1:
-        # each position takes the mask row of its own passage
-        scores = ad.add(scores, Tensor(foreign[owner]))
-    A = ad.softmax(scores, axis=1)
-    S = ad.matmul(A, U)
+    if len(seqs) == 1:
+        S = _self_attend(U, params)
+    else:
+        S = ad.concat([_self_attend(ad.lookup(U, range(start, end)), params)
+                       for start, end in zip(bounds, bounds[1:])], axis=0)
     fused_in = ad.concat([U, S], axis=1)
     F = ad.tanh(linear(fused_in, params["fuse.f.W"], params["fuse.f.b"]))
     G = ad.sigmoid(linear(fused_in, params["fuse.g.W"], params["fuse.g.b"]))
@@ -292,45 +299,53 @@ def target_ids(question_tokens: Sequence[str], vocab: Vocabulary,
     return [vocab.extended_id(t, oov_words) for t in question_tokens] + [EOS_ID]
 
 
+# pairs decoded or scored together.  Their passages are encoded together,
+# packed end to end; a decoder step costs R x N over them (R rows: live
+# beams when decoding, every target token when scoring; N source
+# positions), so a chunk stays small
+_CHUNK = 16
+
+
 def sequence_loss(
-    seq: TaggedSequence,
-    targets: Sequence[int],
+    seqs: TaggedSequence | Sequence[TaggedSequence],
+    targets: Sequence[int] | Sequence[Sequence[int]],
     config: QGConfig,
     params: dict[str, Tensor],
 ) -> Tensor:
-    """Mean per-token cross-entropy of a teacher-forced pass.  Every
-    decoder input is a gold token, so the recurrence is one pass over
-    [SOS] + targets[:-1] and the head scores all targets at once."""
-    if not targets:
+    """Mean per-token cross-entropy of a teacher-forced pass over one
+    source and its targets, or over a chunk of sources, ``targets[p]``
+    being passage p's, every target of the chunk weighing the same.
+    Every decoder input is a gold token, so the recurrence is one
+    ``run_lstm`` over each pair's [SOS] + targets[:-1], packed as
+    ``encode`` packs the passages, and the head scores all targets at
+    once, each row reading only its own passage."""
+    if isinstance(seqs, TaggedSequence):
+        seqs, targets = [seqs], [targets]
+    if not all(targets):
         raise ValueError("empty target sequence")
-    encoded = encode(seq, config, params)
+    encoded = encode(seqs, config, params)
     h0, c0 = init_decoder_state(encoded, config, params)
-    H, _ = lstm_step(_embed([SOS_ID, *targets[:-1]], params), h0, c0,
-                     params["dec.W"], params["dec.b"])
-    step = _decoder_head(H, encoded, params)
-    return ad.cross_entropy(step.final_dist, list(targets))
-
-
-def _example_source_and_targets(
-    example: Example, config: QGConfig, vocab: Vocabulary
-) -> tuple[TaggedSequence, list[int]]:
-    seq = build_qg_input(example, example.iw_class, vocab, insert_iw=config.insert_iw)
-    return seq, target_ids(tokenize(example.question), vocab, seq.oov_words)
+    lengths = [len(t) for t in targets]
+    H = run_lstm(_embed([i for t in targets for i in (SOS_ID, *t[:-1])], params), lengths,
+                 h0, c0, params["dec.W"], params["dec.b"])
+    passages = None if len(seqs) == 1 else np.repeat(np.arange(len(seqs)), lengths)
+    step = _decoder_head(H, encoded, params, passages)
+    return ad.cross_entropy(step.final_dist, [i for t in targets for i in t])
 
 
 def qg_loss(
-    dataset: Sequence[Example],
+    pairs: Sequence[tuple[TaggedSequence, Sequence[int]]],
     config: QGConfig,
     params: dict[str, Tensor],
-    vocab: Vocabulary,
 ) -> float:
-    """Corpus per-token loss (total cross-entropy / total target tokens)
-    under gold-class insertion, without recording gradients."""
-    total, count = 0.0, 0
-    for ex in dataset:
-        seq, targets = _example_source_and_targets(ex, config, vocab)
-        total += sequence_loss(seq, targets, config, params).item() * len(targets)
-        count += len(targets)
+    """Per-token loss (total cross-entropy / total target tokens) of
+    (source, targets) pairs, one ``sequence_loss`` call per chunk of
+    pairs, without recording gradients."""
+    total = 0.0
+    for start in range(0, len(pairs), _CHUNK):
+        seqs, targets = zip(*pairs[start : start + _CHUNK])
+        total += sequence_loss(seqs, targets, config, params).item() * sum(map(len, targets))
+    count = sum(len(targets) for _, targets in pairs)
     return total / count if count else 0.0
 
 
@@ -353,8 +368,11 @@ def train_qg(
     init_rng, order_rng = (np.random.default_rng(s) for s in ss.spawn(2))
     params = build_model(init_qg, config, len(vocab), init_rng)
     state = AdamState()
-    log = [{"epoch": 0, "per_token_loss": qg_loss(dataset, config, params.tensors, vocab)}]
-    prepared = [_example_source_and_targets(ex, config, vocab) for ex in dataset]
+    prepared = []
+    for ex in dataset:
+        seq = build_qg_input(ex, ex.iw_class, vocab, insert_iw=config.insert_iw)
+        prepared.append((seq, target_ids(tokenize(ex.question), vocab, seq.oov_words)))
+    log = [{"epoch": 0, "per_token_loss": qg_loss(prepared, config, params.tensors)}]
     for epoch in range(1, config.epochs + 1):
         total, count = 0.0, 0
         for i in order_rng.permutation(len(prepared)):
@@ -387,12 +405,6 @@ class GenerationResult:
     @property
     def text(self) -> str:
         return " ".join(self.tokens)
-
-
-# pairs decoded together.  Their passages are encoded in one pass, packed
-# end to end; a decoder step costs R x N over them (R live beams, N source
-# positions), so a chunk stays small
-_CHUNK = 16
 
 
 def generate(

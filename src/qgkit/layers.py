@@ -1,10 +1,12 @@
 """Recurrent building blocks shared by the classifier and the generator.
 
-A bidirectional pass reads P sequences packed end to end in the rows of
-one (N x dim) matrix and is two ``lstm_step`` ops, one per direction,
-each running every sequence as one of P state rows in one tape entry.
-One sequence (P = 1) is read as it is; more are laid out step-major and
-padded to the longest, and a padding row is never read.
+``run_lstm`` reads P sequences packed end to end in the rows of one
+(N x dim) matrix as one ``lstm_step`` op in one direction, each sequence
+one of P state rows, from given initial states.  One sequence (P = 1) is
+read as it is; more are laid out step-major and padded to the longest,
+and a padding row is never read.  A bidirectional pass is ``run_lstm``
+once per direction from zero states; the generator's teacher-forced
+decoder is ``run_lstm`` from its bridged states.
 
 All state is carried in plain ``{name: Tensor}`` dicts so checkpoints,
 the optimizer, and gradient checks can treat every model uniformly.
@@ -22,6 +24,7 @@ __all__ = [
     "init_lstm",
     "lstm_step",
     "run_bilstm",
+    "run_lstm",
     "init_bilstm",
     "init_linear",
     "linear",
@@ -40,6 +43,37 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str
     }
 
 
+def run_lstm(X: Tensor, lengths: Sequence[int], h0: Tensor, c0: Tensor, W: Tensor, b: Tensor,
+             reverse: bool = False) -> Tensor:
+    """One direction of an LSTM over sequences packed end to end in the
+    rows of ``X`` (N x in), sequence p being the next ``lengths[p]`` rows
+    and starting from row p of ``h0`` and ``c0`` (P x d); one
+    ``lstm_step`` advances all P of them as its state rows, last step to
+    first if ``reverse``.  Returns the (N x d) hidden states in the same
+    packed layout.
+
+    One sequence is read as it is.  Several are gathered step-major over
+    the longest length, left-aligned, or right-aligned if ``reverse``, so
+    each reaches its padding only after its last real step.  A padding
+    slot repeats a real row of its sequence: no real state depends on it,
+    its output is never read, and it gets no gradient."""
+    k = len(lengths)
+    if min(lengths, default=0) < 1 or sum(lengths) != X.shape[0] or h0.shape[0] != k:
+        raise ValueError(f"run_lstm: lengths {list(lengths)} do not split {X.shape[0]} rows "
+                         f"into {h0.shape[0]} sequences")
+    if k == 1:
+        return lstm_step(X, h0, c0, W, b, reverse=reverse)[0]
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    shift = lengths.max() - lengths if reverse else np.zeros_like(lengths)
+    t = np.arange(lengths.max())[:, None] - shift  # each step's position in each sequence
+    H, _ = lstm_step(lookup(X, (starts + np.clip(t, 0, lengths - 1)).ravel()),
+                     h0, c0, W, b, reverse=reverse)
+    # the step-major slot of each packed row
+    seq = np.repeat(np.arange(k), lengths)
+    return lookup(H, (np.arange(len(seq)) - starts[seq] + shift[seq]) * k + seq)
+
+
 def run_bilstm(
     X: Tensor,
     lengths: Sequence[int],
@@ -48,40 +82,14 @@ def run_bilstm(
     hidden: int,
 ) -> Tensor:
     """Bidirectional pass over sequences packed end to end in the rows
-    of ``X`` (N x in), sequence p being the next ``lengths[p]`` rows;
-    one ``lstm_step`` per direction advances all P of them as its state
-    rows.  Returns the (N x 2*hidden) states in the same packed layout,
-    the row of each position holding [forward; backward].
-
-    One sequence is read as it is.  Several are gathered step-major over
-    the longest length, the forward input left-aligned and the backward
-    input right-aligned, so both directions reach a sequence's padding
-    only after its last real step.  A padding slot repeats a real row of
-    its sequence: no real state depends on it, its output is never read,
-    and it gets no gradient."""
-    if min(lengths, default=0) < 1 or sum(lengths) != X.shape[0]:
-        raise ValueError(f"run_bilstm: lengths {list(lengths)} do not split "
-                         f"{X.shape[0]} rows into sequences")
-    k = len(lengths)
-    fwd_x = bwd_x = X
-    if k > 1:
-        lengths = np.asarray(lengths)
-        starts = np.cumsum(lengths) - lengths
-        n_max = int(lengths.max())
-        shift = n_max - lengths  # the step at which each backward input starts
-        t = np.arange(n_max)[:, None]
-        fwd_x = lookup(X, (starts + np.minimum(t, lengths - 1)).ravel())
-        bwd_x = lookup(X, (starts + np.maximum(t - shift, 0)).ravel())
-    zeros = Tensor(np.zeros((k, hidden)))
-    fwd, _ = lstm_step(fwd_x, zeros, zeros, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"])
-    bwd, _ = lstm_step(bwd_x, zeros, zeros, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"],
-                       reverse=True)
-    if k > 1:
-        # the step-major slot of each packed row
-        seq = np.repeat(np.arange(k), lengths)
-        pos = np.arange(len(seq)) - starts[seq]
-        fwd = lookup(fwd, pos * k + seq)
-        bwd = lookup(bwd, (pos + shift[seq]) * k + seq)
+    of ``X`` (N x in), sequence p being the next ``lengths[p]`` rows:
+    ``run_lstm`` once per direction from zero states.  Returns the
+    (N x 2*hidden) states in the same packed layout, the row of each
+    position holding [forward; backward]."""
+    zeros = Tensor(np.zeros((len(lengths), hidden)))
+    fwd = run_lstm(X, lengths, zeros, zeros, params[f"{prefix}.fwd.W"], params[f"{prefix}.fwd.b"])
+    bwd = run_lstm(X, lengths, zeros, zeros, params[f"{prefix}.bwd.W"], params[f"{prefix}.bwd.b"],
+                   reverse=True)
     return concat([fwd, bwd], axis=1)
 
 

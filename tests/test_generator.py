@@ -6,6 +6,7 @@ the whole teacher-forced graph against central finite differences.
 """
 
 import dataclasses
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -34,6 +35,7 @@ from qgkit.data import (
 )
 from qgkit.gradcheck import check_gradients
 from qgkit.generator import (
+    _CHUNK,
     QGConfig,
     _copy_segments,
     _decoder_head,
@@ -73,6 +75,15 @@ def random_sequence(rng, vocab_size, n, max_oov=2):
     meta = [int(rng.integers(0, 3)) for _ in range(n)]
     return TaggedSequence(surfaces=surfaces, ids=ids, base_ids=base_ids,
                           meta=meta, oov_words=oov_words)
+
+
+def gold_pairs(examples, vocab):
+    """(source, targets) of each example under gold-class insertion."""
+    pairs = []
+    for ex in examples:
+        seq = build_qg_input(ex, ex.iw_class, vocab)
+        pairs.append((seq, target_ids(tokenize(ex.question), vocab, seq.oov_words)))
+    return pairs
 
 
 def capped_scores(step, enc):
@@ -237,6 +248,37 @@ class TestEncode:
                                           oov_words=[]))
         with pytest.raises(ValueError, match="empty generator input"):
             encode(seqs, cfg, params)
+
+    def test_chunk_memory_grows_with_its_passages(self):
+        # 16 mini200 passages tiled to 110 tokens each.  A chunk holds
+        # every passage's rows at once, so its peak may grow with the
+        # number of passages P, but not with P squared, as one (N x N)
+        # self-attention product over the whole chunk would: that took
+        # ~150 times one passage's peak here, and per-passage attention
+        # ~12 times, so the bound is P times
+        corpus = bundled_corpus("mini200")
+        vocab = Vocabulary.build(corpus)
+        cfg = QGConfig()
+        params = init_qg(cfg, len(vocab), np.random.default_rng(0)).tensors
+
+        def tiled(seq, n=110):
+            def cut(xs):
+                return (list(xs) * -(-n // len(xs)))[:n]
+            return TaggedSequence(surfaces=cut(seq.surfaces), ids=cut(seq.ids),
+                                  base_ids=cut(seq.base_ids), meta=cut(seq.meta),
+                                  oov_words=seq.oov_words)
+
+        def peak(seqs):
+            tracemalloc.start()
+            try:
+                encode(seqs, cfg, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        seqs = [tiled(seq) for seq, _ in gold_pairs(corpus[:16], vocab)]
+        chunk, one = peak(seqs), peak(seqs[0])
+        assert chunk < len(seqs) * one, (chunk, one)
 
     def test_copy_segment_grouping(self):
         ids = [5, 9, 5, 14, 9]
@@ -478,6 +520,14 @@ class TestTargets:
         with pytest.raises(ValueError):
             sequence_loss(seq, [], cfg, params)
 
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_empty_targets_in_chunk_rejected(self, where):
+        cfg, params, seq, targets = fd_instance(0)
+        chunk = [targets, targets]
+        chunk.insert(where, [])
+        with pytest.raises(ValueError, match="empty target sequence"):
+            sequence_loss([seq] * 3, chunk, cfg, params)
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -496,12 +546,39 @@ class TestTraining:
         # random init is only approximately uniform, hence the loose band
         cfg = QGConfig(seed=0)
         params = init_qg(cfg, len(vocab), np.random.default_rng(0))
-        loss0 = qg_loss(corpus, cfg, params.tensors, vocab)
-        expected = np.mean([
-            np.log(len(vocab) + len(build_qg_input(ex, ex.iw_class, vocab).oov_words))
-            for ex in corpus
-        ])
+        pairs = gold_pairs(corpus, vocab)
+        loss0 = qg_loss(pairs, cfg, params.tensors)
+        expected = np.mean([np.log(len(vocab) + len(seq.oov_words)) for seq, _ in pairs])
         assert abs(loss0 - expected) < 0.5
+
+    def test_chunked_loss_matches_per_example_mean_on_mini200(self):
+        # a vocabulary of the first half leaves the second half's passages
+        # with OOV words; 40 pairs make two full chunks and a short one
+        mini = bundled_corpus("mini200")
+        vocab = Vocabulary.build(mini[:100])
+        examples = mini[100:140]
+        assert len(examples) % _CHUNK
+        # one question of one token, and one copying a passage's second
+        # OOV word, whose extended id lies beyond the width of every
+        # passage with fewer OOV words
+        copier = next(i for i, (seq, _) in enumerate(gold_pairs(examples, vocab))
+                      if len(seq.oov_words) == 2)
+        oov = gold_pairs([examples[copier]], vocab)[0][0].oov_words[1]
+        examples[copier] = dataclasses.replace(examples[copier], question=f"what is {oov} ?")
+        examples[3] = dataclasses.replace(examples[3], question="why")
+        pairs = gold_pairs(examples, vocab)
+        assert pairs[3][1] == [vocab.id("why"), EOS_ID]
+        assert len(vocab) + 1 in pairs[copier][1]
+        chunk = pairs[copier // _CHUNK * _CHUNK :][:_CHUNK]
+        assert any(len(seq.oov_words) < 2 for seq, _ in chunk)
+        assert len({len(targets) for _, targets in pairs}) >= 3
+
+        cfg = QGConfig()
+        params = init_qg(cfg, len(vocab), np.random.default_rng(3)).tensors
+        total = sum(sequence_loss(seq, targets, cfg, params).item() * len(targets)
+                    for seq, targets in pairs)
+        assert qg_loss(pairs, cfg, params) == pytest.approx(
+            total / sum(len(targets) for _, targets in pairs), rel=1e-12, abs=0)
 
     def test_loss_decreases(self, corpus, vocab):
         cfg = tiny_config(epochs=3)

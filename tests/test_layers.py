@@ -1,16 +1,17 @@
-"""Tests for the packed bidirectional pass.
+"""Tests for the packed recurrent passes.
 
-``run_bilstm`` over several sequences packed end to end is checked
-against the same pass over each sequence alone, and its taped form
-against central finite differences.
+``run_bilstm``, and ``run_lstm`` in each direction from non-zero initial
+states, over several sequences packed end to end are checked against
+the same pass over each sequence alone, and their taped forms against
+central finite differences.
 """
 
 import numpy as np
 import pytest
 
-from qgkit.autodiff import Tape, Tensor, backward, mul, reduce_sum
+from qgkit.autodiff import Tape, Tensor, backward, concat, mul, reduce_sum
 from qgkit.gradcheck import check_gradients
-from qgkit.layers import init_bilstm, run_bilstm
+from qgkit.layers import init_bilstm, run_bilstm, run_lstm
 
 IN, HIDDEN = 3, 4
 
@@ -22,18 +23,37 @@ def _setup(seed, lengths):
     return params, X
 
 
+def _passes(params):
+    """Each pass under test as (X, lengths, h0, c0) -> states: the
+    bidirectional one, which starts from zeros, and one direction each
+    way from ``h0``/``c0``."""
+    def lstm(reverse):
+        return lambda X, lengths, h0, c0: run_lstm(X, lengths, h0, c0, params["enc.fwd.W"],
+                                                   params["enc.fwd.b"], reverse=reverse)
+    return [lambda X, lengths, h0, c0: run_bilstm(X, lengths, params, "enc", HIDDEN),
+            lstm(False), lstm(True)]
+
+
+def _states(seed, k):
+    rng = np.random.default_rng(seed)
+    return Tensor(rng.normal(size=(k, HIDDEN))), Tensor(rng.normal(size=(k, HIDDEN)))
+
+
 @pytest.mark.parametrize("lengths", [[3, 1, 5, 2], [4, 4, 4], [1], [2, 1, 2]],
                          ids=["mixed", "equal", "single-length-1", "length-1-inside"])
 def test_packed_matches_one_sequence_at_a_time(lengths):
     params, X = _setup(0, lengths)
-    packed = run_bilstm(X, lengths, params, "enc", HIDDEN)
-    assert packed.shape == (sum(lengths), 2 * HIDDEN)
-    start = 0
-    for n in lengths:
-        alone = run_bilstm(Tensor(X.data[start : start + n]), [n], params, "enc", HIDDEN)
-        np.testing.assert_allclose(packed.data[start : start + n], alone.data,
-                                   rtol=1e-12, atol=0)
-        start += n
+    h0, c0 = _states(10, len(lengths))
+    for run, width in zip(_passes(params), (2 * HIDDEN, HIDDEN, HIDDEN)):
+        packed = run(X, lengths, h0, c0)
+        assert packed.shape == (sum(lengths), width)
+        start = 0
+        for p, n in enumerate(lengths):
+            alone = run(Tensor(X.data[start : start + n]), [n],
+                        Tensor(h0.data[p : p + 1]), Tensor(c0.data[p : p + 1]))
+            np.testing.assert_allclose(packed.data[start : start + n], alone.data,
+                                       rtol=1e-12, atol=0)
+            start += n
 
 
 def test_one_sequence_tapes_no_gather():
@@ -51,28 +71,32 @@ def test_lengths_must_split_rows(lengths):
 
 
 def test_packed_gradients_vs_finite_differences():
+    # the bidirectional pass, then one direction each way from h0/c0
     lengths = [3, 1, 4]
     params, X = _setup(3, lengths)
-    weights = Tensor(np.linspace(-1.0, 1.2, sum(lengths) * 2 * HIDDEN)
-                     .reshape(sum(lengths), 2 * HIDDEN))
+    h0, c0 = _states(13, len(lengths))
+    weights = Tensor(np.linspace(-1.0, 1.2, sum(lengths) * 4 * HIDDEN)
+                     .reshape(sum(lengths), 4 * HIDDEN))
 
     def loss():
-        return reduce_sum(mul(run_bilstm(X, lengths, params, "enc", HIDDEN), weights))
+        states = [run(X, lengths, h0, c0) for run in _passes(params)]
+        return reduce_sum(mul(concat(states, axis=1), weights))
 
     with Tape() as tape:
         out = loss()
     backward(tape, out)
-    inputs = [X, *params.values()]
+    inputs = [X, h0, c0, *params.values()]
     assert check_gradients(lambda: loss().item(), inputs) < 1e-6
 
     # each direction reads a step-major (n_max * P) input; a sequence's
     # padding slots follow its last real step, so they get no gradient
     n, k = max(lengths), len(lengths)
-    fwd_x, bwd_x = (e.inputs[0] for e in tape.entries if e.op == "lstm_step")
-    for t in range(n):
-        for p, length in enumerate(lengths):
-            assert np.any(fwd_x.grad[t * k + p]) == (t < length), (t, p)
-            assert np.any(bwd_x.grad[t * k + p]) == (t >= n - length), (t, p)
+    steps = [e.inputs[0] for e in tape.entries if e.op == "lstm_step"]
+    for fwd_x, bwd_x in (steps[:2], steps[2:]):
+        for t in range(n):
+            for p, length in enumerate(lengths):
+                assert np.any(fwd_x.grad[t * k + p]) == (t < length), (t, p)
+                assert np.any(bwd_x.grad[t * k + p]) == (t >= n - length), (t, p)
 
 
 def test_padding_values_do_not_reach_real_rows():
