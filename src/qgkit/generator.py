@@ -125,21 +125,20 @@ class EncodedChunk:
     """Fused encoder states of a chunk of passages packed end to end,
     plus everything a decoder row reads besides them.
 
-    Passage p is ``sources[p]``, at rows ``bounds[p]:bounds[p + 1]`` of
-    the (N x 2h) ``states``.  ``segments`` groups each passage's
-    positions by extended word id (passages in order, words in first
-    occurrence order), in packed positions; each segment is one copy
-    column of the decoder, and ``columns`` lays them out for
-    ``segment_max``.  Row p of the (P x N) ``foreign`` holds 0 over
-    passage p's positions and -inf over the others'.  ``log_count``
-    (1 x S) is the log of each column's size, ``index_map`` the
-    final-distribution id of each combined-softmax column (the
-    vocabulary, then one per copy column), and ``width`` the final
-    distribution's width: extended ids keep their own passage's
-    numbering, so it is the vocabulary plus the longest OOV list."""
+    Passage p is at rows ``bounds[p]:bounds[p + 1]`` of the (N x 2h)
+    ``states``.  ``segments`` groups each passage's positions by
+    extended word id (passages in order, words in first occurrence
+    order), in packed positions; each segment is one copy column of the
+    decoder, and ``columns`` lays them out for ``segment_max``.  Row p
+    of the (P x N) ``foreign`` holds 0 over passage p's positions and
+    -inf over the others'.  ``log_count`` (1 x S) is the log of each
+    column's size, ``index_map`` the final-distribution id of each
+    combined-softmax column (the vocabulary, then one per copy column),
+    and ``width`` the final distribution's width: extended ids keep their
+    own passage's numbering, so it is the vocabulary plus the longest OOV
+    list."""
 
     states: Tensor
-    sources: list[TaggedSequence]
     bounds: list[int]
     segments: list[list[int]]
     foreign: np.ndarray
@@ -206,7 +205,7 @@ def encode(
     ids = np.concatenate([seq.ids for seq in seqs])
     vocab_size = params["embed"].shape[0]
     return EncodedChunk(
-        states=states, sources=list(seqs), bounds=bounds, segments=segments,
+        states=states, bounds=bounds, segments=segments,
         foreign=foreign, columns=ad.Segments(segments),
         log_count=Tensor(np.log([len(seg) for seg in segments])[None, :]),
         # a column's extended id is the id at its first position
@@ -449,22 +448,26 @@ def _decode_chunk(
     one pass, packed end to end, and bridged to their first decoder
     states in one call; each row of a step is one live beam, masked to
     its own passage, so its scores are, up to rounding, the ones its pair
-    would get alone.  Ranking and stopping stay per pair, and a finished
-    beam leaves the rows."""
+    would get alone.  Ranking and stopping stay per pair: each step, a
+    pair's ended beams and the extensions of its live ones compete on
+    (cost, ids), and an ended beam leaves the rows but stays while it
+    ranks among the best ``beam_size``."""
     vocab_size = params["embed"].shape[0]
     seqs = [build_qg_input(ex, iw, vocab, insert_iw=config.insert_iw) for ex, iw in pairs]
     encoded = encode(seqs, config, params)
     h0, c0 = init_decoder_state(encoded, config, params)
     h, c = h0.data, c0.data
-    # beam item: (cost, id sequence, prev id, state row, attention rows, done)
-    beams = [[(0.0, [], SOS_ID, e, [], False)] for e in range(len(pairs))]
+    # beam: (cost, id sequence, attention rows, state row), the state row
+    # None once it has emitted [EOS]; a live beam's previous id is its
+    # last id, or [SOS] before its first
+    beams = [[(0.0, [], [], e)] for e in range(len(pairs))]
     for _ in range(config.max_len):
-        live = [(e, b) for e, bs in enumerate(beams) for b in bs if not b[5]]
+        live = [(e, b) for e, bs in enumerate(beams) for b in bs if b[3] is not None]
         if not live:
             break
         rows = [b[3] for _, b in live]
-        h_t, c_t = lstm_step(_embed([b[2] for _, b in live], params), Tensor(h[rows]),
-                             Tensor(c[rows]), params["dec.W"], params["dec.b"])
+        h_t, c_t = lstm_step(_embed([b[1][-1] if b[1] else SOS_ID for _, b in live], params),
+                             Tensor(h[rows]), Tensor(c[rows]), params["dec.W"], params["dec.b"])
         step = _decoder_head(h_t, encoded, params, [e for e, _ in live])
         h, c = h_t.data, c_t.data
         dist, attention = step.final_dist.data, step.attention.data
@@ -474,37 +477,21 @@ def _decode_chunk(
         # each candidate's cost: the cross-entropy of its token
         nll = -np.log(np.maximum(np.take_along_axis(dist, top, axis=1), ad.PROB_FLOOR))
         top, nll = top.tolist(), nll.tolist()
-        r = 0
-        for e, bs in enumerate(beams):
-            if all(b[5] for b in bs):
-                continue
-            width = vocab_size + len(seqs[e].oov_words)
-            candidates = []
-            for beam in bs:
-                cost, ids, _, _, att, done = beam
-                if done:
-                    candidates.append(beam)
-                    continue
-                row = attention[r, encoded.bounds[e] : encoded.bounds[e + 1]].copy()
-                for tid, step_cost in zip(top[r][:width], nll[r]):
-                    if tid == EOS_ID:
-                        candidates.append((cost + step_cost, ids, tid, r, att, True))
-                    else:
-                        candidates.append((cost + step_cost, ids + [tid], tid, r,
-                                           att + [row], False))
-                r += 1
-            candidates.sort(key=lambda b: (b[0], b[1]))
-            beams[e] = candidates[: config.beam_size]
-    results = []
-    for (_, predicted_iw), seq, bs in zip(pairs, seqs, beams):
-        _, ids, _, _, att, _ = bs[0]
-        results.append(GenerationResult(
-            tokens=vocab.decode_extended(ids, seq.oov_words),
-            attention=np.vstack(att) if att else np.zeros((0, len(seq.surfaces))),
-            predicted_iw=predicted_iw,
-            source=seq,
-        ))
-    return results
+        # an ended beam keeps competing; row r extends live beam r
+        candidates = [[b for b in bs if b[3] is None] for bs in beams]
+        for r, (e, (cost, ids, att, _)) in enumerate(live):
+            row = attention[r, encoded.bounds[e] : encoded.bounds[e + 1]].copy()
+            candidates[e] += [
+                (cost + step_cost, ids, att, None) if tid == EOS_ID
+                else (cost + step_cost, ids + [tid], att + [row], r)
+                for tid, step_cost in zip(top[r][: vocab_size + len(seqs[e].oov_words)], nll[r])]
+        beams = [sorted(bs, key=lambda b: (b[0], b[1]))[: config.beam_size] for bs in candidates]
+    return [GenerationResult(
+        tokens=vocab.decode_extended(ids, seq.oov_words),
+        attention=np.vstack(att) if att else np.zeros((0, len(seq.surfaces))),
+        predicted_iw=predicted_iw,
+        source=seq,
+    ) for (_, predicted_iw), seq, [(_, ids, att, _), *_] in zip(pairs, seqs, beams)]
 
 
 def predict_iw(

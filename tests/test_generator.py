@@ -686,6 +686,32 @@ class TestGenerate:
                                        np.ones(len(res.tokens)), atol=1e-9)
 
 
+def reference_beam(ex, iw, cfg, params, vocab):
+    """Beam search of width ``cfg.beam_size`` over ``decode_step`` for one
+    pair: a beam's candidates are its top ids by (-p, id), each costing
+    -log p, the beams kept are the best candidates by (cost, ids), and a
+    beam that emitted [EOS] keeps competing until ``cfg.max_len``."""
+    seq = build_qg_input(ex, iw, vocab)
+    encoded = encode(seq, cfg, params)
+    # beam: (cost, ids, attention rows, decoder state, or None once ended)
+    beams = [(0.0, [], [], init_decoder_state(encoded, cfg, params))]
+    for _ in range(cfg.max_len):
+        candidates = [b for b in beams if b[3] is None]
+        for cost, ids, rows, state in beams:
+            if state is None:
+                continue
+            step, state = decode_step(ids[-1] if ids else SOS_ID, state, encoded, cfg, params)
+            p = step.final_dist.data
+            for tid in sorted(range(len(p)), key=lambda i: (-p[i], i))[: cfg.beam_size]:
+                new_cost = cost + float(-np.log(max(p[tid], ad.PROB_FLOOR)))
+                candidates.append((new_cost, ids, rows, None) if tid == EOS_ID else
+                                  (new_cost, ids + [tid], rows + [step.attention.data], state))
+        beams = sorted(candidates, key=lambda b: (b[0], b[1]))[: cfg.beam_size]
+    _, ids, rows, _ = beams[0]
+    return (vocab.decode_extended(ids, seq.oov_words),
+            np.array(rows).reshape(len(rows), len(seq.surfaces)))
+
+
 @pytest.fixture(scope="module")
 def copying():
     """A generator briefly trained on mini200 against the vocabulary of
@@ -720,6 +746,52 @@ class TestGenerateBatch:
         assert any(t in r.source.oov_words for r in alone for t in r.tokens)
         lengths = {len(r.tokens) for r in alone}
         assert len(lengths) > 1 and min(lengths) < cfg.max_len
+
+    @pytest.mark.parametrize("beam", [2, 3, 5])
+    def test_matches_reference_beam_search(self, copying, beam):
+        corpus, vocab, cfg, params = copying
+        cfg = dataclasses.replace(cfg, beam_size=beam)
+        pairs = [(ex, ex.iw_class) for ex in corpus]
+        for (ex, iw), res in zip(pairs, generate_batch(pairs, cfg, params, vocab)):
+            tokens, attention = reference_beam(ex, iw, cfg, params, vocab)
+            assert res.tokens == tokens
+            assert res.attention.shape == attention.shape
+            np.testing.assert_allclose(res.attention, attention, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eos_bias", [0.0, -5.0])
+    def test_exact_ties_and_beam_wider_than_distribution(self, eos_bias):
+        # every passage word is an extended id, and with the output
+        # layer and the decoder attention zeroed every step's final
+        # distribution is the same one, full of exact ties: before
+        # normalising, 1 per vocabulary id (e**eos_bias for [EOS]) plus
+        # each word's count in its passage.  Every pair's distribution
+        # is narrower than the beam
+        corpus = bundled_corpus("mini200")[:_CHUNK]
+        vocab = Vocabulary([])
+        cfg = tiny_config(beam_size=24, max_len=5)
+        params = init_qg(cfg, len(vocab), np.random.default_rng(0)).tensors
+        for name in ("out.W", "out.b", "att.Wa"):
+            params[name].data[:] = 0.0
+        params["out.b"].data[:, EOS_ID] = eos_bias
+        pairs = [(ex, ex.iw_class) for ex in corpus]
+        seqs = [build_qg_input(ex, iw, vocab) for ex, iw in pairs]
+        assert min(len(vocab) + len(seq.oov_words) for seq in seqs) < cfg.beam_size
+        batched = generate_batch(pairs, cfg, params, vocab)
+        for (ex, iw), seq, res in zip(pairs, seqs, batched):
+            tokens, _ = reference_beam(ex, iw, cfg, params, vocab)
+            assert res.tokens == tokens
+            assert generate(ex, iw, cfg, params, vocab).tokens == tokens
+            if eos_bias == 0.0:
+                # [EOS] first costs less than any longer decode
+                assert tokens == []
+            else:
+                # the cheapest decode repeats the likeliest word, the
+                # smallest id among equally likely ones
+                weight = np.r_[np.ones(len(vocab)), np.zeros(len(seq.oov_words))]
+                weight[EOS_ID] = np.exp(eos_bias)
+                np.add.at(weight, seq.ids, 1.0)
+                best = int(np.argmax(weight))
+                assert tokens == vocab.decode_extended([best] * cfg.max_len, seq.oov_words)
 
 
 class TestInsertionEffect:
