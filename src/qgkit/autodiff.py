@@ -6,7 +6,10 @@ per-segment maxima (for max-capped copy scores), embedding lookup,
 scatter-sum regrouping, cross-entropy, and one fused LSTM op with two
 outputs, ``lstm_step``, which advances k independent states over a whole
 sequence as one tape entry (an encoder pass has one state per sequence
-of its chunk, a decoder step n = 1).  Ops executed while a Tape is
+of its chunk, a decoder step n = 1).  ``matmul``, ``transpose``,
+``segment_max``, ``scatter_sum`` and row broadcasting also take a
+(B x r x n) stack of blocks, one per passage of a decoder chunk, each
+block with its own segments and index map.  Ops executed while a Tape is
 active are recorded in execution order; ``backward`` replays the tape in
 exact reverse order and accumulates gradients into every tensor the loss
 can reach.  Ops executed with no active tape are plain forward
@@ -150,8 +153,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 # ---------------------------------------------------------------------------
 # Elementwise ops.  Broadcasting is restricted to equal shapes, a
-# single-element operand against anything, and a (1 x d) row against an
-# (n x d) matrix; other mixes are an error.
+# single-element operand against anything, and one row repeated over the
+# rows of the other operand: a (1 x d) row against an (n x d) matrix or
+# a (B x n x d) stack, or a (B x 1 x d) stack of rows against a
+# (B x n x d) one; other mixes are an error.
 # ---------------------------------------------------------------------------
 
 
@@ -159,8 +164,8 @@ def _as_operands(a, b, op: str):
     ta = a if isinstance(a, Tensor) else Tensor(np.float64(a))
     tb = b if isinstance(b, Tensor) else Tensor(np.float64(b))
     sa, sb = ta.data.shape, tb.data.shape
-    row = len(sa) == len(sb) == 2 and sa[1] == sb[1] and 1 in (sa[0], sb[0])
-    if sa != sb and ta.data.size != 1 and tb.data.size != 1 and not row:
+    if sa != sb and ta.data.size != 1 and tb.data.size != 1 and not (
+            _repeats_over_rows(sa, sb) or _repeats_over_rows(sb, sa)):
         raise ValueError(
             f"{op}: incompatible shapes {sa} vs {sb} "
             "(only equal-shape, scalar or row broadcasting supported)"
@@ -168,10 +173,19 @@ def _as_operands(a, b, op: str):
     return ta, tb
 
 
+def _repeats_over_rows(row: tuple, full: tuple) -> bool:
+    return (len(full) in (2, 3) and row[-1:] == full[-1:] and row[-2:-1] == (1,)
+            and row[:-2] in ((), full[:-2]))
+
+
 def _unbroadcast(g: np.ndarray, t: Tensor) -> np.ndarray:
     if g.shape == t.data.shape:
         return g
-    return np.sum(g, axis=None if t.data.size == 1 else 0).reshape(t.data.shape)
+    if t.data.size == 1:
+        return np.sum(g).reshape(t.data.shape)
+    # a repeated row: sum over the rows, and over the stack for a (1 x d) row
+    return np.sum(g, axis=tuple(range(g.ndim - t.data.ndim)) + (g.ndim - 2,)).reshape(
+        t.data.shape)
 
 
 def add(a, b) -> Tensor:
@@ -245,29 +259,40 @@ def relu(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(
-            f"matmul expects 2-D operands, got {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul: inner dimensions disagree, {a.data.shape} x {b.data.shape}"
-        )
-    out = Tensor(a.data @ b.data)
-    _record(
-        "matmul",
-        (a, b),
-        (out,),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    """Matrix product of 2-D operands.  A (B x n x k) stack on the left
+    takes a (k x m) right operand, shared by its B blocks and applied as
+    one product over all their rows, or a (B x k x m) stack, block by
+    block."""
+    A, B = a.data, b.data
+    stack = A.ndim == 3 and (B.ndim == 2 or B.ndim == 3 and B.shape[0] == A.shape[0])
+    if not (A.ndim == B.ndim == 2 or stack):
+        raise ValueError(f"matmul expects 2-D operands or a stack on the left, "
+                         f"got {A.shape} and {B.shape}")
+    if A.shape[-1] != B.shape[-2]:
+        raise ValueError(f"matmul: inner dimensions disagree, {A.shape} x {B.shape}")
+    shared = A.ndim == 3 and B.ndim == 2
+    if shared:
+        out = Tensor((A.reshape(-1, A.shape[2]) @ B).reshape(A.shape[:2] + B.shape[1:]))
+    else:
+        out = Tensor(A @ B)
+
+    def back(g):
+        if A.ndim == 2:
+            return g @ B.T, A.T @ g
+        if shared:
+            return g @ B.T, A.reshape(-1, A.shape[2]).T @ g.reshape(-1, B.shape[1])
+        return g @ B.transpose(0, 2, 1), A.transpose(0, 2, 1) @ g
+
+    _record("matmul", (a, b), (out,), back)
     return out
 
 
 def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got {x.data.shape}")
-    out = Tensor(x.data.T.copy())
-    _record("transpose", (x,), (out,), lambda g: (g.T,))
+    """Swap the last two axes of a 2-D tensor or of a 3-D stack."""
+    if x.data.ndim not in (2, 3):
+        raise ValueError(f"transpose expects a 2-D or 3-D tensor, got {x.data.shape}")
+    out = Tensor(np.swapaxes(x.data, -1, -2).copy())
+    _record("transpose", (x,), (out,), lambda g: (np.swapaxes(g, -1, -2),))
     return out
 
 
@@ -355,35 +380,52 @@ def segment_max(
 ) -> tuple[Tensor, np.ndarray]:
     """Per-segment maximum over the last axis of a 1-D or 2-D tensor,
     with the winning index of each segment (one row per row for 2-D).
+    A (B x r x n) stack has its own segments in each block: they index
+    the B*n positions b*n + j, block b owning the b-th B-th of them, in
+    order, and the maxima and winners (positions j) come out B x r x S/B.
 
     Gradient is routed only to each segment's winning position; ties go
     to the lowest index.  Returns ``(maxima, argmax_indices)``.
     """
-    if scores.data.ndim not in (1, 2):
-        raise ValueError(f"segment_max expects a 1-D or 2-D score tensor, got {scores.shape}")
-    n = scores.data.shape[-1]
+    if scores.data.ndim not in (1, 2, 3):
+        raise ValueError(f"segment_max expects a 1-D, 2-D or 3-D score tensor, got {scores.shape}")
     if not isinstance(segments, Segments):
         segments = Segments(segments)
     order, owner = segments.order, segments.owner
+    data = scores.data
+    stacked = data.ndim == 3
+    if stacked:
+        blocks, r, width = data.shape
+        if len(segments.starts) % blocks:
+            raise ValueError(f"{len(segments.starts)} segments do not split over {blocks} blocks")
+        # the blocks side by side, one (r x B*n) matrix
+        data = data.transpose(1, 0, 2).reshape(r, -1)
+
+        def unstack(x):
+            return x.reshape(r, blocks, -1).transpose(1, 0, 2)
+    n = data.shape[-1]
     if order.min() < 0 or order.max() >= n:
         raise ValueError(f"a segment indexes outside 0..{n - 1}")
-    vals = scores.data[..., order]
+    vals = data[..., order]
     maxima = np.maximum.reduceat(vals, segments.starts, axis=-1)
     winners = np.minimum.reduceat(np.where(vals < maxima[..., owner], n, order),
                                   segments.starts, axis=-1)
-    out = Tensor(maxima)
+    out = Tensor(unstack(maxima) if stacked else maxima)
 
     def back(g):
-        gs = np.zeros_like(scores.data)
-        np.add.at(gs, (*np.indices(winners.shape)[:-1], winners), g)
-        return (gs,)
+        gs = np.zeros_like(data)
+        np.add.at(gs, (*np.indices(winners.shape)[:-1], winners),
+                  g.transpose(1, 0, 2).reshape(r, -1) if stacked else g)
+        return (unstack(gs) if stacked else gs,)
 
     _record("segment_max", (scores,), (out,), back)
-    return out, winners
+    return out, unstack(winners) % width if stacked else winners
 
 
-def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row gather from an embedding table; backward scatter-adds."""
+def lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
+    """Row gather from an embedding table, one row per id, in the shape
+    of ``ids`` (a (P x n) array of ids gathers a P x n x d stack);
+    backward scatter-adds."""
     if table.data.ndim != 2:
         raise ValueError(f"lookup expects a 2-D table, got {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
@@ -401,24 +443,31 @@ def lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
     return out
 
 
-def scatter_sum(values: Tensor, index_map: Sequence[int], size: int) -> Tensor:
+def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int) -> Tensor:
     """out[..., i] = sum of values[..., j] over all j with index_map[j] == i,
-    along the last axis of a 1-D or 2-D tensor."""
-    if values.data.ndim not in (1, 2):
-        raise ValueError(f"scatter_sum expects a 1-D or 2-D tensor, got {values.shape}")
+    along the last axis of a 1-D or 2-D tensor.  A (B x r x m) stack takes
+    one map per block, a (B x m) ``index_map``."""
+    if values.data.ndim not in (1, 2, 3):
+        raise ValueError(f"scatter_sum expects a 1-D, 2-D or 3-D tensor, got {values.shape}")
     idx = np.asarray(index_map, dtype=np.intp)
-    if idx.shape[0] != values.data.shape[-1]:
-        raise ValueError("index_map length must match values length")
+    blocks = values.data.shape[:1] if values.data.ndim == 3 else ()
+    if idx.shape != blocks + values.data.shape[-1:]:
+        raise ValueError(f"index_map of shape {idx.shape} does not fit values of shape "
+                         f"{values.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ValueError(f"scatter_sum target outside 0..{size - 1}")
+    # each row's map, broadcast over the rows of its block
+    idx = idx[:, None, :] if idx.ndim == 2 else idx
     # one bincount over the rows laid end to end; it adds each target's
     # values from 0.0 in index order, as an in-place scatter-add would
     lead = values.data.shape[:-1]
-    rows = lead[0] if lead else 1
-    flat = (idx + size * np.arange(rows)[:, None]).ravel()
+    rows = math.prod(lead)
+    flat = (idx + size * np.arange(rows).reshape(lead + (1,))).ravel()
     acc = np.bincount(flat, weights=values.data.ravel(), minlength=rows * size)
     out = Tensor(acc.reshape(lead + (size,)))
-    _record("scatter_sum", (values,), (out,), lambda g: (g[..., idx],))
+    _record("scatter_sum", (values,), (out,), lambda g: (
+        g[..., idx] if idx.ndim == 1
+        else np.take_along_axis(g, np.broadcast_to(idx, values.data.shape), axis=-1),))
     return out
 
 

@@ -23,12 +23,16 @@ token, so one decoder serves both: a teacher-forced pass feeds it every
 gold token of a chunk of pairs in one packed recurrence and scores all
 targets at once, and a decoding step feeds it one token per row.
 
-Both work on chunks of pairs, each row masked to its own passage, so a
-pair scores and decodes as it would alone.  ``generate_batch`` encodes
-the passages of a chunk of (example, class) pairs together and runs each
-step with one row per live beam of every pair; ``generate`` is the chunk
-of one.  ``qg_loss`` scores a chunk of (source, targets) pairs per
-``sequence_loss`` call, and the taped training step is the chunk of one.
+Both work on chunks of up to 64 pairs (``_CHUNK``), and a pair scores
+and decodes as it would alone.  The decoder reads a chunk's passages
+padded to the longest, n_max, with the padding masked, and lays its R
+rows out in one block per passage, so a step costs R x n_max, not R x N
+over the chunk's N positions.  ``generate_batch`` encodes the passages
+of a chunk of (example, class) pairs together and runs each step with
+one row per live beam of every pair; ``generate`` is the chunk of one.
+``qg_loss`` scores a chunk of (source, targets) pairs per
+``sequence_loss`` call, and the taped training step is the chunk of
+one, which reads its passage as it is.
 """
 
 from __future__ import annotations
@@ -122,26 +126,33 @@ def init_qg(config: QGConfig, vocab_size: int, rng: np.random.Generator) -> Mode
 
 @dataclass
 class EncodedChunk:
-    """Fused encoder states of a chunk of passages packed end to end,
-    plus everything a decoder row reads besides them.
+    """Fused encoder states of a chunk of passages, plus everything a
+    decoder row reads besides them.
 
     Passage p is at rows ``bounds[p]:bounds[p + 1]`` of the (N x 2h)
-    ``states``.  ``segments`` groups each passage's positions by
-    extended word id (passages in order, words in first occurrence
-    order), in packed positions; each segment is one copy column of the
-    decoder, and ``columns`` lays them out for ``segment_max``.  Row p
-    of the (P x N) ``foreign`` holds 0 over passage p's positions and
-    -inf over the others'.  ``log_count`` (1 x S) is the log of each
-    column's size, ``index_map`` the final-distribution id of each
-    combined-softmax column (the vocabulary, then one per copy column),
-    and ``width`` the final distribution's width: extended ids keep their
-    own passage's numbering, so it is the vocabulary plus the longest OOV
-    list."""
+    ``states``, packed end to end, and ``segments`` groups each
+    passage's positions by extended word id (passages in order, words in
+    first occurrence order), in packed positions.  The decoder reads the
+    padded layout: for one passage, ``memory`` is ``states``; for P > 1,
+    it is (P x n_max x 2h), passage p's rows first in block p, and the
+    (P x 1 x n_max) ``padding`` holds 0 over them and -inf over the rest.
+    ``columns`` lays out the copy columns for ``segment_max``, W_max per
+    passage (its distinct words, then columns that weigh nothing), in
+    positions p * n_max + j of the memory.  So a decoder row costs its
+    passage's n_max positions and W_max copy columns, not the chunk's N
+    positions and S columns.  ``log_count`` (1 x W, or
+    P x 1 x W_max) is the log of each column's size, -inf for the
+    padding, ``index_map`` the final-distribution id of each
+    combined-softmax column (the vocabulary, then the copy columns), one
+    map per passage for P > 1, and ``width`` the final distribution's
+    width: extended ids keep their own passage's numbering, so it is the
+    vocabulary plus the longest OOV list."""
 
     states: Tensor
     bounds: list[int]
     segments: list[list[int]]
-    foreign: np.ndarray
+    memory: Tensor
+    padding: np.ndarray | None
     columns: ad.Segments
     log_count: Tensor
     index_map: np.ndarray
@@ -170,23 +181,24 @@ def encode(
     params: dict[str, Tensor],
 ) -> EncodedChunk:
     """Fused states (N x 2h) of one passage, or of a chunk of passages
-    packed end to end, with the copy columns and passage mask every
-    decoder row reads.
+    packed end to end, with the padded memory, copy columns and final-id
+    maps every decoder row reads.
 
     u = bidirectional pass over [word; meta] rows; A = softmax over
     rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t,
     j ranging over t's own passage; S = A U; f = tanh([u; s] Wf + bf),
     g = sigmoid([u; s] Wg + bg); state = g * f + (1 - g) * u.  The
     recurrence is one packed pass for the whole chunk; A and S are taken
-    per passage, over its own rows of U, and S is one concat of them."""
+    per passage, over its own rows of U, and S is one concat of them.
+    One passage is its own memory; a chunk's is one gather of the
+    states, each passage padded to the longest by repeating its last
+    row."""
     if isinstance(seqs, TaggedSequence):
         seqs = [seqs]
     if not seqs or not all(seq.surfaces for seq in seqs):
         raise ValueError("empty generator input")
     lengths = [len(seq.surfaces) for seq in seqs]
     bounds = list(accumulate(lengths, initial=0))
-    owner = np.repeat(np.arange(len(seqs)), lengths)
-    foreign = np.where(owner == np.arange(len(seqs))[:, None], 0.0, -np.inf)
     words = ad.lookup(params["embed"], [i for seq in seqs for i in seq.base_ids])
     meta = ad.lookup(params["meta_embed"], [m for seq in seqs for m in seq.meta])
     U = run_bilstm(ad.concat([words, meta], axis=1), lengths, params, "enc",
@@ -200,16 +212,37 @@ def encode(
     F = ad.tanh(linear(fused_in, params["fuse.f.W"], params["fuse.f.b"]))
     G = ad.sigmoid(linear(fused_in, params["fuse.g.W"], params["fuse.g.b"]))
     states = ad.add(ad.mul(G, F), ad.mul(ad.sub(1.0, G), U))
-    segments = [[first + j for j in seg]
-                for seq, first in zip(seqs, bounds) for seg in _copy_segments(seq.ids)]
-    ids = np.concatenate([seq.ids for seq in seqs])
+
     vocab_size = params["embed"].shape[0]
+    P, n_max = len(seqs), max(lengths)
+    copies = [_copy_segments(seq.ids) for seq in seqs]
+    w_max = max(map(len, copies))
+    # each passage's copy columns, in order, then its padding columns
+    real = np.arange(w_max) < np.array([len(segs) for segs in copies])[:, None]
+    log_count = np.full((P, w_max), -np.inf)
+    log_count[real] = np.log([len(seg) for segs in copies for seg in segs])
+    index_map = np.zeros((P, vocab_size + w_max), dtype=np.intp)
+    index_map[:, :vocab_size] = np.arange(vocab_size)
+    # a column's extended id is the id at its first position
+    index_map[:, vocab_size:][real] = [seq.ids[seg[0]] for seq, segs in zip(seqs, copies)
+                                       for seg in segs]
+    if P == 1:
+        memory, padding, index_map = states, None, index_map[0]
+    else:
+        ends = np.asarray(lengths)[:, None] - 1
+        rows = np.asarray(bounds[:-1])[:, None] + np.minimum(np.arange(n_max), ends)
+        memory = ad.lookup(states, rows)
+        padding = np.where(np.arange(n_max) <= ends, 0.0, -np.inf)[:, None, :]
+        log_count = log_count[:, None, :]
     return EncodedChunk(
-        states=states, bounds=bounds, segments=segments,
-        foreign=foreign, columns=ad.Segments(segments),
-        log_count=Tensor(np.log([len(seg) for seg in segments])[None, :]),
-        # a column's extended id is the id at its first position
-        index_map=np.concatenate([np.arange(vocab_size), ids[[seg[0] for seg in segments]]]),
+        states=states, bounds=bounds,
+        segments=[[first + j for j in seg] for first, segs in zip(bounds, copies) for seg in segs],
+        memory=memory, padding=padding,
+        # a padding column reads its passage's first position
+        columns=ad.Segments([[p * n_max + j for j in seg]
+                             for p, segs in enumerate(copies)
+                             for seg in segs + [[0]] * (w_max - len(segs))]),
+        log_count=Tensor(log_count), index_map=index_map,
         width=vocab_size + max(len(seq.oov_words) for seq in seqs),
     )
 
@@ -227,14 +260,16 @@ def init_decoder_state(
 
 @dataclass
 class DecodeStep:
-    """Decoder scores and distributions, one row per decoder state.
+    """Decoder scores and distributions, laid out as the decoder states
+    are: one row per state, or for a chunk of P passages a (P x r_max)
+    block of rows, block p reading passage p.
 
-    ``raw_attention``/``attention`` hold one score per source position
-    (pre/post softmax); a word's copy score is the maximum raw attention
-    over its segment positions plus the log of their count;
-    ``final_dist`` covers the vocabulary followed by the extended ids
-    (for a chunk, as many as its longest OOV list).  ``decode_step``
-    returns the one-state case with every field 1-D."""
+    ``raw_attention``/``attention`` hold one score per position of the
+    memory (pre/post softmax; 0 attention on padding); a word's copy
+    score is the maximum raw attention over its segment positions plus
+    the log of their count; ``final_dist`` covers the vocabulary followed
+    by the extended ids (for a chunk, as many as its longest OOV list).
+    ``decode_step`` returns the one-state case with every field 1-D."""
 
     raw_attention: Tensor
     attention: Tensor
@@ -248,23 +283,22 @@ def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     return ad.lookup(params["embed"], [t if t < vocab_size else UNK_ID for t in tokens])
 
 
-def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor],
-                  passages: Sequence[int] | None = None) -> DecodeStep:
+def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor]) -> DecodeStep:
     """Attention, generate + maxout copy scores and the regrouped final
-    distribution for each row of the decoder states ``H`` (R x dh), over
-    the passages of ``encoded``.  With ``passages``, row r reads only
-    passage ``passages[r]``: its row of ``encoded.foreign`` is added to
-    the attention scores before both softmaxes."""
-    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.states))
-    if passages is not None:
-        raw = ad.add(raw, Tensor(encoded.foreign[passages]))
-    attn = ad.softmax(raw, axis=1)
-    context = ad.matmul(attn, encoded.states)
-    gen = linear(ad.concat([H, context], axis=1), params["out.W"], params["out.b"])
+    distribution for each row of the decoder states ``H``: (R x dh) over
+    one passage, or (P x r_max x dh) over a chunk of P, block p reading
+    only passage p.  A row pays for its own passage's padded length, copy
+    columns and final ids, not for the chunk's."""
+    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.memory))
+    if encoded.padding is not None:
+        raw = ad.add(raw, Tensor(encoded.padding))
+    attn = ad.softmax(raw, axis=-1)
+    context = ad.matmul(attn, encoded.memory)
+    gen = linear(ad.concat([H, context], axis=-1), params["out.W"], params["out.b"])
     maxima, _ = ad.segment_max(raw, encoded.columns)
     # c positions of a word copy with c * exp(max) = exp(max + log c)
     copy = ad.add(maxima, encoded.log_count)
-    combined = ad.softmax(ad.concat([gen, copy], axis=1), axis=1)
+    combined = ad.softmax(ad.concat([gen, copy], axis=-1), axis=-1)
     final = ad.scatter_sum(combined, encoded.index_map, encoded.width)
     return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
@@ -278,12 +312,14 @@ def decode_step(
 ) -> tuple[DecodeStep, tuple[Tensor, Tensor]]:
     """Recurrent update, bilinear attention, generate + maxout copy,
     over the one passage of ``encoded``, through the copy columns
-    ``encode`` laid out; no passage mask is added.
+    ``encode`` laid out.
 
     ``prev_token`` may be an extended id; it is clamped to [UNK] for the
     embedding lookup.  Each source word's copy logit is the maximum raw
     attention score over its positions plus the log of their count; the
     combined softmax is regrouped by word id into ``final_dist``."""
+    if len(encoded.bounds) != 2:
+        raise ValueError(f"decode_step reads one passage, got a chunk of {len(encoded.bounds) - 1}")
     h, c = lstm_step(_embed([prev_token], params), *state, params["dec.W"], params["dec.b"])
     row = _decoder_head(h, encoded, params)
     step = DecodeStep(*(ad.reshape(t, (t.shape[1],)) for t in (
@@ -298,11 +334,12 @@ def target_ids(question_tokens: Sequence[str], vocab: Vocabulary,
     return [vocab.extended_id(t, oov_words) for t in question_tokens] + [EOS_ID]
 
 
-# pairs decoded or scored together.  Their passages are encoded together,
-# packed end to end; a decoder step costs R x N over them (R rows: live
-# beams when decoding, every target token when scoring; N source
-# positions), so a chunk stays small
-_CHUNK = 16
+# pairs decoded or scored together, as many as the classifier classifies
+# at once.  Their passages are encoded together, packed end to end, and
+# the decoder reads them padded to the longest, n_max: a step costs
+# R x n_max (R rows: live beams when decoding, every target token when
+# scoring), not R x N over the chunk's N positions
+_CHUNK = 64
 
 
 def sequence_loss(
@@ -317,7 +354,9 @@ def sequence_loss(
     Every decoder input is a gold token, so the recurrence is one
     ``run_lstm`` over each pair's [SOS] + targets[:-1], packed as
     ``encode`` packs the passages, and the head scores all targets at
-    once, each row reading only its own passage."""
+    once.  For a chunk, the rows are gathered into the (P x r_max)
+    layout, each pair padded to its longest target by repeating a row,
+    and the real rows gathered back out of the final distributions."""
     if isinstance(seqs, TaggedSequence):
         seqs, targets = [seqs], [targets]
     if not all(targets):
@@ -327,9 +366,18 @@ def sequence_loss(
     lengths = [len(t) for t in targets]
     H = run_lstm(_embed([i for t in targets for i in (SOS_ID, *t[:-1])], params), lengths,
                  h0, c0, params["dec.W"], params["dec.b"])
-    passages = None if len(seqs) == 1 else np.repeat(np.arange(len(seqs)), lengths)
-    step = _decoder_head(H, encoded, params, passages)
-    return ad.cross_entropy(step.final_dist, [i for t in targets for i in t])
+    golds = [i for t in targets for i in t]
+    if len(seqs) == 1:
+        return ad.cross_entropy(_decoder_head(H, encoded, params).final_dist, golds)
+    # pair p's rows in block p of the (P x r_max) layout, r_max its longest
+    r_max = max(lengths)
+    slots = (np.arange(r_max) < np.array(lengths)[:, None]).ravel().nonzero()[0]
+    source = np.zeros(len(seqs) * r_max, dtype=np.intp)  # a padding slot repeats row 0
+    source[slots] = np.arange(len(slots))
+    step = _decoder_head(ad.reshape(ad.lookup(H, source), (len(seqs), r_max, H.shape[1])),
+                         encoded, params)
+    final = ad.reshape(step.final_dist, (len(seqs) * r_max, encoded.width))
+    return ad.cross_entropy(ad.lookup(final, slots), golds)
 
 
 def qg_loss(
@@ -446,9 +494,9 @@ def _decode_chunk(
 ) -> list[GenerationResult]:
     """Beam search for every pair at once.  The passages are encoded in
     one pass, packed end to end, and bridged to their first decoder
-    states in one call; each row of a step is one live beam, masked to
-    its own passage, so its scores are, up to rounding, the ones its pair
-    would get alone.  Ranking and stopping stay per pair: each step, a
+    states in one call; each row of a step is one live beam, in its
+    pair's block of the padded layout, so its scores are, up to
+    rounding, the ones its pair would get alone.  Ranking and stopping stay per pair: each step, a
     pair's ended beams and the extensions of its live ones compete on
     (cost, ids), and an ended beam leaves the rows but stays while it
     ranks among the best ``beam_size``."""
@@ -461,31 +509,40 @@ def _decode_chunk(
     # None once it has emitted [EOS]; a live beam's previous id is its
     # last id, or [SOS] before its first
     beams = [[(0.0, [], [], e)] for e in range(len(pairs))]
+    beam_size = config.beam_size
     for _ in range(config.max_len):
-        live = [(e, b) for e, bs in enumerate(beams) for b in bs if b[3] is not None]
+        # a live beam's slot in the (P x beam_size) layout: row j of its
+        # pair's block, j its place among the pair's beams
+        live = [(e * beam_size + j, e, b) for e, bs in enumerate(beams) for j, b in enumerate(bs)
+                if b[3] is not None]
         if not live:
             break
-        rows = [b[3] for _, b in live]
-        h_t, c_t = lstm_step(_embed([b[1][-1] if b[1] else SOS_ID for _, b in live], params),
+        slots, rows = [s for s, _, _ in live], [b[3] for _, _, b in live]
+        h_t, c_t = lstm_step(_embed([b[1][-1] if b[1] else SOS_ID for _, _, b in live], params),
                              Tensor(h[rows]), Tensor(c[rows]), params["dec.W"], params["dec.b"])
-        step = _decoder_head(h_t, encoded, params, [e for e, _ in live])
         h, c = h_t.data, c_t.data
-        dist, attention = step.final_dist.data, step.attention.data
+        # the rows of ended beams and finished pairs are zeros
+        H = np.zeros((len(pairs) * beam_size, h.shape[1]))
+        H[slots] = h
+        step = _decoder_head(Tensor(H.reshape(len(pairs), beam_size, -1) if len(pairs) > 1 else H),
+                             encoded, params)
+        dist, attention = (t.data.reshape(len(pairs) * beam_size, -1)[slots]
+                           for t in (step.final_dist, step.attention))
         # a stable sort ranks tied ids in id order, as np.argmax does; a
         # pair's own ids come first among its zero-probability columns
-        top = np.argsort(-dist, axis=1, kind="stable")[:, : config.beam_size]
+        top = np.argsort(-dist, axis=1, kind="stable")[:, :beam_size]
         # each candidate's cost: the cross-entropy of its token
         nll = -np.log(np.maximum(np.take_along_axis(dist, top, axis=1), ad.PROB_FLOOR))
         top, nll = top.tolist(), nll.tolist()
         # an ended beam keeps competing; row r extends live beam r
         candidates = [[b for b in bs if b[3] is None] for bs in beams]
-        for r, (e, (cost, ids, att, _)) in enumerate(live):
-            row = attention[r, encoded.bounds[e] : encoded.bounds[e + 1]].copy()
+        for r, (_, e, (cost, ids, att, _)) in enumerate(live):
+            row = attention[r, : len(seqs[e].surfaces)].copy()
             candidates[e] += [
                 (cost + step_cost, ids, att, None) if tid == EOS_ID
                 else (cost + step_cost, ids + [tid], att + [row], r)
                 for tid, step_cost in zip(top[r][: vocab_size + len(seqs[e].oov_words)], nll[r])]
-        beams = [sorted(bs, key=lambda b: (b[0], b[1]))[: config.beam_size] for bs in candidates]
+        beams = [sorted(bs, key=lambda b: (b[0], b[1]))[:beam_size] for bs in candidates]
     return [GenerationResult(
         tokens=vocab.decode_extended(ids, seq.oov_words),
         attention=np.vstack(att) if att else np.zeros((0, len(seq.surfaces))),

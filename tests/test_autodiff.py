@@ -86,6 +86,32 @@ class TestMatmul:
         assert relative_error(b.grad, fd(f, b)) < 1e-5
 
 
+    @pytest.mark.parametrize("right", [(4, 2), (3, 4, 2)])
+    def test_stack_is_its_blocks_products(self, right):
+        # a (B x n x k) stack times a shared (k x m) matrix or a
+        # (B x k x m) stack: block b is the 2-D product of its operands
+        rng = np.random.default_rng(8)
+        a, b = Tensor(rng.normal(size=(3, 5, 4))), Tensor(rng.normal(size=right))
+        w = Tensor(rng.normal(size=(3, 5, 2)))
+        out = matmul(a, b)
+        for k in range(3):
+            bk = b.data[k] if b.data.ndim == 3 else b.data
+            np.testing.assert_allclose(out.data[k], a.data[k] @ bk, rtol=0, atol=1e-14)
+        def loss():
+            return reduce_sum(mul(matmul(a, b), w))
+
+        with Tape() as tape:
+            out = loss()
+        backward(tape, out)
+        assert check_gradients(lambda: loss().item(), [a, b]) < 1e-6
+
+    @pytest.mark.parametrize("a,b", [((3, 5, 4), (2, 4, 2)), ((5, 4), (3, 4, 2)),
+                                     ((3, 5, 4), (3, 5, 2)), ((5, 4), (4,))])
+    def test_stack_shape_mismatch(self, a, b):
+        with pytest.raises(ValueError):
+            matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+
 class TestElementwise:
     def test_sigmoid_at_zero(self):
         x = Tensor([0.0])
@@ -157,6 +183,26 @@ class TestElementwise:
         backward(tape, out)
         np.testing.assert_array_equal(add(row, x).data, x.data + row.data)
         assert check_gradients(lambda: loss().item(), [x, row, W, b]) < 1e-6
+
+    @pytest.mark.parametrize("row", [(1, 3), (2, 1, 3)])
+    def test_stack_row_broadcast_gradients_vs_finite_differences(self, row):
+        # one row per stack, or per block of it, repeated over its rows
+        rng = np.random.default_rng(19)
+        x, r = Tensor(rng.normal(size=(2, 4, 3))), Tensor(rng.normal(size=row))
+        w = Tensor(rng.normal(size=(2, 4, 3)))
+        np.testing.assert_array_equal(add(x, r).data, x.data + r.data)
+        np.testing.assert_array_equal(mul(r, x).data, x.data * r.data)
+
+        def loss():
+            return reduce_sum(mul(mul(add(x, r), r), w))
+
+        with Tape() as tape:
+            out = loss()
+        backward(tape, out)
+        assert check_gradients(lambda: loss().item(), [x, r]) < 1e-6
+        for other in [(3, 1, 3), (2, 4, 1), (2, 3)]:
+            with pytest.raises(ValueError):
+                add(x, Tensor(np.ones(other)))
 
     def test_sigmoid_no_overflow(self):
         y = sigmoid(Tensor([1000.0, -1000.0]))
@@ -312,6 +358,28 @@ class TestSegmentMax:
         assert relative_error(grad, fd(f, scores)) < 1e-6
 
 
+    def test_stack_blocks_equal_per_block_calls(self):
+        # block b owns the b-th third of the segments, over positions
+        # b * n + j; padded blocks repeat a real position
+        rng = np.random.default_rng(20)
+        blocks = [[[0, 3, 5], [1], [4, 2]], [[0], [1, 2], [0]], [[2, 1], [0, 4], [3]]]
+        layout = Segments([[b * 6 + j for j in seg] for b, segs in enumerate(blocks)
+                           for seg in segs])
+        scores = rng.normal(size=(3, 2, 6))
+        scores[2, 1, [2, 1]] = 1.5  # a tie, won by the lower index
+        w = rng.normal(size=(3, 2, 3))
+        (out, winners), grad = _weighted_pass(lambda x: segment_max(x, layout), scores, w)
+        assert out.shape == winners.shape == (3, 2, 3) and winners[2, 1, 0] == 1
+        for b, segs in enumerate(blocks):
+            (o, win), g = _weighted_pass(lambda x: segment_max(x, segs), scores[b], w[b])
+            assert np.array_equal(out.data[b], o.data) and np.array_equal(winners[b], win)
+            assert np.array_equal(grad[b], g)
+        # 9 segments do not split over 2 blocks; 3 blocks of 5 end before 17
+        with pytest.raises(ValueError, match="blocks"):
+            segment_max(Tensor(np.zeros((2, 2, 6))), layout)
+        with pytest.raises(ValueError, match="outside"):
+            segment_max(Tensor(np.zeros((3, 2, 5))), layout)
+
 class TestLookup:
     def test_duplicate_ids_duplicate_rows(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
@@ -394,6 +462,20 @@ class TestScatterSum:
                              for r in range(3) for j, i in enumerate(idx)))
 
         assert relative_error(grad, fd(f, t)) < 1e-6
+
+
+    def test_stack_blocks_equal_per_block_calls(self):
+        # a (B x r x m) stack with one index map per block
+        rng = np.random.default_rng(21)
+        idx = np.array([[1, 0, 1, 3, 0], [2, 2, 0, 1, 3]])
+        v, w = rng.normal(size=(2, 3, 5)), rng.normal(size=(2, 3, 4))
+        out, grad = _weighted_pass(lambda x: scatter_sum(x, idx, 4), v, w)
+        for b in range(2):
+            o, g = _weighted_pass(lambda x: scatter_sum(x, idx[b], 4), v[b], w[b])
+            assert np.array_equal(out.data[b], o.data) and np.array_equal(grad[b], g)
+        for bad in (idx[:1], idx[:, :4], idx[0]):
+            with pytest.raises(ValueError):
+                scatter_sum(Tensor(v), bad, 4)
 
 
 class TestCrossEntropy:
@@ -524,6 +606,15 @@ class TestStructuralOps:
             loss = reduce_sum(mul(transpose(x), Tensor(w)))
         backward(tape, loss)
         np.testing.assert_array_equal(x.grad, w.T)
+
+    def test_transpose_stack_gradient(self):
+        x = Tensor(np.arange(12.0).reshape(2, 2, 3))
+        w = np.arange(12.0).reshape(2, 3, 2)
+        with Tape() as tape:
+            loss = reduce_sum(mul(transpose(x), Tensor(w)))
+        backward(tape, loss)
+        np.testing.assert_array_equal(transpose(x).data, np.swapaxes(x.data, 1, 2))
+        np.testing.assert_array_equal(x.grad, np.swapaxes(w, 1, 2))
 
     def test_reshape_roundtrip(self):
         x = Tensor(np.arange(6.0))

@@ -7,6 +7,7 @@ the whole teacher-forced graph against central finite differences.
 
 import dataclasses
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -84,6 +85,29 @@ def gold_pairs(examples, vocab):
         seq = build_qg_input(ex, ex.iw_class, vocab)
         pairs.append((seq, target_ids(tokenize(ex.question), vocab, seq.oov_words)))
     return pairs
+
+
+# two full chunks of pairs and a short one
+SPAN = 2 * _CHUNK + _CHUNK // 4
+
+
+def tiled(seq, n=110):
+    """``seq`` repeated and cut to ``n`` tokens, OOV list unchanged."""
+    def cut(xs):
+        return (list(xs) * -(-n // len(xs)))[:n]
+    return TaggedSequence(surfaces=cut(seq.surfaces), ids=cut(seq.ids),
+                          base_ids=cut(seq.base_ids), meta=cut(seq.meta),
+                          oov_words=seq.oov_words)
+
+
+def peak_bytes(fn, *args):
+    """Peak traced allocation while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def capped_scores(step, enc):
@@ -216,29 +240,36 @@ class TestEncode:
                                 for seq, start in zip(seqs, enc.bounds)
                                 for seg in _copy_segments(seq.ids)]
 
-    def test_chunk_layout_is_each_passage_layout_offset(self):
-        # the decoder's copy columns, passage mask and widths for a chunk
-        # are what each passage gives alone, moved to packed positions
+    def test_chunk_layout_is_each_passage_layout_padded(self):
+        # the decoder's memory, copy columns, final-id maps and widths for
+        # a chunk are what each passage gives alone, padded to the chunk's
+        # longest passage and its largest distinct-word count
         cfg, params, _, vocab_size, rng = random_model_and_seq(6)
         seqs = [random_sequence(rng, vocab_size, n, max_oov=3) for n in (5, 2, 7)]
         enc = encode(seqs, cfg, params)
         alone = [encode(seq, cfg, params) for seq in seqs]
-        assert enc.foreign.shape == (3, len(enc))
-        for p, (start, end) in enumerate(zip(enc.bounds, enc.bounds[1:])):
-            assert not enc.foreign[p, start:end].any()
-            assert np.all(np.delete(enc.foreign[p], np.arange(start, end)) == -np.inf)
+        n_max, w_max = 7, max(len(one.log_count.data[0]) for one in alone)
+        assert enc.memory.shape == (3, n_max, 2 * cfg.encoder_hidden)
+        assert enc.padding.shape == (3, 1, n_max)
+        assert enc.log_count.shape == (3, 1, w_max)
+        assert enc.index_map.shape == (3, vocab_size + w_max)
+        for p, (one, n) in enumerate(zip(alone, (5, 2, 7))):
+            assert one.padding is None and one.memory is one.states
+            np.testing.assert_allclose(enc.memory.data[p, :n], one.states.data, rtol=0, atol=1e-12)
+            assert not enc.padding[p, 0, :n].any()
+            assert np.all(enc.padding[p, 0, n:] == -np.inf)
+            w = len(one.log_count.data[0])
+            np.testing.assert_array_equal(enc.log_count.data[p, 0, :w], one.log_count.data[0])
+            assert np.all(enc.log_count.data[p, 0, w:] == -np.inf)
+            np.testing.assert_array_equal(enc.index_map[p, : vocab_size + w], one.index_map)
+            # block p's copy columns are its own, moved to positions p * n_max + j
+            cols = enc.columns.order[enc.columns.owner // w_max == p]
+            assert set(cols) == {p * n_max + j for j in range(n)}
+        # one passage's columns are its copy segments, unpadded
         np.testing.assert_array_equal(
-            enc.columns.order,
-            np.concatenate([one.columns.order + start for one, start in zip(alone, enc.bounds)]))
-        np.testing.assert_array_equal(
-            enc.log_count.data, np.concatenate([one.log_count.data for one in alone], axis=1))
-        np.testing.assert_array_equal(
-            enc.index_map,
-            np.concatenate([np.arange(vocab_size)] + [one.index_map[vocab_size:] for one in alone]))
+            alone[0].columns.order, np.concatenate(_copy_segments(seqs[0].ids)))
         assert enc.width == max(one.width for one in alone)
         assert [one.width for one in alone] == [vocab_size + len(seq.oov_words) for seq in seqs]
-        for one in alone:
-            assert not one.foreign.any() and one.foreign.shape == (1, len(one))
 
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_empty_passage_in_chunk_rejected(self, where):
@@ -250,34 +281,18 @@ class TestEncode:
             encode(seqs, cfg, params)
 
     def test_chunk_memory_grows_with_its_passages(self):
-        # 16 mini200 passages tiled to 110 tokens each.  A chunk holds
-        # every passage's rows at once, so its peak may grow with the
-        # number of passages P, but not with P squared, as one (N x N)
-        # self-attention product over the whole chunk would: that took
-        # ~150 times one passage's peak here, and per-passage attention
-        # ~12 times, so the bound is P times
+        # a chunk of mini200 passages tiled to 110 tokens each.  A chunk
+        # holds every passage's rows at once, so its peak may grow with
+        # the number of passages P, but not with P squared, as one
+        # (N x N) self-attention product over the whole chunk would: at
+        # 16 passages that took ~150 times one passage's peak, and
+        # per-passage attention ~12 times, so the bound is P times
         corpus = bundled_corpus("mini200")
         vocab = Vocabulary.build(corpus)
         cfg = QGConfig()
         params = init_qg(cfg, len(vocab), np.random.default_rng(0)).tensors
-
-        def tiled(seq, n=110):
-            def cut(xs):
-                return (list(xs) * -(-n // len(xs)))[:n]
-            return TaggedSequence(surfaces=cut(seq.surfaces), ids=cut(seq.ids),
-                                  base_ids=cut(seq.base_ids), meta=cut(seq.meta),
-                                  oov_words=seq.oov_words)
-
-        def peak(seqs):
-            tracemalloc.start()
-            try:
-                encode(seqs, cfg, params)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        seqs = [tiled(seq) for seq, _ in gold_pairs(corpus[:16], vocab)]
-        chunk, one = peak(seqs), peak(seqs[0])
+        seqs = [tiled(seq) for seq, _ in gold_pairs(corpus[:_CHUNK], vocab)]
+        chunk, one = (peak_bytes(encode, s, cfg, params) for s in (seqs, seqs[0]))
         assert chunk < len(seqs) * one, (chunk, one)
 
     def test_copy_segment_grouping(self):
@@ -325,8 +340,8 @@ class TestDecodeStep:
 
     def test_chunk_rows_match_enumeration_of_own_passage(self):
         # both passages hold in-vocabulary word 7 and extended id 18,
-        # which names a different word in each; each row is masked to
-        # its own passage
+        # which names a different word in each; each block of rows
+        # reads only its own passage
         cfg, rng, vocab_size = tiny_config(), np.random.default_rng(5), 18
         params = init_qg(cfg, vocab_size, rng).tensors
         sources = [([7, 18, 9, 7, 19, 18], ["novel0", "novel1"]),
@@ -336,20 +351,18 @@ class TestDecodeStep:
             ids=ids, base_ids=[i if i < vocab_size else UNK_ID for i in ids],
             meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
             for ids, oov in sources], cfg, params)
-        bounds = enc.bounds
-        owner = [0, 0, 1, 1, 1]
-        H = ad.Tensor(rng.standard_normal((len(owner), cfg.decoder_hidden)))
-        step = _decoder_head(H, enc, params, owner)
+        H = ad.Tensor(rng.standard_normal((2, 3, cfg.decoder_hidden)))
+        step = _decoder_head(H, enc, params)
         dist = step.final_dist.data
-        assert dist.shape == (len(owner), vocab_size + 2)
-        for r, e in enumerate(owner):
-            ids, oov = sources[e]
+        assert dist.shape == (2, 3, vocab_size + 2)
+        for e, (ids, oov) in enumerate(sources):
             width = vocab_size + len(oov)
-            want = oracle_final_dist(step.generate_scores.data[r],
-                                     step.raw_attention.data[r, bounds[e] : bounds[e + 1]],
-                                     ids, vocab_size, len(oov))
-            np.testing.assert_allclose(dist[r, :width], want, rtol=0, atol=1e-12)
-            assert not dist[r, width:].any()
+            for r in range(3):
+                want = oracle_final_dist(step.generate_scores.data[e, r],
+                                         step.raw_attention.data[e, r, : len(ids)],
+                                         ids, vocab_size, len(oov))
+                np.testing.assert_allclose(dist[e, r, :width], want, rtol=0, atol=1e-12)
+                assert not dist[e, r, width:].any()
 
     def test_copy_scores_cover_source_words(self):
         cfg, params, seq, _, _ = random_model_and_seq(11)
@@ -380,6 +393,58 @@ class TestDecodeStep:
             np.testing.assert_allclose(
                 step.final_dist.data[wid], p[wid] + p[vocab_size + j], atol=1e-12
             )
+
+    def test_decode_step_rejects_a_chunk(self):
+        # one state row over several passages would score every
+        # passage's positions and copy columns
+        cfg, params, _, vocab_size, rng = random_model_and_seq(3)
+        enc = encode([random_sequence(rng, vocab_size, n) for n in (4, 6, 2)], cfg, params)
+        h0, c0 = init_decoder_state(enc, cfg, params)
+        with pytest.raises(ValueError, match="chunk of 3"):
+            decode_step(SOS_ID, (ad.Tensor(h0.data[:1]), ad.Tensor(c0.data[:1])),
+                        enc, cfg, params)
+
+    def test_padded_head_on_ragged_chunk(self):
+        # passages of 1, 4 and n_max = 9 tokens, with 1, 2 and 8
+        # distinct words and 1, 0 and 3 OOV words; block p holds p + 1
+        # decoder states, so blocks 0 and 1 end in all-zero padding rows.
+        # Each real row scores as decode_step on its passage alone, and
+        # padding positions and padded copy columns weigh exactly 0
+        cfg, rng, vocab_size = tiny_config(), np.random.default_rng(8), 18
+        params = init_qg(cfg, vocab_size, rng).tensors
+        sources = [([18], ["solo0"]), ([7, 9, 7, 7], []),
+                   ([7, 18, 9, 10, 19, 18, 11, 12, 20], ["x0", "x1", "x2"])]
+        seqs = [TaggedSequence(
+            surfaces=[f"w{i}" if i < vocab_size else oov[i - vocab_size] for i in ids],
+            ids=ids, base_ids=[i if i < vocab_size else UNK_ID for i in ids],
+            meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
+            for ids, oov in sources]
+        enc = encode(seqs, cfg, params)
+        H = np.zeros((3, 3, cfg.decoder_hidden))
+        want = {}
+        for p, seq in enumerate(seqs):
+            alone = encode(seq, cfg, params)
+            state = init_decoder_state(alone, cfg, params)
+            for i, prev in enumerate([SOS_ID, 7, vocab_size][: p + 1]):
+                want[p, i], (h, _) = decode_step(prev, state, alone, cfg, params)
+                H[p, i] = h.data[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            step = _decoder_head(ad.Tensor(H), enc, params)
+            maxima, _ = ad.segment_max(step.raw_attention, enc.columns)
+            combined = ad.softmax(ad.concat([step.generate_scores, ad.add(maxima, enc.log_count)],
+                                            axis=-1), axis=-1).data
+        assert step.final_dist.shape == (3, 3, vocab_size + 3)
+        assert np.all(np.isfinite(step.final_dist.data))
+        for (p, i), alone in want.items():
+            n, width = len(seqs[p].ids), vocab_size + len(seqs[p].oov_words)
+            for got, ref in ((step.raw_attention.data[p, i, :n], alone.raw_attention.data),
+                             (step.attention.data[p, i, :n], alone.attention.data),
+                             (step.final_dist.data[p, i, :width], alone.final_dist.data)):
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            assert not step.attention.data[p, i, n:].any()
+            assert not step.final_dist.data[p, i, width:].any()
+            assert not combined[p, i, vocab_size + len(set(seqs[p].ids)):].any()
 
     def test_extended_prev_token_clamps_to_unk(self):
         cfg, params, seq, vocab_size, _ = random_model_and_seq(9)
@@ -473,6 +538,29 @@ class TestGradients:
             extended_inputs += any(t >= vocab_size for t in targets[:-1])
         assert extended_inputs >= 3
 
+    def test_chunk_gradients_are_the_token_weighted_pair_gradients(self):
+        # a taped chunk, passages and targets of different lengths and OOV
+        # counts, against each pair alone: the padding rows, positions and
+        # copy columns pass no gradient
+        cfg, params, _, vocab_size, rng = random_model_and_seq(12)
+        seqs = [random_sequence(rng, vocab_size, n, max_oov=3) for n in (6, 1, 9, 4)]
+        targets = [[int(rng.integers(0, vocab_size + len(seq.oov_words))) for _ in range(k)]
+                   for seq, k in zip(seqs, (3, 7, 1, 5))]
+        total = sum(map(len, targets))
+        want = {k: np.zeros_like(t.data) for k, t in params.items()}
+        for seq, tgt in zip(seqs, targets):
+            with Tape() as tape:
+                loss = sequence_loss(seq, tgt, cfg, params)
+            backward(tape, loss)
+            for k, t in params.items():
+                want[k] += t.grad * (len(tgt) / total)
+        with Tape() as tape:
+            loss = sequence_loss(seqs, targets, cfg, params)
+        backward(tape, loss)
+        for k, t in params.items():
+            np.testing.assert_allclose(t.grad, want[k], rtol=0,
+                                       atol=1e-12 * max(np.abs(want[k]).max(), 1e-300), err_msg=k)
+
     def test_every_tensor_reached(self):
         # the loss must touch all parameters, else updates silently no-op
         cfg, params, seq, targets = fd_instance(2)
@@ -552,12 +640,12 @@ class TestTraining:
         assert abs(loss0 - expected) < 0.5
 
     def test_chunked_loss_matches_per_example_mean_on_mini200(self):
-        # a vocabulary of the first half leaves the second half's passages
-        # with OOV words; 40 pairs make two full chunks and a short one
+        # a vocabulary of the other examples leaves these passages with
+        # OOV words; SPAN pairs make two full chunks and a short one
         mini = bundled_corpus("mini200")
-        vocab = Vocabulary.build(mini[:100])
-        examples = mini[100:140]
-        assert len(examples) % _CHUNK
+        vocab = Vocabulary.build(mini[: len(mini) - SPAN])
+        examples = mini[-SPAN:]
+        assert len(examples) == SPAN
         # one question of one token, and one copying a passage's second
         # OOV word, whose extended id lies beyond the width of every
         # passage with fewer OOV words
@@ -732,7 +820,8 @@ class TestGenerateBatch:
         cfg = dataclasses.replace(cfg, beam_size=beam)
         rng = np.random.default_rng(3)
         pairs = [(ex, ex.iw_class if classes == "gold"
-                  else oracle_classifier(ex.iw_class, 0.6, rng)) for ex in corpus]
+                  else oracle_classifier(ex.iw_class, 0.6, rng)) for ex in corpus[:SPAN]]
+        assert len(pairs) == SPAN
         batched = generate_batch(pairs, cfg, params, vocab)
         alone = [generate(ex, iw, cfg, params, vocab) for ex, iw in pairs]
         assert len(batched) == len(alone)
@@ -751,7 +840,8 @@ class TestGenerateBatch:
     def test_matches_reference_beam_search(self, copying, beam):
         corpus, vocab, cfg, params = copying
         cfg = dataclasses.replace(cfg, beam_size=beam)
-        pairs = [(ex, ex.iw_class) for ex in corpus]
+        pairs = [(ex, ex.iw_class) for ex in corpus[:SPAN]]
+        assert len(pairs) == SPAN
         for (ex, iw), res in zip(pairs, generate_batch(pairs, cfg, params, vocab)):
             tokens, attention = reference_beam(ex, iw, cfg, params, vocab)
             assert res.tokens == tokens
@@ -792,6 +882,38 @@ class TestGenerateBatch:
                 np.add.at(weight, seq.ids, 1.0)
                 best = int(np.argmax(weight))
                 assert tokens == vocab.decode_extended([best] * cfg.max_len, seq.oov_words)
+
+
+class TestDecoderMemory:
+    """A decoder step or a teacher-forced chunk scores its R rows over
+    their own passages, padded to the chunk's longest (R x n_max), not
+    over all N positions of the chunk (R x N).  On a chunk of passages
+    tiled to ~110 tokens the peak stays under P times one pair's."""
+
+    @pytest.fixture(scope="class")
+    def mini(self):
+        corpus = bundled_corpus("mini200")[:_CHUNK]
+        vocab = Vocabulary.build(corpus)
+        cfg = QGConfig(beam_size=4, max_len=2)
+        return corpus, vocab, cfg, init_qg(cfg, len(vocab), np.random.default_rng(0)).tensors
+
+    def test_beam_decode(self, mini):
+        corpus, vocab, cfg, params = mini
+        pairs = [(dataclasses.replace(
+            ex, passage=" ".join([ex.passage] * -(-110 // len(tokenize(ex.passage))))),
+            ex.iw_class) for ex in corpus]
+        assert min(len(build_qg_input(ex, iw, vocab).surfaces) for ex, iw in pairs) > 100
+        chunk, one = (peak_bytes(generate_batch, p, cfg, params, vocab)
+                      for p in (pairs, pairs[:1]))
+        assert chunk < len(pairs) * one, (chunk, one)
+
+    def test_teacher_forced_chunk(self, mini):
+        corpus, vocab, cfg, params = mini
+        pairs = [(tiled(seq), targets) for seq, targets in gold_pairs(corpus, vocab)]
+        seqs, targets = zip(*pairs)
+        chunk, one = (peak_bytes(sequence_loss, s, t, cfg, params)
+                      for s, t in ((seqs, targets), (seqs[0], targets[0])))
+        assert chunk < len(pairs) * one, (chunk, one)
 
 
 class TestInsertionEffect:
