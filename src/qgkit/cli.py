@@ -51,7 +51,7 @@ from .generator import (
     predict_iw,
     train_qg,
 )
-from .metrics import EvalReport, evaluate_generation
+from .metrics import EvalReport, evaluate_generation, pool_scores, score_pair
 from .persist import (
     MANIFEST_NAME,
     CheckpointError,
@@ -454,18 +454,19 @@ def cmd_sweep(args, cfg) -> tuple:
     # generate is a pure function of (example, class, params), and the
     # paired draws give each example under one seed either its gold class
     # or one fixed alternative whatever the accuracy, so each distinct
-    # (example, class) is decoded once and shared by every cell drawing it
+    # (example, class) is decoded and scored once, and every cell drawing
+    # it pools that score
     pairs = list(dict.fromkeys((i, p) for cell in drawn.values() for i, p in enumerate(cell)))
     results = generate_batch([(examples[i], p) for i, p in pairs], qg.config, qg.tensors, vocab)
-    decoded = {pair: res.tokens for pair, res in zip(pairs, results)}
+    scored = {(i, p): score_pair(res.tokens, references[i])
+              for (i, p), res in zip(pairs, results)}
     metric_names = None
     rows = []
     incomplete = 0
     for acc_token, accuracy in cfg["grid"]:
         seed_reports = []
         for sd in seeds:
-            candidates = [decoded[i, p] for i, p in enumerate(drawn[accuracy, sd])]
-            report = evaluate_generation(candidates, references)
+            report = pool_scores([scored[i, p] for i, p in enumerate(drawn[accuracy, sd])])
             incomplete += report.incomplete_pairs
             cols = report.metric_columns()
             if metric_names is None:

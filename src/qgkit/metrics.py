@@ -3,7 +3,16 @@
 BLEU-1..4 (corpus-level, clipped, no smoothing), ROUGE-L (LCS F-measure,
 beta = 1), a METEOR variant restricted to exact and stem matching
 (reported as "METEOR-ex"), and interrogative-word recall/precision.
-All functions take aligned candidate/reference lists of token sequences.
+
+Scoring is two steps.  ``score_pair`` scores one (candidate, reference)
+pair into a ``PairScore``: its lengths, clipped and total n-gram counts,
+ROUGE-L and METEOR-ex scores and interrogative labels.  ``pool_scores``
+pools a sequence of them into an ``EvalReport``: BLEU from the summed
+counts, ROUGE-L and METEOR-ex as means, the interrogative table from the
+labels.  So a pair shared by several corpora is scored once.
+``evaluate_generation`` is the two steps over aligned candidate/reference
+lists of token sequences, and each single-metric function runs the same
+per-pair helper and the same pooling arithmetic.
 """
 
 from __future__ import annotations
@@ -12,16 +21,18 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .data import IWClass, label_interrogative_class
 
 __all__ = [
     "AlignmentResult",
+    "BLEU_N_MAX",
     "ClassScore",
     "EvalReport",
     "IWScores",
     "METEOR_LABEL",
+    "PairScore",
     "ROUGE_L_BETA",
     "align_tokens",
     "bleu_n",
@@ -30,11 +41,14 @@ __all__ = [
     "iw_recall_precision",
     "lcs_length",
     "meteor_variant",
+    "pool_scores",
     "rouge_l",
+    "score_pair",
     "stem",
 ]
 
 ROUGE_L_BETA = 1.0
+BLEU_N_MAX = 4
 METEOR_LABEL = "METEOR-ex"
 
 TokenSeq = Sequence[str]
@@ -47,37 +61,46 @@ def _check_aligned(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq
         )
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean of per-pair scores, summed in order; 0.0 for no pairs."""
+    return sum(values) / len(values) if values else 0.0
+
+
 # ---------------------------------------------------------------------------
 # BLEU
 
-def _ngram_counts(tokens: TokenSeq, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: TokenSeq, n_max: int) -> Counter:
+    """Every n-gram of orders 1..n_max in one table; a key's order is its length."""
+    return Counter(tuple(tokens[i : i + n])
+                   for n in range(1, n_max + 1) for i in range(len(tokens) - n + 1))
 
 
-def bleu_n(
-    candidates: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    n_max: int = 4,
-) -> tuple[float, ...]:
-    """Corpus BLEU-1 through BLEU-n_max.
+def _ngram_matches(cand: TokenSeq, ref: TokenSeq,
+                   n_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One pair's clipped n-gram matches and candidate n-gram totals,
+    each for n = 1..n_max."""
+    ref_counts = _ngram_counts(ref, n_max)
+    clipped = [0] * n_max
+    for gram, k in _ngram_counts(cand, n_max).items():
+        if gram in ref_counts:
+            clipped[len(gram) - 1] += min(k, ref_counts[gram])
+    return tuple(clipped), tuple(max(len(cand) - n + 1, 0) for n in range(1, n_max + 1))
 
-    Clipped n-gram counts and lengths are pooled over the corpus before
-    any ratio is taken; BP = min(1, exp(1 - r/c)).  A zero pooled
-    precision at any order zeroes that BLEU-k and every higher one (no
-    smoothing)."""
-    _check_aligned(candidates, references)
+
+def _corpus_bleu(counts: Iterable[tuple[int, int, Sequence[int], Sequence[int]]],
+                 n_max: int) -> tuple[float, ...]:
+    """BLEU-1..n_max from per-pair (candidate length, reference length,
+    clipped, total) counts, summed over the corpus first."""
     clipped = [0] * n_max
     total = [0] * n_max
     cand_len = 0
     ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, n_max + 1):
-            cc = _ngram_counts(cand, n)
-            rc = _ngram_counts(ref, n)
-            total[n - 1] += sum(cc.values())
-            clipped[n - 1] += sum(min(k, rc[g]) for g, k in cc.items())
+    for pair_cand_len, pair_ref_len, pair_clipped, pair_total in counts:
+        cand_len += pair_cand_len
+        ref_len += pair_ref_len
+        for k in range(n_max):
+            clipped[k] += pair_clipped[k]
+            total[k] += pair_total[k]
     if cand_len == 0:
         return tuple(0.0 for _ in range(n_max))
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
@@ -92,6 +115,22 @@ def bleu_n(
         else:
             scores.append(bp * math.exp(sum(math.log(p) for p in ps) / k))
     return tuple(scores)
+
+
+def bleu_n(
+    candidates: Sequence[TokenSeq],
+    references: Sequence[TokenSeq],
+    n_max: int = BLEU_N_MAX,
+) -> tuple[float, ...]:
+    """Corpus BLEU-1 through BLEU-n_max.
+
+    Clipped n-gram counts and lengths are pooled over the corpus before
+    any ratio is taken; BP = min(1, exp(1 - r/c)).  A zero pooled
+    precision at any order zeroes that BLEU-k and every higher one (no
+    smoothing)."""
+    _check_aligned(candidates, references)
+    return _corpus_bleu(((len(c), len(r), *_ngram_matches(c, r, n_max))
+                         for c, r in zip(candidates, references)), n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +168,7 @@ def _rouge_pair(cand: TokenSeq, ref: TokenSeq) -> float:
 def rouge_l(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> float:
     """Mean per-pair LCS F-measure with beta = 1 (see ROUGE_L_BETA)."""
     _check_aligned(candidates, references)
-    if not candidates:
-        return 0.0
-    return sum(_rouge_pair(c, r) for c, r in zip(candidates, references)) / len(candidates)
+    return _mean([_rouge_pair(c, r) for c, r in zip(candidates, references)])
 
 
 # ---------------------------------------------------------------------------
@@ -479,23 +516,12 @@ def _meteor_pair(cand: TokenSeq, ref: TokenSeq) -> tuple[float, bool]:
     return f_mean * (1.0 - penalty), aligned.complete
 
 
-def meteor_variant(
-    candidates: Sequence[TokenSeq],
-    references: Sequence[TokenSeq],
-    *,
-    return_incomplete: bool = False,
-) -> float | tuple[float, int]:
+def meteor_variant(candidates: Sequence[TokenSeq], references: Sequence[TokenSeq]) -> float:
     """Mean per-pair METEOR-ex: exact+stem unigram alignment, F_mean =
-    10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3.
-
-    With ``return_incomplete``, also return how many pairs were scored
-    from an alignment that the node budget cut short."""
+    10PR/(R+9P), fragmentation penalty 0.5*(chunks/matches)^3.  Whether
+    each pair's alignment search finished is in its ``PairScore``."""
     _check_aligned(candidates, references)
-    pairs = [_meteor_pair(c, r) for c, r in zip(candidates, references)]
-    score = sum(s for s, _ in pairs) / len(pairs) if pairs else 0.0
-    if return_incomplete:
-        return score, sum(1 for _, complete in pairs if not complete)
-    return score
+    return _mean([_meteor_pair(c, r)[0] for c, r in zip(candidates, references)])
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +559,51 @@ def class_scores(
     return per_class
 
 
+def _iw_scores(gen_labels: Sequence[IWClass], gold_labels: Sequence[IWClass]) -> IWScores:
+    hits = sum(1 for a, b in zip(gen_labels, gold_labels) if a == b)
+    total = hits / len(gold_labels) if gold_labels else 0.0
+    return IWScores(per_class=class_scores(gen_labels, gold_labels), total_recall=total)
+
+
 def iw_recall_precision(
     generated: Sequence[TokenSeq], gold: Sequence[TokenSeq]
 ) -> IWScores:
     """Label both sides with the interrogative-word scan and score per
     class (see ``class_scores``); total is the overall match rate."""
     _check_aligned(generated, gold)
-    gen_labels = [label_interrogative_class(q) for q in generated]
-    gold_labels = [label_interrogative_class(q) for q in gold]
-    hits = sum(1 for a, b in zip(gen_labels, gold_labels) if a == b)
-    total = hits / len(gold) if gold else 0.0
-    return IWScores(per_class=class_scores(gen_labels, gold_labels), total_recall=total)
+    return _iw_scores([label_interrogative_class(q) for q in generated],
+                      [label_interrogative_class(q) for q in gold])
+
+
+# ---------------------------------------------------------------------------
+# One pair scored, many pooled
+
+class PairScore(NamedTuple):
+    """What the corpus metrics read of one (candidate, reference) pair.
+
+    ``clipped`` and ``total`` hold the clipped n-gram matches and the
+    candidate's n-grams for n = 1..BLEU_N_MAX; ``complete`` is False when
+    the METEOR-ex alignment search ran out of its node budget.  A named
+    tuple, not a frozen dataclass: it is as immutable and builds in a
+    quarter of the time, which every pair ``evaluate`` scores pays."""
+
+    cand_len: int
+    ref_len: int
+    clipped: tuple[int, ...]
+    total: tuple[int, ...]
+    rouge_l: float
+    meteor_variant: float
+    complete: bool
+    cand_iw: IWClass
+    ref_iw: IWClass
+
+
+def score_pair(cand: TokenSeq, ref: TokenSeq) -> PairScore:
+    """Score one pair for ``pool_scores``."""
+    clipped, total = _ngram_matches(cand, ref, BLEU_N_MAX)
+    meteor, complete = _meteor_pair(cand, ref)
+    return PairScore(len(cand), len(ref), clipped, total, _rouge_pair(cand, ref), meteor,
+                     complete, label_interrogative_class(cand), label_interrogative_class(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -592,17 +652,23 @@ class EvalReport:
         ]
 
 
+def pool_scores(scores: Sequence[PairScore]) -> EvalReport:
+    """Every corpus metric over the pairs ``scores`` were taken from, in
+    order; one record may stand for several pairs of a corpus."""
+    return EvalReport(
+        bleu=_corpus_bleu(((s.cand_len, s.ref_len, s.clipped, s.total) for s in scores),
+                          BLEU_N_MAX),
+        rouge_l=_mean([s.rouge_l for s in scores]),
+        meteor_variant=_mean([s.meteor_variant for s in scores]),
+        iw_scores=_iw_scores([s.cand_iw for s in scores], [s.ref_iw for s in scores]),
+        n_examples=len(scores),
+        incomplete_pairs=sum(1 for s in scores if not s.complete),
+    )
+
+
 def evaluate_generation(
     candidates: Sequence[TokenSeq], references: Sequence[TokenSeq]
 ) -> EvalReport:
     """Bundle every metric over aligned candidate/reference corpora."""
     _check_aligned(candidates, references)
-    meteor, incomplete = meteor_variant(candidates, references, return_incomplete=True)
-    return EvalReport(
-        bleu=bleu_n(candidates, references),
-        rouge_l=rouge_l(candidates, references),
-        meteor_variant=meteor,
-        iw_scores=iw_recall_precision(candidates, references),
-        n_examples=len(candidates),
-        incomplete_pairs=incomplete,
-    )
+    return pool_scores([score_pair(c, r) for c, r in zip(candidates, references)])

@@ -9,6 +9,8 @@ import json
 import struct
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -499,12 +501,18 @@ class TestSweep:
         examples = load_corpus(data)
         grid, seeds = ["0.6", "0.8", "1.0"], [0, 1, 2]
         calls = []
+        scored = []
 
         def counted(pairs, *rest):
             calls.extend((ex.id, predicted) for ex, predicted in pairs)
             return generate_batch(pairs, *rest)
 
+        def counted_score(cand, ref):
+            scored.append((cand, ref))
+            return metrics.score_pair(cand, ref)
+
         monkeypatch.setattr(cli, "generate_batch", counted)
+        monkeypatch.setattr(cli, "score_pair", counted_score)
         out = tmp_path / "sweep"
         assert run("sweep", "--qg", ws["qg"], "--data", data,
                    "--vocab", ws["prep"] / "vocab.txt", "--grid", ",".join(grid),
@@ -538,7 +546,52 @@ class TestSweep:
         assert len({ex.id for ex in examples}) == len(examples)
         assert sorted(calls) == sorted(drawn)
         assert len(calls) <= len(examples) * (1 + len(seeds))
+        # each distinct pair is scored once, not once per cell drawing it
+        assert len(scored) == len(drawn) < len(grid) * len(seeds) * len(examples)
         assert (out / "sweep.csv").read_text() == expected
+
+    def test_incomplete_meteor_warning_counts_cells(self, ws, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "subset.jsonl"
+        data.write_text("".join(
+            (ws["prep"] / "qg_train.jsonl").read_text().splitlines(keepends=True)[:12]))
+        examples = load_corpus(data)
+        references = [tokenize(ex.question) for ex in examples]
+        grid, seeds = ["0.6", "0.8", "1.0"], [0, 1, 2]
+        cells = []
+        for acc in grid:
+            for sd in seeds:
+                rng = np.random.default_rng(sd)
+                cells.append([oracle_classifier(ex.iw_class, float(acc), rng) for ex in examples])
+        pairs = sorted({(i, p) for cell in cells for i, p in enumerate(cell)})
+        vocab = Vocabulary.load(ws["prep"] / "vocab.txt")
+        ck = load_checkpoint(ws["qg"])
+        results = generate_batch([(examples[i], p) for i, p in pairs],
+                                 QGConfig.from_dict(ck.config), ck.tensors, vocab)
+        decoded = {pair: res.tokens for pair, res in zip(pairs, results)}
+        # the pair whose METEOR-ex score aligns that the most cells draw,
+        # but not every cell
+        drawn = Counter((tuple(decoded[i, p]), tuple(references[i]))
+                        for cell in cells for i, p in enumerate(cell)
+                        if decoded[i, p] and decoded[i, p] != references[i])
+        (cand, ref), hits = max((item for item in drawn.items() if item[1] < len(cells)),
+                                key=lambda item: item[1])
+        target = (list(cand), list(ref))
+        assert 1 < hits
+
+        real = metrics.align_tokens
+
+        def cut_short(cand, ref):
+            result = real(cand, ref)
+            return replace(result, complete=False) if (cand, ref) == target else result
+
+        monkeypatch.setattr(metrics, "align_tokens", cut_short)
+        assert run("sweep", "--qg", ws["qg"], "--data", data,
+                   "--vocab", ws["prep"] / "vocab.txt", "--grid", ",".join(grid),
+                   "--seeds", ",".join(map(str, seeds)), "--out", tmp_path / "sweep") == 0
+        # summed over every cell: a pair counts once in each cell drawing it
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: {hits} of {len(cells) * len(examples)} METEOR pairs were scored "
+            "from an alignment cut short by its node budget"]
 
 
 # the input files each command reads

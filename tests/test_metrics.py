@@ -31,7 +31,9 @@ from qgkit.metrics import (
     iw_recall_precision,
     lcs_length,
     meteor_variant,
+    pool_scores,
     rouge_l,
+    score_pair,
     stem,
 )
 
@@ -374,14 +376,53 @@ class TestEvalReport:
         pairs = [random_token_pair(rng) for _ in range(n)]
         return [c for c, _ in pairs], [r for _, r in pairs]
 
-    def test_bundle_matches_individual_metrics(self):
+    def _mixed_corpus(self, rng, n):
+        """Random pairs, plus empty candidates, identical pairs and
+        question words on either side, in a seeded order with one pair
+        repeated."""
+        cands, refs = self._random_corpus(rng, n)
+        cands += [[], [], ["what", "is", "it", "?"], ["who", "ran", "?"], ["where", "cats", "run"]]
+        refs += [["a"], [], ["what", "is", "it", "?"], ["what", "ran", "?"], ["where", "cat", "runs"]]
+        order = [int(k) for k in rng.permutation(len(cands))]
+        order += [order[0]] * 3
+        return [cands[k] for k in order], [refs[k] for k in order]
+
+    def test_bundle_matches_individual_metrics(self, monkeypatch):
         rng = np.random.default_rng(28)
-        cands, refs = self._random_corpus(rng, 10)
-        report = evaluate_generation(cands, refs)
-        assert report.bleu == bleu_n(cands, refs)
-        assert report.rouge_l == rouge_l(cands, refs)
-        assert report.meteor_variant == meteor_variant(cands, refs)
-        assert report.n_examples == 10
+        # at a budget of 1 expanded state most searches are cut short
+        for budget in (metrics._NODE_BUDGET, 1):
+            monkeypatch.setattr(metrics, "_NODE_BUDGET", budget)
+            for n in (0, 1, 10):
+                cands, refs = self._mixed_corpus(rng, n)
+                report = evaluate_generation(cands, refs)
+                assert report.bleu == bleu_n(cands, refs)
+                assert report.rouge_l == rouge_l(cands, refs)
+                assert report.meteor_variant == meteor_variant(cands, refs)
+                assert report.iw_scores == iw_recall_precision(cands, refs)
+                assert report.incomplete_pairs == sum(
+                    1 for c, r in zip(cands, refs)
+                    if c and r and c != r and not align_tokens(c, r).complete)
+                assert report.n_examples == len(cands) == n + 8
+        assert report.incomplete_pairs > 0
+
+    def test_empty_corpus(self):
+        report = evaluate_generation([], [])
+        assert report == pool_scores([])
+        assert (report.bleu, report.rouge_l, report.meteor_variant) == ((0.0,) * 4, 0.0, 0.0)
+        assert (report.iw_scores.total_recall, report.n_examples, report.incomplete_pairs) == (
+            0.0, 0, 0)
+
+    def test_pooling_a_shared_record_equals_scoring_each_repeat(self):
+        # a sweep cell pools one record for every cell-pair that repeats it
+        rng = np.random.default_rng(30)
+        cands, refs = self._mixed_corpus(rng, 6)
+        records = [score_pair(c, r) for c, r in zip(cands, refs)]
+        for k in (1, 2, 5):
+            for (c, r), record in zip(zip(cands, refs), records):
+                assert pool_scores([record] * k) == evaluate_generation([c] * k, [r] * k)
+        drawn = [int(k) for k in rng.integers(0, len(records), size=40)]
+        assert pool_scores([records[k] for k in drawn]) == evaluate_generation(
+            [cands[k] for k in drawn], [refs[k] for k in drawn])
 
     def test_all_values_in_unit_interval(self):
         rng = np.random.default_rng(29)
