@@ -261,26 +261,24 @@ def relu(x: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of 2-D operands.  A (B x n x k) stack on the left
     takes a (k x m) right operand, shared by its B blocks and applied as
-    one product over all their rows, or a (B x k x m) stack, block by
-    block."""
+    one product over all their rows (a 2-D left operand is the one-block
+    case), or a (B x k x m) stack, block by block."""
     A, B = a.data, b.data
-    stack = A.ndim == 3 and (B.ndim == 2 or B.ndim == 3 and B.shape[0] == A.shape[0])
-    if not (A.ndim == B.ndim == 2 or stack):
+    if not (A.ndim in (2, 3) and (B.ndim == 2 or B.ndim == A.ndim and B.shape[0] == A.shape[0])):
         raise ValueError(f"matmul expects 2-D operands or a stack on the left, "
                          f"got {A.shape} and {B.shape}")
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {A.shape} x {B.shape}")
-    shared = A.ndim == 3 and B.ndim == 2
+    shared = B.ndim == 2
     if shared:
-        out = Tensor((A.reshape(-1, A.shape[2]) @ B).reshape(A.shape[:2] + B.shape[1:]))
+        rows = A.reshape(math.prod(A.shape[:-1]), A.shape[-1])  # every block's rows
+        out = Tensor((rows @ B).reshape(A.shape[:-1] + B.shape[1:]))
     else:
         out = Tensor(A @ B)
 
     def back(g):
-        if A.ndim == 2:
-            return g @ B.T, A.T @ g
         if shared:
-            return g @ B.T, A.reshape(-1, A.shape[2]).T @ g.reshape(-1, B.shape[1])
+            return g @ B.T, rows.T @ g.reshape(len(rows), B.shape[1])
         return g @ B.transpose(0, 2, 1), A.transpose(0, 2, 1) @ g
 
     _record("matmul", (a, b), (out,), back)

@@ -146,8 +146,9 @@ def _class_distribution(
     return ad.softmax(logits, axis=1)
 
 
-# examples classified in one pass.  A pass pads its sequences to the
-# longest, so the chunk bounds padding and memory; on mini200, chunks of
+# examples classified in one pass, and pairs the generator decodes or
+# scores in one.  A pass reads its sequences in the ``layers.padded``
+# layout, so the chunk bounds padding and memory; on mini200, chunks of
 # 32 to 128 ran fastest
 _CHUNK = 64
 

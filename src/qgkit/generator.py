@@ -23,13 +23,14 @@ token, so one decoder serves both: a teacher-forced pass feeds it every
 gold token of a chunk of pairs in one packed recurrence and scores all
 targets at once, and a decoding step feeds it one token per row.
 
-Both work on chunks of up to 64 pairs (``_CHUNK``), and a pair scores
-and decodes as it would alone.  The decoder reads a chunk's passages
-padded to the longest, n_max, with the padding masked, and lays its R
-rows out in one block per passage, so a step costs R x n_max, not R x N
-over the chunk's N positions.  ``generate_batch`` encodes the passages
-of a chunk of (example, class) pairs together and runs each step with
-one row per live beam of every pair; ``generate`` is the chunk of one.
+Both work on chunks of up to 64 pairs (``_CHUNK``, the classifier's
+chunk), and a pair scores and decodes as it would alone.  The decoder
+reads a chunk's passages in the ``layers.padded`` layout, n_max slots
+per passage with the padding masked, and lays its R rows out in one
+block per passage, so a step costs R x n_max, not R x N over the
+chunk's N positions.  ``generate_batch`` encodes the passages of a
+chunk of (example, class) pairs together and runs each step with one
+row per live beam of every pair; ``generate`` is the chunk of one.
 ``qg_loss`` scores a chunk of (source, targets) pairs per
 ``sequence_loss`` call, and the taped training step is the chunk of
 one, which reads its passage as it is.
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, Tape, Tensor, adam_step, backward, uniform_init
-from .classifier import classify
+from .classifier import _CHUNK, classify
 from .data import (
     EOS_ID,
     SOS_ID,
@@ -58,7 +59,8 @@ from .data import (
     build_qg_input,
     tokenize,
 )
-from .layers import init_bilstm, init_linear, init_lstm, linear, lstm_step, run_bilstm, run_lstm
+from .layers import (init_bilstm, init_linear, init_lstm, linear, lstm_step, padded, run_bilstm,
+                     run_lstm)
 from .persist import InputError, ModelConfig, ModelParams, build_model
 
 __all__ = [
@@ -133,16 +135,16 @@ class EncodedChunk:
     ``states``, packed end to end, and ``segments`` groups each
     passage's positions by extended word id (passages in order, words in
     first occurrence order), in packed positions.  The decoder reads the
-    padded layout: for one passage, ``memory`` is ``states``; for P > 1,
-    it is (P x n_max x 2h), passage p's rows first in block p, and the
-    (P x 1 x n_max) ``padding`` holds 0 over them and -inf over the rest.
-    ``columns`` lays out the copy columns for ``segment_max``, W_max per
-    passage (its distinct words, then columns that weigh nothing), in
+    ``layers.padded`` layout of the passages and of their copy columns,
+    one per distinct word: for one passage, ``memory`` is ``states``; for
+    P > 1, it is (P x n_max x 2h), and the (P x 1 x n_max) ``padding``
+    holds 0 over the real slots and -inf over the rest.  ``columns``
+    gives ``segment_max`` the W_max copy columns of each passage in
     positions p * n_max + j of the memory.  So a decoder row costs its
     passage's n_max positions and W_max copy columns, not the chunk's N
-    positions and S columns.  ``log_count`` (1 x W, or
-    P x 1 x W_max) is the log of each column's size, -inf for the
-    padding, ``index_map`` the final-distribution id of each
+    positions and S columns.  ``log_count`` (1 x W, or P x 1 x W_max) is
+    the log of each column's size, -inf on padding, so a padding column
+    weighs nothing; ``index_map`` is the final-distribution id of each
     combined-softmax column (the vocabulary, then the copy columns), one
     map per passage for P > 1, and ``width`` the final distribution's
     width: extended ids keep their own passage's numbering, so it is the
@@ -191,8 +193,8 @@ def encode(
     recurrence is one packed pass for the whole chunk; A and S are taken
     per passage, over its own rows of U, and S is one concat of them.
     One passage is its own memory; a chunk's is one gather of the
-    states, each passage padded to the longest by repeating its last
-    row."""
+    states in the ``layers.padded`` layout, as are its copy columns'
+    log counts, final-id maps and segments."""
     if isinstance(seqs, TaggedSequence):
         seqs = [seqs]
     if not seqs or not all(seq.surfaces for seq in seqs):
@@ -216,32 +218,24 @@ def encode(
     vocab_size = params["embed"].shape[0]
     P, n_max = len(seqs), max(lengths)
     copies = [_copy_segments(seq.ids) for seq in seqs]
-    w_max = max(map(len, copies))
-    # each passage's copy columns, in order, then its padding columns
-    real = np.arange(w_max) < np.array([len(segs) for segs in copies])[:, None]
-    log_count = np.full((P, w_max), -np.inf)
-    log_count[real] = np.log([len(seg) for segs in copies for seg in segs])
-    index_map = np.zeros((P, vocab_size + w_max), dtype=np.intp)
-    index_map[:, :vocab_size] = np.arange(vocab_size)
+    # the copy columns, one per distinct word of each passage, padded
+    cols, real = padded([len(segs) for segs in copies])
+    in_memory = [[p * n_max + j for j in seg] for p, segs in enumerate(copies) for seg in segs]
+    log_count = np.where(real, np.log([len(seg) for seg in in_memory])[cols], -np.inf)
     # a column's extended id is the id at its first position
-    index_map[:, vocab_size:][real] = [seq.ids[seg[0]] for seq, segs in zip(seqs, copies)
-                                       for seg in segs]
+    first_ids = np.array([seq.ids[seg[0]] for seq, segs in zip(seqs, copies) for seg in segs])
+    index_map = np.hstack([np.tile(np.arange(vocab_size), (P, 1)), first_ids[cols]])
     if P == 1:
         memory, padding, index_map = states, None, index_map[0]
     else:
-        ends = np.asarray(lengths)[:, None] - 1
-        rows = np.asarray(bounds[:-1])[:, None] + np.minimum(np.arange(n_max), ends)
+        rows, real = padded(lengths)
         memory = ad.lookup(states, rows)
-        padding = np.where(np.arange(n_max) <= ends, 0.0, -np.inf)[:, None, :]
+        padding = np.where(real, 0.0, -np.inf)[:, None, :]
         log_count = log_count[:, None, :]
     return EncodedChunk(
         states=states, bounds=bounds,
         segments=[[first + j for j in seg] for first, segs in zip(bounds, copies) for seg in segs],
-        memory=memory, padding=padding,
-        # a padding column reads its passage's first position
-        columns=ad.Segments([[p * n_max + j for j in seg]
-                             for p, segs in enumerate(copies)
-                             for seg in segs + [[0]] * (w_max - len(segs))]),
+        memory=memory, padding=padding, columns=ad.Segments([in_memory[c] for c in cols.flat]),
         log_count=Tensor(log_count), index_map=index_map,
         width=vocab_size + max(len(seq.oov_words) for seq in seqs),
     )
@@ -334,14 +328,6 @@ def target_ids(question_tokens: Sequence[str], vocab: Vocabulary,
     return [vocab.extended_id(t, oov_words) for t in question_tokens] + [EOS_ID]
 
 
-# pairs decoded or scored together, as many as the classifier classifies
-# at once.  Their passages are encoded together, packed end to end, and
-# the decoder reads them padded to the longest, n_max: a step costs
-# R x n_max (R rows: live beams when decoding, every target token when
-# scoring), not R x N over the chunk's N positions
-_CHUNK = 64
-
-
 def sequence_loss(
     seqs: TaggedSequence | Sequence[TaggedSequence],
     targets: Sequence[int] | Sequence[Sequence[int]],
@@ -354,9 +340,9 @@ def sequence_loss(
     Every decoder input is a gold token, so the recurrence is one
     ``run_lstm`` over each pair's [SOS] + targets[:-1], packed as
     ``encode`` packs the passages, and the head scores all targets at
-    once.  For a chunk, the rows are gathered into the (P x r_max)
-    layout, each pair padded to its longest target by repeating a row,
-    and the real rows gathered back out of the final distributions."""
+    once.  For a chunk, the rows are gathered into the ``layers.padded``
+    layout of the targets, (P x r_max), and the real slots gathered back
+    out of the final distributions."""
     if isinstance(seqs, TaggedSequence):
         seqs, targets = [seqs], [targets]
     if not all(targets):
@@ -369,15 +355,10 @@ def sequence_loss(
     golds = [i for t in targets for i in t]
     if len(seqs) == 1:
         return ad.cross_entropy(_decoder_head(H, encoded, params).final_dist, golds)
-    # pair p's rows in block p of the (P x r_max) layout, r_max its longest
-    r_max = max(lengths)
-    slots = (np.arange(r_max) < np.array(lengths)[:, None]).ravel().nonzero()[0]
-    source = np.zeros(len(seqs) * r_max, dtype=np.intp)  # a padding slot repeats row 0
-    source[slots] = np.arange(len(slots))
-    step = _decoder_head(ad.reshape(ad.lookup(H, source), (len(seqs), r_max, H.shape[1])),
-                         encoded, params)
-    final = ad.reshape(step.final_dist, (len(seqs) * r_max, encoded.width))
-    return ad.cross_entropy(ad.lookup(final, slots), golds)
+    rows, real = padded(lengths)
+    final = _decoder_head(ad.lookup(H, rows), encoded, params).final_dist
+    return ad.cross_entropy(ad.lookup(ad.reshape(final, (-1, encoded.width)), np.flatnonzero(real)),
+                            golds)
 
 
 def qg_loss(
@@ -521,8 +502,11 @@ def _decode_chunk(
         h_t, c_t = lstm_step(_embed([b[1][-1] if b[1] else SOS_ID for _, _, b in live], params),
                              Tensor(h[rows]), Tensor(c[rows]), params["dec.W"], params["dec.b"])
         h, c = h_t.data, c_t.data
-        # the rows of ended beams and finished pairs are zeros
-        H = np.zeros((len(pairs) * beam_size, h.shape[1]))
+        try:  # the rows of ended beams and finished pairs are zeros
+            H = np.zeros((len(pairs) * beam_size, h.shape[1]))
+        except (MemoryError, ValueError) as e:
+            raise InputError(f"beam_size {beam_size} lays out more decoder rows than numpy "
+                             f"can allocate: {e}") from None
         H[slots] = h
         step = _decoder_head(Tensor(H.reshape(len(pairs), beam_size, -1) if len(pairs) > 1 else H),
                              encoded, params)

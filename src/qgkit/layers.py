@@ -1,12 +1,14 @@
 """Recurrent building blocks shared by the classifier and the generator.
 
-``run_lstm`` reads P sequences packed end to end in the rows of one
-(N x dim) matrix as one ``lstm_step`` op in one direction, each sequence
-one of P state rows, from given initial states.  One sequence (P = 1) is
-read as it is; more are laid out step-major and padded to the longest,
-and a padding row is never read.  A bidirectional pass is ``run_lstm``
-once per direction from zero states; the generator's teacher-forced
-decoder is ``run_lstm`` from its bridged states.
+``padded`` is the one layout rule for P sequences packed end to end in
+the rows of one (N x dim) matrix: P rows of n_max slots, n_max the
+longest length, each padding slot repeating a real row of its own
+sequence.  ``run_lstm`` reads such sequences as one ``lstm_step`` op in
+one direction, each sequence one of P state rows, from given initial
+states: one sequence (P = 1) as it is, more through ``padded``,
+step-major.  A bidirectional pass is ``run_lstm`` once per direction
+from zero states; the generator's teacher-forced decoder is
+``run_lstm`` from its bridged states.
 
 All state is carried in plain ``{name: Tensor}`` dicts so checkpoints,
 the optimizer, and gradient checks can treat every model uniformly.
@@ -28,6 +30,7 @@ __all__ = [
     "init_bilstm",
     "init_linear",
     "linear",
+    "padded",
 ]
 
 
@@ -43,6 +46,20 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int, prefix: str
     }
 
 
+def padded(lengths: Sequence[int], right: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The padded layout of P sequences packed end to end, sequence p
+    being the next ``lengths[p]`` (at least 1) packed rows: ``rows``
+    (P x n_max) holds the packed row each slot reads and ``real`` marks
+    the slots that hold their own row.  Sequence p fills row p in order
+    from the left, or up to the right edge if ``right``, and a padding
+    slot repeats the nearest real row of its own sequence."""
+    lengths = np.asarray(lengths)[:, None]
+    n_max = lengths.max()
+    t = np.arange(n_max) - (n_max - lengths if right else 0)  # each slot's place in its sequence
+    starts = np.cumsum(lengths, axis=0) - lengths
+    return starts + np.clip(t, 0, lengths - 1), (0 <= t) & (t < lengths)
+
+
 def run_lstm(X: Tensor, lengths: Sequence[int], h0: Tensor, c0: Tensor, W: Tensor, b: Tensor,
              reverse: bool = False) -> Tensor:
     """One direction of an LSTM over sequences packed end to end in the
@@ -52,26 +69,20 @@ def run_lstm(X: Tensor, lengths: Sequence[int], h0: Tensor, c0: Tensor, W: Tenso
     first if ``reverse``.  Returns the (N x d) hidden states in the same
     packed layout.
 
-    One sequence is read as it is.  Several are gathered step-major over
-    the longest length, left-aligned, or right-aligned if ``reverse``, so
-    each reaches its padding only after its last real step.  A padding
-    slot repeats a real row of its sequence: no real state depends on it,
-    its output is never read, and it gets no gradient."""
+    One sequence is read as it is.  Several are read in the ``padded``
+    layout, step-major, right-aligned if ``reverse``, so each reaches its
+    padding only after its last real step: no real state depends on a
+    padding slot, its output is never read, and it gets no gradient."""
     k = len(lengths)
     if min(lengths, default=0) < 1 or sum(lengths) != X.shape[0] or h0.shape[0] != k:
         raise ValueError(f"run_lstm: lengths {list(lengths)} do not split {X.shape[0]} rows "
                          f"into {h0.shape[0]} sequences")
     if k == 1:
         return lstm_step(X, h0, c0, W, b, reverse=reverse)[0]
-    lengths = np.asarray(lengths)
-    starts = np.cumsum(lengths) - lengths
-    shift = lengths.max() - lengths if reverse else np.zeros_like(lengths)
-    t = np.arange(lengths.max())[:, None] - shift  # each step's position in each sequence
-    H, _ = lstm_step(lookup(X, (starts + np.clip(t, 0, lengths - 1)).ravel()),
-                     h0, c0, W, b, reverse=reverse)
-    # the step-major slot of each packed row
-    seq = np.repeat(np.arange(k), lengths)
-    return lookup(H, (np.arange(len(seq)) - starts[seq] + shift[seq]) * k + seq)
+    rows, real = padded(lengths, right=reverse)
+    H, _ = lstm_step(lookup(X, rows.T.ravel()), h0, c0, W, b, reverse=reverse)
+    # each real slot's step-major row of H, in packed order
+    return lookup(H, np.arange(rows.size).reshape(rows.T.shape).T[real])
 
 
 def run_bilstm(

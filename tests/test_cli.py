@@ -1053,6 +1053,23 @@ def test_checkpoint_tensors_checked_against_config(ws, tmp_path, capsys, edit):
     assert not (tmp_path / "o").exists()
 
 
+# numpy rejects a (P * 10**17 x d) beam layout as too big before
+# allocating anything
+@pytest.mark.parametrize("argv", [
+    ["generate", "--oracle", "1.0"], ["sweep", "--grid", "1.0", "--seeds", "0"],
+], ids=["generate", "sweep"])
+def test_beam_layout_numpy_cannot_allocate_fatal(ws, tmp_path, capsys, argv):
+    ck = load_checkpoint(ws["qg"])
+    huge = tmp_path / "huge_beam.ckpt"
+    huge.write_bytes(checkpoint_bytes("qg", {**ck.config, "beam_size": 10**17}, ck.tensors,
+                                      ck.vocab_hash))
+    capsys.readouterr()
+    assert run(*argv, "--qg", huge, "--data", ws["tiny"] / "qg_train.jsonl",
+               "--vocab", ws["prep"] / "vocab.txt", "--out", tmp_path / "o") == 1
+    assert "beam_size 100000000000000000" in assert_one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv,ini,message", [
     (["prepare", "--print-config", "--seed=-1"], None, FLAG_SEED),
     (["prepare", "--print-config"], "[qg]\nepochs = 0\n",

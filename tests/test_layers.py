@@ -1,9 +1,10 @@
-"""Tests for the packed recurrent passes.
+"""Tests for the padded layout and the packed recurrent passes.
 
-``run_bilstm``, and ``run_lstm`` in each direction from non-zero initial
-states, over several sequences packed end to end are checked against
-the same pass over each sequence alone, and their taped forms against
-central finite differences.
+``padded`` is checked slot by slot against an enumeration of each
+sequence's rows.  ``run_bilstm``, and ``run_lstm`` in each direction
+from non-zero initial states, over several sequences packed end to end
+are checked against the same pass over each sequence alone, and their
+taped forms against central finite differences.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from qgkit.autodiff import Tape, Tensor, backward, concat, mul, reduce_sum
 from qgkit.gradcheck import check_gradients
-from qgkit.layers import init_bilstm, run_bilstm, run_lstm
+from qgkit.layers import init_bilstm, padded, run_bilstm, run_lstm
 
 IN, HIDDEN = 3, 4
 
@@ -37,6 +38,37 @@ def _passes(params):
 def _states(seed, k):
     rng = np.random.default_rng(seed)
     return Tensor(rng.normal(size=(k, HIDDEN))), Tensor(rng.normal(size=(k, HIDDEN)))
+
+
+def _length_lists():
+    # every list of one or two lengths in 1..9, then seeded draws for
+    # three to six, plus all-equal and one-long-rest-short lists
+    rng = np.random.default_rng(0)
+    lists = [[n] for n in range(1, 10)] + [[a, b] for a in range(1, 10) for b in range(1, 10)]
+    for k in range(3, 7):
+        lists += [list(rng.integers(1, 10, size=k)) for _ in range(30)]
+        lists += [[n] * k for n in (1, 9)] + [[9] + [1] * (k - 1), [1] * (k - 1) + [9]]
+    return lists
+
+
+@pytest.mark.parametrize("right", [False, True], ids=["left", "right"])
+def test_padded_against_enumeration(right):
+    for lengths in _length_lists():
+        rows, real = padded(lengths, right=right)
+        n_max = max(lengths)
+        assert rows.shape == real.shape == (len(lengths), n_max)
+        start = 0
+        for p, n in enumerate(lengths):
+            own = list(range(start, start + n))  # sequence p's packed rows, in order
+            first = n_max - n if right else 0  # its first real slot
+            for t in range(n_max):
+                is_real = first <= t < first + n
+                assert real[p, t] == is_real, (lengths, p, t)
+                if is_real:
+                    assert rows[p, t] == own[t - first], (lengths, p, t)
+                else:  # the nearest real row of its own sequence
+                    assert rows[p, t] == (own[0] if t < first else own[-1]), (lengths, p, t)
+            start += n
 
 
 @pytest.mark.parametrize("lengths", [[3, 1, 5, 2], [4, 4, 4], [1], [2, 1, 2]],
