@@ -133,22 +133,38 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Tensors that appear on the tape but do not feed into the loss end up
     with zero gradients; tensors never touched by the tape keep
-    ``grad is None``.
+    ``grad is None``.  No buffer is zero-filled ahead: a tensor's first
+    gradient g becomes its buffer as ``0.0 + g`` in a new array laid out
+    like its data, the values and layout a zero-filled buffer would hold
+    after adding g (g itself is never kept: an op may hand one gradient
+    to two inputs, or a view of its output's).  Later gradients are added
+    into it in reverse tape order, and tensors the loss never reaches get
+    zeros at the end.
     """
     if loss.data.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-    seen: dict[int, Tensor] = {}
-    for entry in tape.entries:
+    entries = tape.entries
+    for entry in entries:
         for t in entry.inputs + entry.outputs:
-            seen[id(t)] = t
-    for t in seen.values():
-        t.grad = np.zeros_like(t.data)
+            t.grad = None
     loss.grad = np.ones_like(loss.data)
-    for entry in reversed(tape.entries):
-        grads = entry.backward_fn(*(t.grad for t in entry.outputs))
+    for entry in reversed(entries):
+        for t in entry.outputs:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+        grads = entry.backward_fn(*[t.grad for t in entry.outputs])
         for t, g in zip(entry.inputs, grads):
-            if g is not None:
+            if g is None:
+                continue
+            if t.grad is None:
+                # a plain copy would keep a -0.0 where 0.0 + g holds +0.0
+                t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+            else:
                 t.grad += g
+    for entry in entries:
+        for t in entry.inputs:
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +531,10 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     rows before the loop, so a step multiplies only h by W[dim:]; the
     backward stacks the steps' gate gradients and takes dx and dW in one
     GEMM each after its loop.  The values are the cell's up to the
-    rounding of those reassociated sums."""
+    rounding of those reassociated sums.  The backward stacks the values
+    the forward saved once, before its loop; a step then writes its four
+    gate gradients side by side with three products, each gate's factors
+    multiplied in the order of the cell's own formula."""
     k, d = h.data.shape
     if c.data.shape != h.data.shape:
         raise ValueError(f"lstm_step: h and c disagree, {h.data.shape} and {c.data.shape}")
@@ -541,20 +560,30 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
         c_prev, c_t = c_t, f * c_t + i * g
         tc = np.tanh(c_t)
         H[rows] = h_t = o * tc
-        steps.append((rows, c_prev, i, f, o, g, tc))
+        steps.append((c_prev, s, g, tc))
 
     def back(dH, dc):
-        DZ, dh = np.empty((n * k, 4 * d)), np.zeros_like(h.data)
-        for rows, c_prev, i, f, o, g, tc in reversed(steps):
+        # the steps' saved values stacked in step order, step j in rows
+        # j*k .. j*k+k-1, and the three factors of each gate's gradient
+        # side by side: dz = ((a * B1) * B2) * B3, a = [dc, dc, dh, dc]
+        c_prev, S, G, TC = (np.concatenate(v) for v in zip(*steps))
+        B1 = np.concatenate((G, c_prev, TC, S[:, :d]), axis=1)
+        B2 = np.concatenate((S, 1.0 - G * G), axis=1)
+        B3 = np.ones_like(B2)
+        np.subtract(1.0, S, out=B3[:, : 3 * d])
+        F, O, T2 = S[:, d : 2 * d], S[:, 2 * d :], 1.0 - TC * TC
+        DZ, dh, a = np.empty((n * k, 4 * d)), np.zeros_like(h.data), np.empty((k, 4 * d))
+        for j in reversed(range(n)):
+            t = n - 1 - j if reverse else j
+            rows, sj = slice(t * k, t * k + k), slice(j * k, j * k + k)
             dh = dH[rows] + dh
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dz = DZ[rows]
-            dz[:, :d] = dc * g * i * (1.0 - i)
-            dz[:, d : 2 * d] = dc * c_prev * f * (1.0 - f)
-            dz[:, 2 * d : 3 * d] = dh * tc * o * (1.0 - o)
-            dz[:, 3 * d :] = dc * i * (1.0 - g * g)
+            dc = dc + dh * O[sj] * T2[sj]
+            np.concatenate((dc, dc, dh, dc), axis=1, out=a)
+            dz = np.multiply(a, B1[sj], out=DZ[rows])
+            dz *= B2[sj]
+            dz *= B3[sj]
             dh = dz @ Wh.T
-            dc = dc * f
+            dc = dc * F[sj]
         # a step's incoming h is h0 at the first step and the output of
         # the step before it after that: H shifted by one block of k rows
         if reverse:
@@ -577,12 +606,42 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
 
 
 class AdamState:
-    """First/second moment buffers plus the shared step counter."""
+    """The shared step counter and the first/second moments by parameter
+    name.  The first ``adam_step`` packs the parameters, their moments
+    and two scratch vectors into flat float64 buffers, one slice per
+    parameter in the order of ``params``: each ``data``, ``m[name]`` and
+    ``v[name]`` becomes a view of its slice.  A later step given other
+    parameters, or a parameter whose ``data`` was replaced, packs again,
+    carrying the moments over by name."""
 
     def __init__(self):
         self.step = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._packed: list[tuple[str, np.ndarray]] = []  # (name, data view)
+        self._flat: tuple[np.ndarray, ...] = ()  # parameters, m, v and two scratch
+
+    def _buffers(self, params: dict[str, Tensor]) -> tuple[np.ndarray, ...]:
+        if len(params) == len(self._packed) and all(
+                name == n and p.data is view
+                for (name, p), (n, view) in zip(params.items(), self._packed)):
+            return self._flat
+        total = sum(p.data.size for p in params.values())
+        flat = (np.empty(total), np.zeros(total), np.zeros(total),
+                np.empty(total), np.empty(total))
+        P, M, V = flat[:3]
+        self._packed, start = [], 0
+        for name, p in params.items():
+            shape, span = p.data.shape, slice(start, start + p.data.size)
+            start = span.stop
+            P[span] = p.data.ravel()
+            if name in self.m:
+                M[span], V[span] = self.m[name].ravel(), self.v[name].ravel()
+            p.data = P[span].reshape(shape)
+            self.m[name], self.v[name] = M[span].reshape(shape), V[span].reshape(shape)
+            self._packed.append((name, p.data))
+        self._flat = flat
+        return flat
 
 
 def adam_step(
@@ -592,32 +651,45 @@ def adam_step(
     weight_decay: float = 0.0,
 ) -> None:
     """One Adam update of every parameter from its ``.grad``, with
-    decoupled weight decay, in place."""
+    decoupled weight decay, in place.  Every parameter is checked before
+    anything changes: one with no gradient, or a gradient of the wrong
+    shape, raises ValueError naming it.  The update runs each operation
+    once over all parameters, in ``state``'s flat buffers, with the
+    gradients gathered into one of its scratch vectors: the same
+    arithmetic, element by element, as one parameter at a time."""
+    grads = []
+    for name, p in params.items():
+        g = p.grad
+        if g is None:
+            raise ValueError(f"adam_step: parameter {name!r} has no gradient")
+        if np.shape(g) != p.data.shape:
+            raise ValueError(
+                f"adam_step: gradient shape {np.shape(g)} does not match "
+                f"parameter {name!r} shape {p.data.shape}"
+            )
+        grads.append(g)
+    P, M, V, G, U = state._buffers(params)
+    np.concatenate(grads, axis=None, out=G)
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, p in params.items():
-        g = np.asarray(p.grad, dtype=np.float64)
-        if g.shape != p.data.shape:
-            raise ValueError(
-                f"adam_step: gradient shape {g.shape} does not match "
-                f"parameter {name!r} shape {p.data.shape}"
-            )
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if weight_decay:
-            update = update + weight_decay * p.data
-        p.data -= lr * update
+    M *= ADAM_BETA1
+    M += np.multiply(G, 1.0 - ADAM_BETA1, out=U)
+    V *= ADAM_BETA2
+    np.multiply(G, 1.0 - ADAM_BETA2, out=U)
+    U *= G
+    V += U
+    # G is free from here: U holds the update, G the denominator
+    np.divide(M, bc1, out=U)
+    np.divide(V, bc2, out=G)
+    np.sqrt(G, out=G)
+    G += ADAM_EPS
+    U /= G
+    if weight_decay:
+        U += np.multiply(P, weight_decay, out=G)
+    U *= lr
+    P -= U
 
 
 def uniform_init(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -> Tensor:

@@ -3,13 +3,15 @@
 Everything here trades efficiency for obviousness: explicit loops,
 exhaustive enumeration, no shared code with the library internals beyond
 the stemmer (the alignment oracle checks the search, not the stemmer,
-which has its own direct tests)."""
+which has its own direct tests) and, for the training-step references,
+the tape they replay and Adam's constants."""
 
 import math
 from itertools import combinations
 
 import numpy as np
 
+from qgkit import autodiff as ad
 from qgkit.metrics import stem
 
 
@@ -195,3 +197,104 @@ def oracle_final_dist(gen_scores, raw_scores, ext_ids, vocab_size, n_oov):
     for j in range(n):
         final[ext_ids[j]] += p[vocab_size + j]
     return final
+
+
+# ---------------------------------------------------------------------------
+# Training-step references: the zero-filling reverse sweep, the LSTM cell
+# one gate at a time, and Adam one parameter at a time.  The library's
+# fast paths must give the same bits.
+# ---------------------------------------------------------------------------
+
+
+def oracle_backward(tape, loss):
+    """``backward`` by zero-filling a gradient buffer for every tensor on
+    the tape, then adding each op's gradients into it in reverse tape
+    order."""
+    if loss.data.size != 1:
+        raise ValueError(f"loss must be scalar, got shape {loss.shape}")
+    seen = {}
+    for entry in tape.entries:
+        for t in entry.inputs + entry.outputs:
+            seen[id(t)] = t
+    for t in seen.values():
+        t.grad = np.zeros_like(t.data)
+    loss.grad = np.ones_like(loss.data)
+    for entry in reversed(tape.entries):
+        grads = entry.backward_fn(*(t.grad for t in entry.outputs))
+        for t, g in zip(entry.inputs, grads):
+            if g is not None:
+                t.grad += g
+
+
+def oracle_lstm_step(x, h, c, W, b, reverse=False):
+    """``lstm_step`` with a backward that computes each gate's gradient
+    on its own, factor by factor, at every step."""
+    k, d = h.data.shape
+    n, m = x.data.shape[0] // k, x.data.shape[1]
+    Wx, Wh = W.data[:m], W.data[m:]
+    Z = x.data @ Wx
+    Z += b.data
+    H, steps = np.empty((n * k, d)), []
+    h_t, c_t = h.data, c.data
+    for t in reversed(range(n)) if reverse else range(n):
+        rows = slice(t * k, t * k + k)
+        z = h_t @ Wh
+        z += Z[rows]
+        e = np.exp(-np.abs(z[:, : 3 * d]))
+        s = np.where(z[:, : 3 * d] >= 0, 1.0, e) / (1.0 + e)
+        i, f, o = s[:, :d], s[:, d : 2 * d], s[:, 2 * d :]
+        g = np.tanh(z[:, 3 * d :])
+        c_prev, c_t = c_t, f * c_t + i * g
+        tc = np.tanh(c_t)
+        H[rows] = h_t = o * tc
+        steps.append((rows, c_prev, i, f, o, g, tc))
+
+    def back(dH, dc):
+        DZ, dh = np.empty((n * k, 4 * d)), np.zeros_like(h.data)
+        for rows, c_prev, i, f, o, g, tc in reversed(steps):
+            dh = dH[rows] + dh
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz = DZ[rows]
+            dz[:, :d] = dc * g * i * (1.0 - i)
+            dz[:, d : 2 * d] = dc * c_prev * f * (1.0 - f)
+            dz[:, 2 * d : 3 * d] = dh * tc * o * (1.0 - o)
+            dz[:, 3 * d :] = dc * i * (1.0 - g * g)
+            dh = dz @ Wh.T
+            dc = dc * f
+        if reverse:
+            first, rest, prev = slice((n - 1) * k, None), slice(0, (n - 1) * k), slice(k, None)
+        else:
+            first, rest, prev = slice(0, k), slice(k, None), slice(0, (n - 1) * k)
+        dW = np.empty_like(W.data)
+        dW[:m] = x.data.T @ DZ
+        dW[m:] = h.data.T @ DZ[first] + H[prev].T @ DZ[rest]
+        return DZ @ Wx.T, dh, dc, dW, DZ.sum(0, keepdims=True)
+
+    out, c_last = ad.Tensor(H), ad.Tensor(c_t)
+    ad._record("lstm_step", (x, h, c, W, b), (out, c_last), back)
+    return out, c_last
+
+
+def oracle_adam_step(params, state, lr, weight_decay=0.0):
+    """``adam_step`` one parameter at a time, with a temporary array for
+    each operation, its moments kept in ``state.m``/``state.v`` by name."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ad.ADAM_BETA1**t
+    bc2 = 1.0 - ad.ADAM_BETA2**t
+    for name, p in params.items():
+        g = np.asarray(p.grad, dtype=np.float64)
+        m = state.m.get(name)
+        if m is None:
+            m = np.zeros_like(p.data)
+            state.m[name] = m
+            state.v[name] = np.zeros_like(p.data)
+        v = state.v[name]
+        m *= ad.ADAM_BETA1
+        m += (1.0 - ad.ADAM_BETA1) * g
+        v *= ad.ADAM_BETA2
+        v += (1.0 - ad.ADAM_BETA2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + ad.ADAM_EPS)
+        if weight_decay:
+            update = update + weight_decay * p.data
+        p.data -= lr * update

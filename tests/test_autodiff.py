@@ -847,6 +847,40 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step({"p": p}, AdamState(), lr=0.1)
 
+    def test_a_wrong_gradient_shape_changes_nothing(self):
+        a, b = Tensor([1.0]), Tensor([1.0, 2.0])
+        a.grad, b.grad = np.array([1.0]), np.zeros(3)
+        state = AdamState()
+        with pytest.raises(ValueError, match="parameter 'b' shape"):
+            adam_step({"a": a, "b": b}, state, lr=0.1)
+        assert (a.data.tolist(), state.step, state.m, state.v) == ([1.0], 0, {}, {})
+
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_a_missing_gradient_is_named_and_changes_nothing(self, shape):
+        a, p = Tensor([1.0, 2.0]), Tensor(np.full(shape, 0.5))
+        a.grad = np.ones(2)
+        state = AdamState()
+        with pytest.raises(ValueError, match="parameter 'p' has no gradient"):
+            adam_step({"a": a, "p": p}, state, lr=0.1)
+        assert (a.data.tolist(), state.step, state.m, state.v) == ([1.0, 2.0], 0, {}, {})
+        np.testing.assert_array_equal(p.data, np.full(shape, 0.5))
+
+    def test_a_failed_step_after_packing_changes_nothing(self):
+        params = {"a": Tensor([1.0, 2.0]), "b": Tensor([[3.0]])}
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        state = AdamState()
+        adam_step(params, state, lr=0.1)
+        before = [(p.data.copy(), state.m[n].copy(), state.v[n].copy())
+                  for n, p in params.items()]
+        params["b"].grad = None
+        with pytest.raises(ValueError, match="'b' has no gradient"):
+            adam_step(params, state, lr=0.1)
+        assert state.step == 1
+        for (n, p), arrays in zip(params.items(), before):
+            for got, want in zip((p.data, state.m[n], state.v[n]), arrays):
+                np.testing.assert_array_equal(got, want)
+
     def test_deterministic_given_state(self):
         runs = []
         for _ in range(2):

@@ -5,7 +5,9 @@ asserted directly.  A module-scoped workspace prepares the bundled
 corpus and trains one tiny model of each kind; the slow steps happen
 once."""
 
+import errno
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -791,6 +793,35 @@ def test_out_the_os_rejects_fatal_before_reading(ws, tmp_path, capsys, command, 
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: --out {out}: File name too long"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["prepare", "evaluate"])
+def test_out_under_an_unsearchable_directory_fatal_before_reading(ws, tmp_path, capsys,
+                                                                   monkeypatch, command):
+    # a directory without search permission makes every lookup of a name
+    # in it fail with EACCES; root may search any directory, so the
+    # failure is raised by hand for the names in it
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    out = locked / "out"
+
+    def refuse(real):
+        def lookup(self, *args, **kwargs):
+            if self.parent == locked:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return real(self, *args, **kwargs)
+        return lookup
+
+    for name in ("stat", "exists"):
+        monkeypatch.setattr(Path, name, refuse(getattr(Path, name)))
+    data = ["--data", ASSETS / "mini200.jsonl"] if command == "prepare" else ["--dump", ws["dump"]]
+    assert run(command, *data, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: --out {out}: {os.strerror(errno.EACCES)}"]
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == [locked]
+    assert list(locked.iterdir()) == []
 
 
 @pytest.mark.parametrize("name", ["report.csv", "manifest.json"])
