@@ -24,13 +24,15 @@ gold token of a chunk of pairs in one packed recurrence and scores all
 targets at once, and a decoding step feeds it one token per row.
 
 Both work on chunks of up to 64 pairs (``_CHUNK``, the classifier's
-chunk), and a pair scores and decodes as it would alone.  The decoder
-reads a chunk's passages in the ``layers.padded`` layout, n_max slots
-per passage with the padding masked, and lays its R rows out in one
-block per passage, so a step costs R x n_max, not R x N over the
-chunk's N positions.  ``generate_batch`` encodes the passages of a
-chunk of (example, class) pairs together and runs each step with one
-row per live beam of every pair; ``generate`` is the chunk of one.
+chunk), a decode chunk fewer where its rows would outgrow
+``_DECODE_BUDGET`` final-distribution values, and a pair scores and
+decodes as it would alone.  The decoder reads a chunk's passages in the
+``layers.padded`` layout, n_max slots per passage with the padding
+masked, and lays its R rows out in one block per passage, so a step
+costs R x n_max, not R x N over the chunk's N positions.
+``generate_batch`` encodes the passages of a chunk of (example, class)
+pairs together and runs each step with one row per live beam of every
+pair; ``generate`` is the chunk of one.
 ``qg_loss`` scores a chunk of (source, targets) pairs per
 ``sequence_loss`` call, and the taped training step is the chunk of
 one, which reads its passage as it is.
@@ -450,7 +452,12 @@ def generate(
     lexicographically smaller id sequence, and width 1 is greedy argmax
     decoding.  Emitted extended ids decode to their source surface
     forms.  This is ``generate_batch`` on one pair."""
-    return _decode_chunk([(example, predicted_iw)], config, params, vocab)[0]
+    return generate_batch([(example, predicted_iw)], config, params, vocab)[0]
+
+
+# decoder rows x final-distribution width a decode chunk may hold: a step
+# allocates a few float arrays of that size, 4 MB each at this budget
+_DECODE_BUDGET = 2**19
 
 
 def generate_batch(
@@ -462,27 +469,61 @@ def generate_batch(
     """``generate`` for each (example, predicted class) pair, in order.
 
     Pairs are decoded a chunk at a time: each step runs the decoder once,
-    with one row per live beam of every pair in the chunk."""
-    return [result for start in range(0, len(pairs), _CHUNK)
-            for result in _decode_chunk(pairs[start : start + _CHUNK], config, params, vocab)]
+    with one row per live beam of every pair in the chunk.  A chunk holds
+    up to ``_CHUNK`` pairs, and fewer where their beams' final
+    distributions would outgrow ``_DECODE_BUDGET`` values: the width is
+    the vocabulary plus the longest OOV list of the pairs."""
+    seqs = [build_qg_input(ex, iw, vocab, insert_iw=config.insert_iw) for ex, iw in pairs]
+    width = params["embed"].shape[0] + max((len(seq.oov_words) for seq in seqs), default=0)
+    size = max(1, min(_CHUNK, _DECODE_BUDGET // (config.beam_size * width)))
+    return [result for start in range(0, len(pairs), size)
+            for result in _decode_chunk(pairs[start : start + size], seqs[start : start + size],
+                                        config, params, vocab)]
+
+
+def _top_ids(dist: np.ndarray, k: int) -> np.ndarray:
+    """The ids of each row's k likeliest columns, likeliest first and
+    equal probabilities in id order: ``np.argsort(-dist, axis=1,
+    kind="stable")[:, :k]`` without sorting the rows.  ``argpartition``
+    finds k columns holding a row's k largest values, but where more
+    columns tie at the k-th value than it kept, which of them it kept is
+    arbitrary, so those rows keep the smallest tied ids instead; one
+    ``lexsort`` then orders each row's k by (-p, id)."""
+    width = dist.shape[1]
+    if k == 1:
+        return dist.argmax(axis=1)[:, None]
+    if k >= width:
+        return np.argsort(-dist, axis=1, kind="stable")[:, :k]
+    rows = np.arange(len(dist))[:, None]
+    top = np.argpartition(dist, width - k, axis=1)[:, width - k :]
+    p = dist[rows, top]
+    kth = p.min(axis=1, keepdims=True)
+    tied = dist == kth
+    kept = np.count_nonzero(p == kth, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > kept)
+    ties = tied[over]
+    keep = (dist[over] > kth[over]) | (ties & (np.cumsum(ties, axis=1) <= kept[over, None]))
+    top[over] = np.nonzero(keep)[1].reshape(-1, k)
+    return top[rows, np.lexsort((top, -dist[rows, top]), axis=1)]
 
 
 def _decode_chunk(
     pairs: Sequence[tuple[Example, IWClass]],
+    seqs: Sequence[TaggedSequence],
     config: QGConfig,
     params: dict[str, Tensor],
     vocab: Vocabulary,
 ) -> list[GenerationResult]:
-    """Beam search for every pair at once.  The passages are encoded in
-    one pass, packed end to end, and bridged to their first decoder
-    states in one call; each row of a step is one live beam, in its
-    pair's block of the padded layout, so its scores are, up to
-    rounding, the ones its pair would get alone.  Ranking and stopping stay per pair: each step, a
-    pair's ended beams and the extensions of its live ones compete on
-    (cost, ids), and an ended beam leaves the rows but stays while it
-    ranks among the best ``beam_size``."""
+    """Beam search for every pair at once, ``seqs`` holding their tagged
+    sources.  The passages are encoded in one pass, packed end to end,
+    and bridged to their first decoder states in one call; each row of a
+    step is one live beam, in its pair's block of the padded layout, so
+    its scores are, up to rounding, the ones its pair would get alone.
+    Ranking and stopping stay per pair: each step, a pair's ended beams
+    and the extensions of its live ones compete on (cost, ids), and an
+    ended beam leaves the rows but stays while it ranks among the best
+    ``beam_size``."""
     vocab_size = params["embed"].shape[0]
-    seqs = [build_qg_input(ex, iw, vocab, insert_iw=config.insert_iw) for ex, iw in pairs]
     encoded = encode(seqs, config, params)
     h0, c0 = init_decoder_state(encoded, config, params)
     h, c = h0.data, c0.data
@@ -512,9 +553,9 @@ def _decode_chunk(
                              encoded, params)
         dist, attention = (t.data.reshape(len(pairs) * beam_size, -1)[slots]
                            for t in (step.final_dist, step.attention))
-        # a stable sort ranks tied ids in id order, as np.argmax does; a
+        # each row's beam_size likeliest ids, tied ids in id order: a
         # pair's own ids come first among its zero-probability columns
-        top = np.argsort(-dist, axis=1, kind="stable")[:, :beam_size]
+        top = _top_ids(dist, beam_size)
         # each candidate's cost: the cross-entropy of its token
         nll = -np.log(np.maximum(np.take_along_axis(dist, top, axis=1), ad.PROB_FLOOR))
         top, nll = top.tolist(), nll.tolist()

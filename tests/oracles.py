@@ -199,6 +199,12 @@ def oracle_final_dist(gen_scores, raw_scores, ext_ids, vocab_size, n_oov):
     return final
 
 
+def oracle_top_ids(dist, k):
+    """Each row's k likeliest ids, likeliest first, equal probabilities
+    in id order: a stable sort of the whole row."""
+    return np.argsort(-dist, axis=1, kind="stable")[:, :k]
+
+
 # ---------------------------------------------------------------------------
 # Training-step references: the zero-filling reverse sweep, the LSTM cell
 # one gate at a time, and Adam one parameter at a time.  The library's

@@ -13,8 +13,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from oracles import oracle_encode, oracle_final_dist
+from oracles import oracle_encode, oracle_final_dist, oracle_top_ids
 from qgkit import autodiff as ad
+from qgkit import generator
 from qgkit.autodiff import Tape, backward
 from qgkit.classifier import (
     ClassifierConfig,
@@ -37,9 +38,11 @@ from qgkit.data import (
 from qgkit.gradcheck import check_gradients
 from qgkit.generator import (
     _CHUNK,
+    _DECODE_BUDGET,
     QGConfig,
     _copy_segments,
     _decoder_head,
+    _top_ids,
     decode_step,
     encode,
     generate,
@@ -108,6 +111,18 @@ def peak_bytes(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def widened(vocab, params, extra, rng):
+    """``vocab`` and ``params`` with ``extra`` unused words appended: random
+    embeddings and output weights, and an output bias 8 below the
+    vocabulary's least, so each is unlikely but none is ruled out."""
+    wide = Vocabulary(vocab.corpus_tokens + [f"unused{i}" for i in range(extra)])
+    embed, W, b = (params[name].data for name in ("embed", "out.W", "out.b"))
+    return wide, {**params,
+                  "embed": ad.Tensor(np.vstack([embed, rng.normal(0, 0.1, (extra, embed.shape[1]))])),
+                  "out.W": ad.Tensor(np.hstack([W, rng.normal(0, 0.1, (W.shape[0], extra))])),
+                  "out.b": ad.Tensor(np.hstack([b, np.full((1, extra), b.min() - 8.0)]))}
 
 
 def capped_scores(step, enc):
@@ -883,12 +898,55 @@ class TestGenerateBatch:
                 best = int(np.argmax(weight))
                 assert tokens == vocab.decode_extended([best] * cfg.max_len, seq.oov_words)
 
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_padded_vocabulary_decodes_as_the_stable_sort(self, copying, beam, monkeypatch):
+        corpus, vocab, cfg, params = copying
+        wide, params = widened(vocab, params, 2_000, np.random.default_rng(1))
+        cfg = dataclasses.replace(cfg, beam_size=beam)
+        pairs = [(ex, ex.iw_class) for ex in corpus[:_CHUNK]]
+        batched = generate_batch(pairs, cfg, params, wide)
+        with monkeypatch.context() as patch:
+            patch.setattr(generator, "_top_ids", oracle_top_ids)
+            sorted_rows = generate_batch(pairs, cfg, params, wide)
+        for (ex, iw), a, b in zip(pairs, batched, sorted_rows):
+            assert a.tokens == b.tokens
+            assert a.attention.tobytes() == b.attention.tobytes()
+            alone = generate(ex, iw, cfg, params, wide)
+            assert alone.tokens == a.tokens
+            np.testing.assert_allclose(alone.attention, a.attention, rtol=0, atol=1e-12)
+        lengths = {len(r.tokens) for r in batched}
+        assert len(lengths) > 1 and min(lengths) < cfg.max_len
+
+
+class TestTopIds:
+    """``_top_ids`` against the stable sort of whole rows, on rows of ties
+    drawn from 3 to 5 values, some of them 0, with trailing zero columns
+    (a pair's columns past its own extended ids), for k from 1 to 7, k
+    equal to the row's width and k wider than it."""
+
+    @pytest.mark.parametrize("n_values", [3, 4, 5])
+    def test_matches_stable_sort(self, n_values):
+        rng = np.random.default_rng(n_values)
+        for _ in range(400):
+            values = rng.random(n_values)
+            values[: int(rng.integers(0, 2))] = 0.0
+            rows, width = int(rng.integers(1, 6)), int(rng.integers(1, 11))
+            dist = np.hstack([rng.choice(values, (rows, width)),
+                              np.zeros((rows, int(rng.integers(0, 5))))])
+            full = dist.shape[1]
+            for k in [*range(1, 8), full, full + 2]:
+                np.testing.assert_array_equal(_top_ids(dist, k), oracle_top_ids(dist, k),
+                                              err_msg=f"k={k}\n{dist}")
+
 
 class TestDecoderMemory:
     """A decoder step or a teacher-forced chunk scores its R rows over
     their own passages, padded to the chunk's longest (R x n_max), not
     over all N positions of the chunk (R x N).  On a chunk of passages
-    tiled to ~110 tokens the peak stays under P times one pair's."""
+    tiled to ~110 tokens the peak stays under P times one pair's.  A
+    decode chunk's rows x final-distribution width stay within
+    ``_DECODE_BUDGET``, so a wide vocabulary means fewer pairs per chunk
+    and the same tokens."""
 
     @pytest.fixture(scope="class")
     def mini(self):
@@ -906,6 +964,45 @@ class TestDecoderMemory:
         chunk, one = (peak_bytes(generate_batch, p, cfg, params, vocab)
                       for p in (pairs, pairs[:1]))
         assert chunk < len(pairs) * one, (chunk, one)
+
+    @pytest.fixture
+    def chunk_sizes(self, monkeypatch):
+        """The pairs of each decode chunk ``generate_batch`` runs."""
+        sizes, decode_chunk = [], generator._decode_chunk
+
+        def counted(chunk, *rest):
+            sizes.append(len(chunk))
+            return decode_chunk(chunk, *rest)
+
+        monkeypatch.setattr(generator, "_decode_chunk", counted)
+        return sizes
+
+    def test_wide_vocabulary_decode_fits_the_budget(self, mini, chunk_sizes, monkeypatch):
+        # with ~10k words, one beam-4 chunk of all 64 pairs peaks near
+        # 150 MB here; chunks sized to the budget peak at a few of its
+        # (8-byte) arrays
+        corpus, vocab, cfg, params = mini
+        wide, params = widened(vocab, params, 10_000, np.random.default_rng(0))
+        pairs = [(ex, ex.iw_class) for ex in corpus]
+        bounded = []
+        peak = peak_bytes(lambda: bounded.extend(generate_batch(pairs, cfg, params, wide)))
+        width = len(wide) + max(len(r.source.oov_words) for r in bounded)
+        size = _DECODE_BUDGET // (cfg.beam_size * width)
+        assert len(chunk_sizes) > 1 and chunk_sizes[:-1] == [size] * (len(chunk_sizes) - 1)
+        assert sum(chunk_sizes) == len(pairs)
+        assert peak < 12 * 8 * _DECODE_BUDGET, peak
+        monkeypatch.setattr(generator, "_DECODE_BUDGET", 2**62)
+        whole = generate_batch(pairs, cfg, params, wide)
+        assert chunk_sizes[-1] == len(pairs)
+        assert [r.tokens for r in bounded] == [r.tokens for r in whole]
+
+    def test_mini200_keeps_full_chunks(self, chunk_sizes):
+        corpus = bundled_corpus("mini200")
+        vocab = Vocabulary.build(corpus)
+        cfg = tiny_config(max_len=1)
+        params = init_qg(cfg, len(vocab), np.random.default_rng(0)).tensors
+        generate_batch([(ex, ex.iw_class) for ex in corpus], cfg, params, vocab)
+        assert chunk_sizes == [_CHUNK] * 3 + [len(corpus) - 3 * _CHUNK]
 
     def test_teacher_forced_chunk(self, mini):
         corpus, vocab, cfg, params = mini
