@@ -488,12 +488,12 @@ def _top_ids(dist: np.ndarray, k: int) -> np.ndarray:
     finds k columns holding a row's k largest values, but where more
     columns tie at the k-th value than it kept, which of them it kept is
     arbitrary, so those rows keep the smallest tied ids instead; one
-    ``lexsort`` then orders each row's k by (-p, id)."""
-    width = dist.shape[1]
+    ``lexsort`` then orders each row's k by (-p, id).  A k wider than
+    the row keeps every column, as the sort's ``[:, :k]`` does."""
     if k == 1:
         return dist.argmax(axis=1)[:, None]
-    if k >= width:
-        return np.argsort(-dist, axis=1, kind="stable")[:, :k]
+    width = dist.shape[1]
+    k = min(k, width)
     rows = np.arange(len(dist))[:, None]
     top = np.argpartition(dist, width - k, axis=1)[:, width - k :]
     p = dist[rows, top]
