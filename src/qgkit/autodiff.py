@@ -154,8 +154,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 t.grad = np.zeros_like(t.data)
         grads = entry.backward_fn(*[t.grad for t in entry.outputs])
         for t, g in zip(entry.inputs, grads):
-            if g is None:
-                continue
             if t.grad is None:
                 # a plain copy would keep a -0.0 where 0.0 + g holds +0.0
                 t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
@@ -392,48 +390,47 @@ class Segments:
 def segment_max(
     scores: Tensor, segments: Segments | Sequence[Sequence[int]]
 ) -> tuple[Tensor, np.ndarray]:
-    """Per-segment maximum over the last axis of a 1-D or 2-D tensor,
-    with the winning index of each segment (one row per row for 2-D).
-    A (B x r x n) stack has its own segments in each block: they index
-    the B*n positions b*n + j, block b owning the b-th B-th of them, in
-    order, and the maxima and winners (positions j) come out B x r x S/B.
+    """Per-segment maximum over the last axis of a (B x r x n) stack,
+    with the winning index of each segment.  Each block has its own
+    segments: they index the B*n positions b*n + j, block b owning the
+    b-th B-th of them, in order, and the maxima and winners (positions
+    j) come out B x r x S/B.  A 1-D or 2-D tensor is the one-block case,
+    its maxima and winners shaped as its rows are.
 
     Gradient is routed only to each segment's winning position; ties go
     to the lowest index.  Returns ``(maxima, argmax_indices)``.
     """
-    if scores.data.ndim not in (1, 2, 3):
+    data = scores.data
+    if data.ndim not in (1, 2, 3):
         raise ValueError(f"segment_max expects a 1-D, 2-D or 3-D score tensor, got {scores.shape}")
     if not isinstance(segments, Segments):
         segments = Segments(segments)
-    order, owner = segments.order, segments.owner
-    data = scores.data
-    stacked = data.ndim == 3
-    if stacked:
-        blocks, r, width = data.shape
-        if len(segments.starts) % blocks:
-            raise ValueError(f"{len(segments.starts)} segments do not split over {blocks} blocks")
-        # the blocks side by side, one (r x B*n) matrix
-        data = data.transpose(1, 0, 2).reshape(r, -1)
-
-        def unstack(x):
-            return x.reshape(r, blocks, -1).transpose(1, 0, 2)
-    n = data.shape[-1]
+    order, owner, starts = segments.order, segments.owner, segments.starts
+    blocks, r, width = (1, 1)[: 3 - data.ndim] + data.shape
+    if len(starts) % blocks:
+        raise ValueError(f"{len(starts)} segments do not split over {blocks} blocks")
+    # the blocks side by side, one (r x B*n) matrix
+    flat = data.reshape(blocks, r, width).transpose(1, 0, 2).reshape(r, -1)
+    n = flat.shape[1]
     if order.min() < 0 or order.max() >= n:
         raise ValueError(f"a segment indexes outside 0..{n - 1}")
-    vals = data[..., order]
-    maxima = np.maximum.reduceat(vals, segments.starts, axis=-1)
-    winners = np.minimum.reduceat(np.where(vals < maxima[..., owner], n, order),
-                                  segments.starts, axis=-1)
-    out = Tensor(unstack(maxima) if stacked else maxima)
+    vals = flat[:, order]
+    maxima = np.maximum.reduceat(vals, starts, axis=1)
+    winners = np.minimum.reduceat(np.where(vals < maxima[:, owner], n, order), starts, axis=1)
+
+    def unstack(x):
+        return x.reshape(r, blocks, -1).transpose(1, 0, 2).reshape(data.shape[:-1] + (-1,))
+
+    out = Tensor(unstack(maxima))
 
     def back(g):
-        gs = np.zeros_like(data)
-        np.add.at(gs, (*np.indices(winners.shape)[:-1], winners),
-                  g.transpose(1, 0, 2).reshape(r, -1) if stacked else g)
-        return (unstack(gs) if stacked else gs,)
+        gs = np.zeros_like(flat)
+        np.add.at(gs, (np.arange(r)[:, None], winners),
+                  g.reshape(blocks, r, -1).transpose(1, 0, 2).reshape(r, -1))
+        return (unstack(gs),)
 
     _record("segment_max", (scores,), (out,), back)
-    return out, unstack(winners) % width if stacked else winners
+    return out, unstack(winners) % width
 
 
 def lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
@@ -459,29 +456,28 @@ def lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
 
 def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int) -> Tensor:
     """out[..., i] = sum of values[..., j] over all j with index_map[j] == i,
-    along the last axis of a 1-D or 2-D tensor.  A (B x r x m) stack takes
-    one map per block, a (B x m) ``index_map``."""
-    if values.data.ndim not in (1, 2, 3):
+    along the last axis of a 1-D, 2-D or 3-D tensor.  A 1-D map serves
+    every row; a (B x m) map gives each block of a (B x r x m) stack its
+    own."""
+    shape = values.data.shape
+    if len(shape) not in (1, 2, 3):
         raise ValueError(f"scatter_sum expects a 1-D, 2-D or 3-D tensor, got {values.shape}")
     idx = np.asarray(index_map, dtype=np.intp)
-    blocks = values.data.shape[:1] if values.data.ndim == 3 else ()
-    if idx.shape != blocks + values.data.shape[-1:]:
+    if idx.shape != shape[-1:] and not (len(shape) == 3 and idx.shape == (shape[0], shape[2])):
         raise ValueError(f"index_map of shape {idx.shape} does not fit values of shape "
                          f"{values.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise ValueError(f"scatter_sum target outside 0..{size - 1}")
-    # each row's map, broadcast over the rows of its block
+    # each block's map, broadcast over the rows of its block
     idx = idx[:, None, :] if idx.ndim == 2 else idx
     # one bincount over the rows laid end to end; it adds each target's
     # values from 0.0 in index order, as an in-place scatter-add would
-    lead = values.data.shape[:-1]
+    lead = shape[:-1]
     rows = math.prod(lead)
     flat = (idx + size * np.arange(rows).reshape(lead + (1,))).ravel()
     acc = np.bincount(flat, weights=values.data.ravel(), minlength=rows * size)
     out = Tensor(acc.reshape(lead + (size,)))
-    _record("scatter_sum", (values,), (out,), lambda g: (
-        g[..., idx] if idx.ndim == 1
-        else np.take_along_axis(g, np.broadcast_to(idx, values.data.shape), axis=-1),))
+    _record("scatter_sum", (values,), (out,), lambda g: (g.ravel()[flat].reshape(shape),))
     return out
 
 

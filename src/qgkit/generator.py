@@ -282,9 +282,9 @@ def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
 def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor]) -> DecodeStep:
     """Attention, generate + maxout copy scores and the regrouped final
     distribution for each row of the decoder states ``H``: (R x dh) over
-    one passage, or (P x r_max x dh) over a chunk of P, block p reading
-    only passage p.  A row pays for its own passage's padded length, copy
-    columns and final ids, not for the chunk's."""
+    one passage, or (P x r_max x dh) over a chunk of P (P = 1 included),
+    block p reading only passage p.  A row pays for its own passage's
+    padded length, copy columns and final ids, not for the chunk's."""
     raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.memory))
     if encoded.padding is not None:
         raw = ad.add(raw, Tensor(encoded.padding))
@@ -515,15 +515,24 @@ def _decode_chunk(
     vocab: Vocabulary,
 ) -> list[GenerationResult]:
     """Beam search for every pair at once, ``seqs`` holding their tagged
-    sources.  The passages are encoded in one pass, packed end to end,
-    and bridged to their first decoder states in one call; each row of a
-    step is one live beam, in its pair's block of the padded layout, so
-    its scores are, up to rounding, the ones its pair would get alone.
-    Ranking and stopping stay per pair: each step, a pair's ended beams
-    and the extensions of its live ones compete on (cost, ids), and an
-    ended beam leaves the rows but stays while it ranks among the best
-    ``beam_size``."""
+    sources.  The (P x beam_size x dh) decoder rows are allocated first,
+    so a ``beam_size`` too wide for numpy fails before any work.  The
+    passages are encoded in one pass, packed end to end, and bridged to
+    their first decoder states in one call.  Each step writes its live
+    beams into their slots, one row in its pair's block, and the head
+    reads every block, a chunk of one pair too, each row its own pair's
+    passage; so a beam's scores are, up to rounding, the ones its pair
+    would get alone.  Ranking and stopping stay per pair: each step, a
+    pair's ended beams and the extensions of its live ones compete on
+    (cost, ids), and an ended beam leaves the rows but stays while it
+    ranks among the best ``beam_size``."""
     vocab_size = params["embed"].shape[0]
+    beam_size = config.beam_size
+    try:
+        H = np.zeros((len(pairs), beam_size, config.decoder_hidden))
+    except (MemoryError, ValueError) as e:
+        raise InputError(f"beam_size {beam_size} lays out more decoder rows than numpy "
+                         f"can allocate: {e}") from None
     encoded = encode(seqs, config, params)
     h0, c0 = init_decoder_state(encoded, config, params)
     h, c = h0.data, c0.data
@@ -531,7 +540,6 @@ def _decode_chunk(
     # None once it has emitted [EOS]; a live beam's previous id is its
     # last id, or [SOS] before its first
     beams = [[(0.0, [], [], e)] for e in range(len(pairs))]
-    beam_size = config.beam_size
     for _ in range(config.max_len):
         # a live beam's slot in the (P x beam_size) layout: row j of its
         # pair's block, j its place among the pair's beams
@@ -543,14 +551,9 @@ def _decode_chunk(
         h_t, c_t = lstm_step(_embed([b[1][-1] if b[1] else SOS_ID for _, _, b in live], params),
                              Tensor(h[rows]), Tensor(c[rows]), params["dec.W"], params["dec.b"])
         h, c = h_t.data, c_t.data
-        try:  # the rows of ended beams and finished pairs are zeros
-            H = np.zeros((len(pairs) * beam_size, h.shape[1]))
-        except (MemoryError, ValueError) as e:
-            raise InputError(f"beam_size {beam_size} lays out more decoder rows than numpy "
-                             f"can allocate: {e}") from None
-        H[slots] = h
-        step = _decoder_head(Tensor(H.reshape(len(pairs), beam_size, -1) if len(pairs) > 1 else H),
-                             encoded, params)
+        # ended beams' and finished pairs' rows keep stale values, never read
+        H.reshape(len(pairs) * beam_size, -1)[slots] = h
+        step = _decoder_head(Tensor(H), encoded, params)
         dist, attention = (t.data.reshape(len(pairs) * beam_size, -1)[slots]
                            for t in (step.final_dist, step.attention))
         # each row's beam_size likeliest ids, tied ids in id order: a

@@ -546,17 +546,13 @@ def class_scores(
     """Score every class over aligned label lists.  recall(c) = matches
     within gold class c / gold support of c; precision(c) = matches
     within predicted class c / predictions of c; 0.0 when undefined."""
-    per_class = {}
-    for c in IWClass:
-        support = sum(1 for g in gold if g == c)
-        n_predicted = sum(1 for p in predicted if p == c)
-        hits = sum(1 for p, g in zip(predicted, gold) if p == g == c)
-        per_class[c] = ClassScore(
-            recall=hits / support if support else 0.0,
-            precision=hits / n_predicted if n_predicted else 0.0,
-            support=support,
-        )
-    return per_class
+    support, n_predicted = Counter(gold), Counter(predicted)
+    hits = Counter(p for p, g in zip(predicted, gold) if p == g)
+    return {c: ClassScore(
+        recall=hits[c] / support[c] if support[c] else 0.0,
+        precision=hits[c] / n_predicted[c] if n_predicted[c] else 0.0,
+        support=support[c],
+    ) for c in IWClass}
 
 
 def _iw_scores(gen_labels: Sequence[IWClass], gold_labels: Sequence[IWClass]) -> IWScores:

@@ -203,10 +203,13 @@ def load_checkpoint(path: str | Path, kind: str | None = None,
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
-        layout = [(e["name"], tuple(int(n) for n in e["shape"])) for e in header["tensors"]]
+        layout = [(e["name"], tuple(e["shape"])) for e in header["tensors"]]
         config, vocab_hash = header["config"], header["vocab_hash"]
-        if any(n < 0 for _, shape in layout for n in shape):
-            raise ValueError("negative tensor dimension")
+        if len({name for name, _ in layout}) != len(layout):
+            raise ValueError("a tensor name is listed twice")
+        # a bool is an int to Python, and int() would take 48.9 or "48"
+        if any(type(n) is not int or n < 0 for _, shape in layout for n in shape):
+            raise ValueError("a tensor dimension is not a non-negative int")
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as e:
         raise CheckpointError(f"{path}: malformed header: {type(e).__name__}: {e}")
     version = header.get("version")

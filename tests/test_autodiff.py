@@ -380,6 +380,22 @@ class TestSegmentMax:
         with pytest.raises(ValueError, match="outside"):
             segment_max(Tensor(np.zeros((3, 2, 5))), layout)
 
+    def test_rows_equal_one_block_stack(self):
+        segs = [[0, 3, 5], [1], [4, 2]]
+        scores = np.random.default_rng(22).normal(size=(4, 6))
+        scores[2, [2, 4]] = 1.5  # a tie, won by the lower index
+        w = np.random.default_rng(23).normal(size=(4, 3))
+        for x, wx in ((scores, w), (scores[2], w[2])):
+            (out, winners), grad = _weighted_pass(lambda t: segment_max(t, segs), x, wx)
+            (o, win), g = _weighted_pass(lambda t: segment_max(t, segs), x.reshape(1, -1, 6),
+                                         wx.reshape(1, -1, 3))
+            assert out.shape == winners.shape == x.shape[:-1] + (3,)
+            assert np.array_equal(out.data, o.data.reshape(out.shape))
+            assert np.array_equal(winners, win.reshape(winners.shape))
+            assert np.array_equal(grad, g.reshape(x.shape))
+        assert winners[2] == 2  # the 1-D pass: row 2's tie
+
+
 class TestLookup:
     def test_duplicate_ids_duplicate_rows(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
@@ -473,7 +489,12 @@ class TestScatterSum:
         for b in range(2):
             o, g = _weighted_pass(lambda x: scatter_sum(x, idx[b], 4), v[b], w[b])
             assert np.array_equal(out.data[b], o.data) and np.array_equal(grad[b], g)
-        for bad in (idx[:1], idx[:, :4], idx[0]):
+        # a 1-D map serves every block, as that map given to each block
+        shared, tiled = (_weighted_pass(lambda x: scatter_sum(x, m, 4), v, w)
+                         for m in (idx[0], np.tile(idx[0], (2, 1))))
+        assert np.array_equal(shared[0].data, tiled[0].data)
+        assert np.array_equal(shared[1], tiled[1])
+        for bad in (idx[:1], idx[:, :4]):
             with pytest.raises(ValueError):
                 scatter_sum(Tensor(v), bad, 4)
 

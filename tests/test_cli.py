@@ -121,6 +121,15 @@ def drop_key(key):
     return edit
 
 
+def edit_dim(name, change):
+    """Header edit passing tensor ``name``'s first dimension through ``change``."""
+    def edit(header):
+        shape = next(e["shape"] for e in header["tensors"] if e["name"] == name)
+        shape[0] = change(shape[0])
+        return header
+    return edit
+
+
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
     """Prepared corpus plus one trained checkpoint of each kind."""
@@ -327,6 +336,19 @@ class TestTrain:
                    "--out", tmp_path / "o") == 2
 
 
+def assert_qg_checkpoint_fatal(ws, tmp_path, capsys, command, blob) -> str:
+    """``command`` given ``blob`` as its qg checkpoint ends in one error
+    line, exit 1 and no output directory; returns the line."""
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob)
+    extra = ["--oracle", "1.0"] if command == "generate" else ["--grid", "1.0", "--seeds", "0"]
+    capsys.readouterr()
+    assert run(command, "--qg", bad, "--data", ws["prep"] / "qg_train.jsonl",
+               "--vocab", ws["prep"] / "vocab.txt", "--out", tmp_path / "o", *extra) == 1
+    assert not (tmp_path / "o").exists()
+    return assert_one_error_line(capsys)
+
+
 @pytest.mark.parametrize("command", ["generate", "sweep"])
 @pytest.mark.parametrize("edit", [
     edit_config(dropout=0.1),
@@ -336,17 +358,28 @@ class TestTrain:
     edit_config(epochs=0),
     lambda header: b"{not json",
     drop_key("tensors"),
+    edit_dim("att.Wa", lambda n: n + 0.9),
+    edit_dim("att.Wa", str),
+    edit_dim("out.b", bool),
 ], ids=["extra-key", "missing-key", "ill-typed", "bool-as-int", "out-of-range",
-        "bad-json", "no-tensors"])
+        "bad-json", "no-tensors", "float-dim", "str-dim", "bool-dim"])
 def test_bad_checkpoint_fatal(ws, tmp_path, capsys, command, edit):
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(with_header(Path(ws["qg"]).read_bytes(), edit))
-    extra = ["--oracle", "1.0"] if command == "generate" else ["--grid", "1.0", "--seeds", "0"]
-    capsys.readouterr()
-    assert run(command, "--qg", bad, "--data", ws["prep"] / "qg_train.jsonl",
-               "--vocab", ws["prep"] / "vocab.txt", "--out", tmp_path / "o", *extra) == 1
-    assert_one_error_line(capsys)
-    assert not (tmp_path / "o").exists()
+    assert_qg_checkpoint_fatal(ws, tmp_path, capsys, command,
+                               with_header(Path(ws["qg"]).read_bytes(), edit))
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_repeated_tensor_name_fatal(ws, tmp_path, capsys, command):
+    # a second, zero-filled att.Wa after the real one's payload would
+    # replace it if it loaded
+    shape = load_checkpoint(ws["qg"]).tensors["att.Wa"].shape
+
+    def repeat(header):
+        header["tensors"].append({"name": "att.Wa", "shape": list(shape)})
+        return header
+
+    blob = with_header(Path(ws["qg"]).read_bytes(), repeat) + bytes(8 * shape[0] * shape[1])
+    assert "listed twice" in assert_qg_checkpoint_fatal(ws, tmp_path, capsys, command, blob)
 
 
 class TestGenerate:

@@ -55,6 +55,7 @@ from qgkit.generator import (
     target_ids,
     train_qg,
 )
+from qgkit.persist import InputError
 from qgkit.synthetic import bundled_corpus
 
 
@@ -916,6 +917,17 @@ class TestGenerateBatch:
             np.testing.assert_allclose(alone.attention, a.attention, rtol=0, atol=1e-12)
         lengths = {len(r.tokens) for r in batched}
         assert len(lengths) > 1 and min(lengths) < cfg.max_len
+
+    def test_unallocatable_beam_fails_before_encoding(self, copying, monkeypatch):
+        corpus, vocab, cfg, params = copying
+        cfg = dataclasses.replace(cfg, beam_size=10**17)
+
+        def never(*args):
+            raise AssertionError("encoded before the decoder rows were allocated")
+
+        monkeypatch.setattr(generator, "encode", never)
+        with pytest.raises(InputError, match="beam_size 100000000000000000"):
+            generate_batch([(ex, ex.iw_class) for ex in corpus[:SPAN]], cfg, params, vocab)
 
 
 class TestTopIds:
