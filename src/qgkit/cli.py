@@ -24,6 +24,7 @@ import configparser
 import json
 import sys
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,6 @@ from .data import (
     corpus_text,
     downsample,
     load_corpus,
-    tokenize,
 )
 # ``generate`` and ``pipeline_generate`` are not called here; they stay
 # bound because bench/spans.py traces them at this module
@@ -363,7 +363,7 @@ def _dump_line(example: Example, result, provenance: str) -> str:
             "id": example.id,
             "predicted_iw": result.predicted_iw.name.lower(),
             "generated": result.tokens,
-            "gold": tokenize(example.question),
+            "gold": example.question_tokens,
             "attention": result.attention.tolist(),
             "provenance": provenance,
             "manifest": MANIFEST_NAME,
@@ -442,7 +442,7 @@ def cmd_sweep(args, cfg) -> tuple:
     vocab = Vocabulary.load(args.vocab)
     qg = _load_model_checkpoint(args.qg, "qg", vocab)
     examples = _load_examples(args.data)
-    references = [tokenize(ex.question) for ex in examples]
+    references = [ex.question_tokens for ex in examples]
     # one stream per seed, two draws per example: identical seeds reuse
     # identical noise across accuracy levels
     drawn: dict[tuple[float, int], list[IWClass]] = {}
@@ -520,7 +520,10 @@ def cmd_ablate(args, cfg) -> tuple:
 _INPUT_FLAGS = ("data", "vocab", "qg", "classifier", "dump")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it holds no per-call state, and each
+    ``parse_args`` call returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="qgkit",
         description="Interrogative-word aware question generation experiments.",

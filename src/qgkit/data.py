@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -207,9 +207,17 @@ class CorpusError(InputError):
         super().__init__(f"invalid corpus records: {shown}{extra}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Example:
-    """One passage/question/answer record with derived labels attached."""
+    """One passage/question/answer record with derived labels attached.
+
+    ``passage_tokens``, ``question_tokens`` and ``answer_span`` (the
+    answer's half-open token span in the passage) are each computed once:
+    ``from_record`` keeps the ones it computes to validate a record, and an
+    Example built directly computes each on first use.  Callers share
+    these lists and must not modify them.  An Example is frozen, so
+    ``dataclasses.replace`` is the way to edit one, and it builds a new
+    Example that computes its own."""
 
     id: str
     passage: str
@@ -218,6 +226,18 @@ class Example:
     answer_start: int
     entity_type: EntityType = EntityType.NONE
     iw_class: IWClass = field(default=IWClass.Others)
+
+    @cached_property
+    def passage_tokens(self) -> list[str]:
+        return tokenize(self.passage)
+
+    @cached_property
+    def question_tokens(self) -> list[str]:
+        return tokenize(self.question)
+
+    @cached_property
+    def answer_span(self) -> tuple[int, int]:
+        return answer_token_span(self.passage, self.answer_text, self.answer_start)
 
     @classmethod
     def from_record(cls, rec: dict) -> "Example":
@@ -234,26 +254,32 @@ class Example:
             raise ValueError("passage, question and answer must be strings")
         if not isinstance(start, int) or isinstance(start, bool):
             raise ValueError("answer_start must be an integer")
-        if not tokenize(question):
+        question_tokens = tokenize(question)
+        if not question_tokens:
             raise ValueError("question has no tokens")
-        if not tokenize(answer):
+        answer_tokens = tokenize(answer)
+        if not answer_tokens:
             raise ValueError("answer has no tokens")
         # Raises ValueError when the character span does not line up with
         # token boundaries of the passage.
-        answer_token_span(passage, answer, start)
+        passage_tokens, span = _align_answer(passage, answer, start, answer_tokens)
         if "entity_type" in rec and rec["entity_type"] is not None:
             entity = EntityType.from_name(rec["entity_type"])
         else:
-            entity = assign_entity_type(tokenize(answer))
-        return cls(
+            entity = assign_entity_type(answer_tokens)
+        example = cls(
             id=ex_id,
             passage=passage,
             question=question,
             answer_text=answer,
             answer_start=start,
             entity_type=entity,
-            iw_class=label_interrogative_class(tokenize(question)),
+            iw_class=label_interrogative_class(question_tokens),
         )
+        # the cached properties' values, kept from the checks above
+        example.__dict__.update(passage_tokens=passage_tokens,
+                                question_tokens=question_tokens, answer_span=span)
+        return example
 
     def to_record(self) -> dict:
         return {
@@ -272,6 +298,13 @@ def answer_token_span(passage: str, answer_text: str, answer_start: int) -> tupl
     The character window must cover a contiguous run of tokens whose
     surfaces reproduce the tokenized answer; anything else raises
     ValueError so misaligned offsets are caught at load time."""
+    return _align_answer(passage, answer_text, answer_start, tokenize(answer_text))[1]
+
+
+def _align_answer(passage: str, answer_text: str, answer_start: int,
+                  answer_tokens: list[str]) -> tuple[list[str], tuple[int, int]]:
+    """The passage's tokens, and ``answer_token_span`` given the answer's
+    tokens."""
     if answer_start < 0 or answer_start >= len(passage):
         raise ValueError("answer_start outside passage")
     spans = tokenize_with_offsets(passage)
@@ -280,12 +313,12 @@ def answer_token_span(passage: str, answer_text: str, answer_start: int) -> tupl
     if not hit:
         raise ValueError("answer span covers no tokens")
     lo, hi = hit[0], hit[-1] + 1
-    covered = [spans[i][0] for i in range(lo, hi)]
-    if covered != tokenize(answer_text):
+    tokens = [tok for tok, _, _ in spans]
+    if tokens[lo:hi] != answer_tokens:
         raise ValueError(
-            f"answer text {answer_text!r} does not align with passage tokens {covered!r}"
+            f"answer text {answer_text!r} does not align with passage tokens {tokens[lo:hi]!r}"
         )
-    return lo, hi
+    return tokens, (lo, hi)
 
 
 def load_corpus(path: str | Path) -> list[Example]:
@@ -390,7 +423,7 @@ class Vocabulary:
         (ties alphabetical) so the mapping is deterministic."""
         counts: dict[str, int] = {}
         for ex in examples:
-            for tok in tokenize(ex.passage) + tokenize(ex.question):
+            for tok in ex.passage_tokens + ex.question_tokens:
                 counts[tok] = counts.get(tok, 0) + 1
         kept = sorted(
             (tok for tok in counts if tok not in RESERVED_TOKENS),
@@ -483,11 +516,10 @@ class ClassifierInput:
 
 
 def build_classifier_input(example: Example, answer_tagging: bool) -> ClassifierInput:
-    passage_tokens = tokenize(example.passage)
-    lo, hi = answer_token_span(example.passage, example.answer_text, example.answer_start)
+    lo, hi = example.answer_span
     tokens = ["[CLS]"]
     positions = []
-    for i, tok in enumerate(passage_tokens):
+    for i, tok in enumerate(example.passage_tokens):
         if answer_tagging and i == lo:
             tokens.append("[ANS]")
         if lo <= i < hi:
@@ -533,12 +565,11 @@ def build_qg_input(
 
     Dropping the Interrogative-tagged position recovers the passage
     tokens unchanged."""
-    passage_tokens = tokenize(example.passage)
-    lo, hi = answer_token_span(example.passage, example.answer_text, example.answer_start)
+    lo, hi = example.answer_span
     surfaces: list[str] = []
     meta: list[int] = []
     iw_surface = iw_class.surface if insert_iw else None
-    for i, tok in enumerate(passage_tokens):
+    for i, tok in enumerate(example.passage_tokens):
         if iw_surface is not None and i == lo:
             surfaces.append(iw_surface)
             meta.append(MetaTag.Interrogative)

@@ -59,7 +59,6 @@ from .data import (
     TaggedSequence,
     Vocabulary,
     build_qg_input,
-    tokenize,
 )
 from .layers import (init_bilstm, init_linear, init_lstm, linear, lstm_step, padded, run_bilstm,
                      run_lstm)
@@ -401,7 +400,7 @@ def train_qg(
     prepared = []
     for ex in dataset:
         seq = build_qg_input(ex, ex.iw_class, vocab, insert_iw=config.insert_iw)
-        prepared.append((seq, target_ids(tokenize(ex.question), vocab, seq.oov_words)))
+        prepared.append((seq, target_ids(ex.question_tokens, vocab, seq.oov_words)))
     log = [{"epoch": 0, "per_token_loss": qg_loss(prepared, config, params.tensors)}]
     for epoch in range(1, config.epochs + 1):
         total, count = 0.0, 0
@@ -455,8 +454,9 @@ def generate(
     return generate_batch([(example, predicted_iw)], config, params, vocab)[0]
 
 
-# decoder rows x final-distribution width a decode chunk may hold: a step
-# allocates a few float arrays of that size, 4 MB each at this budget
+# decoder rows x final-distribution width a decode chunk may hold.  A step
+# holds seven to nine arrays of that size at once, so the budget caps each
+# array at 4 MB, not the step's peak: 28-36 MB at a vocabulary of ~10k
 _DECODE_BUDGET = 2**19
 
 

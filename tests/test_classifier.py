@@ -1,6 +1,7 @@
 """Tests for the interrogative-word classifier and the noise oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qgkit.classifier import (
     oracle_classifier,
     train_classifier,
 )
-from qgkit.data import Example, IWClass, Vocabulary, build_classifier_input
+from qgkit.data import IWClass, Vocabulary, build_classifier_input
 from qgkit.persist import ModelParams
 from qgkit.synthetic import bundled_corpus, make_separable_corpus
 
@@ -160,8 +161,8 @@ class TestClassify:
         params = init_classifier(cfg, len(vocab), np.random.default_rng(7))
         ex = corpus[0]
         from qgkit.data import EntityType
-        ex_a = Example(**{**ex.__dict__, "entity_type": EntityType.Person})
-        ex_b = Example(**{**ex.__dict__, "entity_type": EntityType.Org})
+        ex_a = replace(ex, entity_type=EntityType.Person)
+        ex_b = replace(ex, entity_type=EntityType.Org)
         before_a = classify([ex_a], cfg, params.tensors, vocab)[0]
         table = params.tensors["entity_embed"].data
         i, j = int(EntityType.Person), int(EntityType.Org)

@@ -1020,6 +1020,46 @@ def test_module_entry_point():
     assert "prepare" in proc.stdout
 
 
+def run_outputs(out: Path) -> dict:
+    """Every file a run wrote, by name; the manifest without its timestamp."""
+    files = {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+    if "manifest.json" in files:
+        manifest = json.loads(files["manifest.json"])
+        del manifest["created"]
+        files["manifest.json"] = manifest
+    return files
+
+
+def test_reused_parser_carries_no_state(ws, tmp_path, monkeypatch, capsys):
+    """Calls in one process share one parser; each gives the exit code,
+    output and files that the same call gives in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at this width
+    prep = ws["prep"]
+    calls = [
+        ["prepare", "--data", ASSETS / "overfit10.jsonl", "--bogus"],
+        ["prepare", "--seed", "5", "--cap", "3", "--print-config"],
+        ["generate", "--qg", ws["qg"], "--oracle", "2.0", "--data", prep / "qg_train.jsonl"],
+        ["prepare", "--data", ASSETS / "overfit10.jsonl"],
+        ["evaluate", "--dump", ws["dump"]],
+        ["generate", "--qg", ws["qg"], "--oracle", "0.7", "--data", prep / "qg_train.jsonl",
+         "--vocab", prep / "vocab.txt"],
+    ]
+    expected_codes = [2, 0, 2, 0, 0, 0]
+    for i, (argv, code) in enumerate(zip(calls, expected_codes)):
+        here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
+        try:
+            rc = run(*argv, "--out", here)
+        except SystemExit as e:
+            rc = e.code
+        got = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "qgkit", *map(str, argv), "--out", fresh],
+                              capture_output=True, text=True)
+        assert (rc, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert rc == code, argv
+        assert run_outputs(here) == run_outputs(fresh), argv
+        assert bool(run_outputs(here)) == (code == 0 and "--print-config" not in argv)
+
+
 NOT_UTF8 = b'{"id": "x\xff"}\n'
 
 

@@ -2,10 +2,14 @@
 vocabulary, input builders, and corpus IO."""
 
 import json
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qgkit import data
 from qgkit.data import (
     ANS_ID,
     CLS_ID,
@@ -33,6 +37,9 @@ from qgkit.data import (
     tokenize,
     tokenize_with_offsets,
 )
+
+
+ASSETS = Path(__file__).resolve().parents[1] / "src" / "qgkit" / "assets"
 
 
 def make_example(passage, question, answer, **kwargs):
@@ -470,3 +477,83 @@ class TestCorpusIO:
         path = self._write(tmp_path, [json.dumps(rec)])
         with pytest.raises(CorpusError):
             load_corpus(path)
+
+
+class TestTokensOnce:
+    """An Example carries its passage tokens, question tokens and answer
+    span, so loading a corpus and building every model input tokenizes
+    each text once."""
+
+    @pytest.mark.parametrize("name", ["mini200", "overfit10"])
+    def test_one_tokenizer_call_per_text(self, name, monkeypatch):
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return tokenize_with_offsets(text)
+
+        monkeypatch.setattr(data, "tokenize_with_offsets", counted)
+        corpus = load_corpus(ASSETS / f"{name}.jsonl")
+        vocab = Vocabulary.build(corpus)
+        for ex in corpus:
+            build_classifier_input(ex, answer_tagging=False)
+            build_classifier_input(ex, answer_tagging=True)
+            build_qg_input(ex, ex.iw_class, vocab)
+            assert ex.question_tokens
+        assert Counter(texts) == Counter(
+            text for ex in corpus for text in (ex.passage, ex.question, ex.answer_text))
+
+    @pytest.mark.parametrize("built", ["from_record", "directly"])
+    def test_cached_fields_equal_fresh_results(self, built):
+        corpus = load_corpus(ASSETS / "mini200.jsonl")
+        if built == "directly":
+            corpus = [Example(**{f.name: getattr(ex, f.name) for f in fields(Example)})
+                      for ex in corpus]
+        for ex in corpus:
+            assert ex.passage_tokens == tokenize(ex.passage)
+            assert ex.question_tokens == tokenize(ex.question)
+            assert ex.answer_span == answer_token_span(ex.passage, ex.answer_text,
+                                                       ex.answer_start)
+
+    def test_replace_drops_the_old_tokens(self):
+        ex = make_example("The red kite flew over Lisbon .",
+                          "Where did the kite fly ?", "Lisbon")
+        assert ex.question_tokens[0] == "where"
+        asked = replace(ex, question="Who saw the kite ?")
+        assert asked.question_tokens == ["who", "saw", "the", "kite", "?"]
+        moved = replace(ex, passage="Long ago, " + ex.passage,
+                        answer_start=ex.answer_start + len("Long ago, "))
+        assert moved.passage_tokens == ["long", "ago", ","] + ex.passage_tokens
+        assert moved.answer_span == (ex.answer_span[0] + 3, ex.answer_span[1] + 3)
+        assert (ex.passage_tokens, ex.question_tokens) == (
+            tokenize(ex.passage), tokenize(ex.question))
+
+    def test_fields_cannot_be_assigned(self):
+        ex = make_example("A map hangs here .", "What hangs here ?", "A map")
+        with pytest.raises(FrozenInstanceError):
+            ex.question = "Who hangs here ?"
+
+    def test_direct_example_checks_its_span_on_use(self):
+        ex = Example("x", "The telescope was heavy .", "What was heavy ?", "tele", 4)
+        with pytest.raises(ValueError, match="does not align"):
+            build_qg_input(ex, IWClass.What, Vocabulary())
+
+    @pytest.mark.parametrize("passage,answer,start,message", [
+        ("The telescope was heavy .", "tele", 4,
+         "answer text 'tele' does not align with passage tokens ['telescope']"),
+        ("The map was ancient .", "modern", 4,
+         "answer text 'modern' does not align with passage tokens ['map', 'was']"),
+        ("short", "short", 99, "answer_start outside passage"),
+        ("A  map", "x", 1, "answer span covers no tokens"),
+    ], ids=["inside-word", "wrong-text", "outside", "no-tokens"])
+    def test_misaligned_answer_rejected(self, tmp_path, passage, answer, start, message):
+        rec = {"id": "bad", "passage": passage, "question": "What ?",
+               "answer_text": answer, "answer_start": start}
+        with pytest.raises(ValueError) as err:
+            Example.from_record(rec)
+        assert str(err.value) == message
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError) as err:
+            load_corpus(path)
+        assert str(err.value) == "invalid corpus records: bad"
