@@ -9,12 +9,15 @@ curves, and ``ablate`` trains the five classifier feature variants.
 Each subcommand declares its required flags in ``build_parser``, and
 each ``cmd_*`` only computes: it reads its inputs and returns its staged
 outputs (manifest command name, files, config snapshot, seeds).  ``main``
-does the rest in one place: it checks the required flags, defaults
-``--vocab`` to ``vocab.txt`` beside ``--data``, hashes every input file
-given, then writes each output file atomically and a manifest (command,
-config, seeds, input/output hashes) beside them.  Reruns with the same
-inputs and config produce byte-identical artifacts; the only thing that
-moves is the manifest timestamp.
+does the rest in one place: it parses the arguments, checks the required
+flags, defaults ``--vocab`` to ``vocab.txt`` beside ``--data``, hashes
+every input file given, then writes each output file atomically and a
+manifest (command, config, seeds, input/output hashes) beside them.
+Reruns with the same inputs and config produce byte-identical artifacts;
+the only thing that moves is the manifest timestamp.  Every failure
+``main`` can name, a usage error included, ends in one ``error:`` line
+on stderr and a nonzero return; only ``--help`` leaves through
+argparse's own exit.
 """
 
 from __future__ import annotations
@@ -520,11 +523,20 @@ def cmd_ablate(args, cfg) -> tuple:
 _INPUT_FLAGS = ("data", "vocab", "qg", "classifier", "dump")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error the way ``main`` ends every other failure: one
+    ``error:`` line and exit 2, without argparse's usage lines.
+    ``add_subparsers`` builds each subcommand's parser from this class too."""
+
+    def error(self, message):
+        raise InputError(message, code=2)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: it holds no per-call state, and each
     ``parse_args`` call returns a new Namespace."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgkit",
         description="Interrogative-word aware question generation experiments.",
     )
@@ -538,6 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--print-config", action="store_true",
                        help="print the effective config and exit")
 
+    def corpus(p, what):
+        p.add_argument("--data", default=None, help=f"{what} corpus JSONL")
+        p.add_argument("--vocab", default=None,
+                       help="vocabulary file (default: vocab.txt beside --data)")
+
     p = sub.add_parser("prepare", help="balance a corpus and build the vocabulary")
     common(p)
     p.add_argument("--data", default=None, help="input corpus JSONL")
@@ -547,9 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the classifier or the generator")
     common(p)
     p.add_argument("--kind", choices=list(_MODELS), default=None)
-    p.add_argument("--data", default=None, help="training corpus JSONL")
-    p.add_argument("--vocab", default=None,
-                   help="vocabulary file (default: vocab.txt beside --data)")
+    corpus(p, "training")
     p.set_defaults(func=cmd_train, required=("kind", "data", "out"))
 
     p = sub.add_parser("generate", help="run the two-stage pipeline over a corpus")
@@ -558,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default=None, help="classifier checkpoint")
     p.add_argument("--oracle", default=None,
                    help="use a gold-based oracle at this accuracy instead")
-    p.add_argument("--data", default=None, help="evaluation corpus JSONL")
-    p.add_argument("--vocab", default=None)
+    corpus(p, "evaluation")
     p.set_defaults(func=cmd_generate, required=("qg", "data", "out"))
 
     p = sub.add_parser("evaluate", help="score a generation dump")
@@ -570,30 +584,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="metrics across oracle accuracy levels")
     common(p)
     p.add_argument("--qg", default=None, help="generator checkpoint")
-    p.add_argument("--data", default=None, help="evaluation corpus JSONL")
-    p.add_argument("--vocab", default=None)
+    corpus(p, "evaluation")
     p.add_argument("--grid", default=None, help="comma-separated accuracies")
     p.add_argument("--seeds", default=None, help="comma-separated seeds")
     p.set_defaults(func=cmd_sweep, required=("qg", "data", "out"))
 
     p = sub.add_parser("ablate", help="train the five classifier feature variants")
     common(p)
-    p.add_argument("--data", default=None, help="training corpus JSONL")
-    p.add_argument("--vocab", default=None)
+    corpus(p, "training")
     p.set_defaults(func=cmd_ablate, required=("data", "out"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cp, cfg = load_config(args)
         if args.print_config:
             cp.write(sys.stdout)
             return 0
+        # an empty value is missing too: Path("") is the working directory
         for name in args.required:
-            if getattr(args, name) is None:
+            if not getattr(args, name):
                 raise InputError(f"--{name} is required", code=2)
         if hasattr(args, "vocab"):
             default = Path(args.data).parent / "vocab.txt"
@@ -607,7 +620,3 @@ def main(argv=None) -> int:
         # one line, whatever the message quotes from the input
         print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
         return e.code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -251,9 +250,13 @@ def load_checkpoint(path: str | Path, kind: str | None = None,
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write via a temp file in the target directory + rename, so a
-    failure never leaves a partial file at ``path``."""
+    failure never leaves a partial file at ``path``.  The temp file is
+    created with mode 0o666 less the umask, the mode ``open(path, "wb")``
+    gives, where ``tempfile.mkstemp`` would give 0o600."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0),
+                 0o666)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)

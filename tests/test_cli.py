@@ -223,10 +223,9 @@ class TestConfig:
         assert run("prepare", "--config", tmp_path / "nope.ini",
                    "--data", "x", "--out", tmp_path / "o") == 2
 
-    def test_unknown_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as exc:
-            run("frobnicate")
-        assert exc.value.code == 2
+    def test_unknown_subcommand_exits_two(self, capsys):
+        assert run("frobnicate") == 2
+        assert "invalid choice: 'frobnicate'" in assert_one_error_line(capsys)
 
 
 class TestPrepare:
@@ -1013,11 +1012,68 @@ class TestManifests:
         assert "qg.ckpt" in manifest["artifacts"]
 
 
+def fresh_qgkit(*argv, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m qgkit *argv`` in a new process, from any directory."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ASSETS.parents[1]), os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "qgkit", *map(str, argv)],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 def test_module_entry_point():
-    proc = subprocess.run([sys.executable, "-m", "qgkit", "--help"],
-                          capture_output=True, text=True)
+    proc = fresh_qgkit("--help")
     assert proc.returncode == 0
     assert "prepare" in proc.stdout
+
+
+def test_help_exits_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("prepare", "-h")
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qgkit prepare") and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--bogus"],
+    ["frobnicate"],
+    [],
+    ["train", "--kind", "foo"],
+    ["prepare", "--seed", "abc"],
+    ["prepare", "--cap", "x"],
+    ["prepare", "--data"],
+], ids=["unknown-flag", "unknown-subcommand", "no-subcommand", "bad-choice",
+        "bad-int-seed", "bad-int-cap", "flag-without-value"])
+def test_usage_error_is_one_line(tmp_path, capsys, argv):
+    # --out right after the subcommand, so each bad flag stays last as
+    # written; a call with no subcommand has no --out to give
+    out = ["--out", tmp_path / "o"] if argv else []
+    argv = [*argv[:1], *out, *argv[1:]]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err.startswith("error: ") and got.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    proc = fresh_qgkit(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, got.out, got.err)
+
+
+def test_empty_required_flag_is_missing(tmp_path):
+    proc = fresh_qgkit("prepare", "--data", ASSETS / "overfit10.jsonl", "--out", "",
+                       cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: --out is required\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_artifacts_take_the_umask(tmp_path):
+    """Every file a run writes has the mode ``open(path, "wb")`` gives."""
+    for umask in (0o022, 0o077):
+        out = tmp_path / oct(umask)
+        proc = fresh_qgkit("prepare", "--data", ASSETS / "overfit10.jsonl", "--out", out,
+                           umask=umask)
+        assert proc.returncode == 0, proc.stderr
+        modes = {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()}
+        assert len(modes) == 5 and set(modes.values()) == {0o666 & ~umask}, modes
 
 
 def run_outputs(out: Path) -> dict:
@@ -1030,30 +1086,27 @@ def run_outputs(out: Path) -> dict:
     return files
 
 
-def test_reused_parser_carries_no_state(ws, tmp_path, monkeypatch, capsys):
+def test_reused_parser_carries_no_state(ws, tmp_path, capsys):
     """Calls in one process share one parser; each gives the exit code,
     output and files that the same call gives in a fresh process."""
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at this width
     prep = ws["prep"]
     calls = [
         ["prepare", "--data", ASSETS / "overfit10.jsonl", "--bogus"],
         ["prepare", "--seed", "5", "--cap", "3", "--print-config"],
+        ["train", "--kind", "foo", "--data", prep / "qg_train.jsonl"],
         ["generate", "--qg", ws["qg"], "--oracle", "2.0", "--data", prep / "qg_train.jsonl"],
         ["prepare", "--data", ASSETS / "overfit10.jsonl"],
+        ["prepare", "--seed", "abc", "--data", ASSETS / "overfit10.jsonl"],
         ["evaluate", "--dump", ws["dump"]],
         ["generate", "--qg", ws["qg"], "--oracle", "0.7", "--data", prep / "qg_train.jsonl",
          "--vocab", prep / "vocab.txt"],
     ]
-    expected_codes = [2, 0, 2, 0, 0, 0]
+    expected_codes = [2, 0, 2, 2, 0, 2, 0, 0]
     for i, (argv, code) in enumerate(zip(calls, expected_codes)):
         here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
-        try:
-            rc = run(*argv, "--out", here)
-        except SystemExit as e:
-            rc = e.code
+        rc = run(*argv, "--out", here)
         got = capsys.readouterr()
-        proc = subprocess.run([sys.executable, "-m", "qgkit", *map(str, argv), "--out", fresh],
-                              capture_output=True, text=True)
+        proc = fresh_qgkit(*argv, "--out", fresh)
         assert (rc, got.out, got.err) == (proc.returncode, proc.stdout, proc.stderr), argv
         assert rc == code, argv
         assert run_outputs(here) == run_outputs(fresh), argv
