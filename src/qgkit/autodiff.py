@@ -239,9 +239,11 @@ def mul(a, b) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # exp of -|x| never overflows; 1 / (1 + e) for x >= 0, e / (1 + e) below
+    # exp of -|x| never overflows; 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below: max(e, sign(x)) is 1 for x > 0, e = 1 at x = ±0, e below
+    # (sign -1), and NaN at NaN
     e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0, e) / (1.0 + e)
+    return np.maximum(e, np.sign(d)) / (1.0 + e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -318,13 +320,16 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat of an empty list")
-    parts = [t.data for t in tensors]
-    out = Tensor(np.concatenate(parts, axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
 
     def back(g):
-        return tuple(np.split(g, splits, axis=axis))
+        # each input's slice of g along the axis, as views
+        lead, parts, start = (slice(None),) * (axis % g.ndim), [], 0
+        for t in tensors:
+            stop = start + t.data.shape[axis]
+            parts.append(g[lead + (slice(start, stop),)])
+            start = stop
+        return parts
 
     _record("concat", tuple(tensors), (out,), back)
     return out
@@ -356,9 +361,9 @@ def reduce_mean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> T
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if x.data.shape[axis] == 0:
         raise ValueError("softmax over an empty axis")
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def back(g):
@@ -372,9 +377,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 class Segments:
     """Segments of positions, laid end to end so that each is one
     ``reduceat`` span.  Build it once and pass it to every
-    ``segment_max`` over the same segments."""
+    ``segment_max`` over the same segments; the range of the positions
+    is taken once here, and each call checks it against its width."""
 
-    __slots__ = ("order", "starts", "owner")
+    __slots__ = ("order", "starts", "owner", "low", "high")
 
     def __init__(self, segments: Sequence[Sequence[int]]):
         sizes = [len(seg) for seg in segments]
@@ -385,6 +391,7 @@ class Segments:
         self.order = np.asarray([i for seg in segments for i in seg], dtype=np.intp)
         self.starts = np.cumsum([0] + sizes[:-1])
         self.owner = np.repeat(np.arange(len(sizes)), sizes)
+        self.low, self.high = int(self.order.min()), int(self.order.max())
 
 
 def segment_max(
@@ -412,7 +419,7 @@ def segment_max(
     # the blocks side by side, one (r x B*n) matrix
     flat = data.reshape(blocks, r, width).transpose(1, 0, 2).reshape(r, -1)
     n = flat.shape[1]
-    if order.min() < 0 or order.max() >= n:
+    if segments.low < 0 or segments.high >= n:
         raise ValueError(f"a segment indexes outside 0..{n - 1}")
     vals = flat[:, order]
     maxima = np.maximum.reduceat(vals, starts, axis=1)
@@ -454,11 +461,14 @@ def lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     return out
 
 
-def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int) -> Tensor:
+def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int,
+                prefix: int = 0) -> Tensor:
     """out[..., i] = sum of values[..., j] over all j with index_map[j] == i,
     along the last axis of a 1-D, 2-D or 3-D tensor.  A 1-D map serves
     every row; a (B x m) map gives each block of a (B x r x m) stack its
-    own."""
+    own.  The caller vouches that the first ``prefix`` ids of every map
+    are 0 .. prefix - 1 (a generator's vocabulary columns); only the
+    ids after them are read and checked."""
     shape = values.data.shape
     if len(shape) not in (1, 2, 3):
         raise ValueError(f"scatter_sum expects a 1-D, 2-D or 3-D tensor, got {values.shape}")
@@ -466,18 +476,32 @@ def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int
     if idx.shape != shape[-1:] and not (len(shape) == 3 and idx.shape == (shape[0], shape[2])):
         raise ValueError(f"index_map of shape {idx.shape} does not fit values of shape "
                          f"{values.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
+    if not 0 <= prefix <= min(size, shape[-1]):
+        raise ValueError(f"identity prefix {prefix} outside 0..{min(size, shape[-1])}")
+    tail = idx[..., prefix:]
+    if tail.size and (tail.min() < 0 or tail.max() >= size):
         raise ValueError(f"scatter_sum target outside 0..{size - 1}")
-    # each block's map, broadcast over the rows of its block
-    idx = idx[:, None, :] if idx.ndim == 2 else idx
-    # one bincount over the rows laid end to end; it adds each target's
-    # values from 0.0 in index order, as an in-place scatter-add would
+    # each block's map, broadcast over the rows of its block, with the
+    # rows laid end to end
+    tail = tail[:, None, :] if tail.ndim == 2 else tail
     lead = shape[:-1]
-    rows = math.prod(lead)
-    flat = (idx + size * np.arange(rows).reshape(lead + (1,))).ravel()
-    acc = np.bincount(flat, weights=values.data.ravel(), minlength=rows * size)
-    out = Tensor(acc.reshape(lead + (size,)))
-    _record("scatter_sum", (values,), (out,), lambda g: (g.ravel()[flat].reshape(shape),))
+    flat = (tail + size * np.arange(math.prod(lead)).reshape(lead + (1,))).ravel()
+    # each target's values added from 0.0 in index order, as one bincount
+    # over the whole map would: its own prefix column first, then the
+    # tail columns in order, one by one
+    acc = np.empty(lead + (size,))
+    np.add(values.data[..., :prefix], 0.0, out=acc[..., :prefix])
+    acc[..., prefix:] = 0.0
+    np.add.at(acc.reshape(-1), flat, values.data[..., prefix:].ravel())
+    out = Tensor(acc)
+
+    def back(g):
+        gv = np.empty(shape)
+        gv[..., :prefix] = g[..., :prefix]
+        gv[..., prefix:] = g.reshape(-1)[flat].reshape(lead + (-1,))
+        return (gv,)
+
+    _record("scatter_sum", (values,), (out,), back)
     return out
 
 

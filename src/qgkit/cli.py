@@ -47,6 +47,7 @@ from .data import (
 # bound because bench/spans.py traces them at this module
 from .generator import (
     QGConfig,
+    check_passages,
     generate,
     generate_batch,
     init_qg,
@@ -349,6 +350,8 @@ def cmd_train(args, cfg) -> tuple:
     kind = args.kind
     seed, config = cfg["seed"], cfg[kind]
     examples = _load_examples(args.data)
+    if kind == "qg":
+        check_passages(examples)
     vocab = Vocabulary.load(args.vocab)
     trainer = train_classifier if kind == "classifier" else train_qg
     params, log = _train(trainer, examples, config, vocab, f"train:{kind}")
@@ -382,6 +385,7 @@ def cmd_generate(args, cfg) -> tuple:
     vocab = Vocabulary.load(args.vocab)
     qg = _load_model_checkpoint(args.qg, "qg", vocab)
     examples = _load_examples(args.data)
+    check_passages(examples)
     if args.classifier is not None:
         predictor = _load_model_checkpoint(args.classifier, "classifier", vocab)
         provenance = "model"
@@ -445,6 +449,7 @@ def cmd_sweep(args, cfg) -> tuple:
     vocab = Vocabulary.load(args.vocab)
     qg = _load_model_checkpoint(args.qg, "qg", vocab)
     examples = _load_examples(args.data)
+    check_passages(examples)
     references = [ex.question_tokens for ex in examples]
     # one stream per seed, two draws per example: identical seeds reuse
     # identical noise across accuracy levels

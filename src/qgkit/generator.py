@@ -40,8 +40,10 @@ one, which reads its passage as it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,6 +71,7 @@ __all__ = [
     "EncodedChunk",
     "GenerationResult",
     "QGConfig",
+    "check_passages",
     "decode_step",
     "encode",
     "generate",
@@ -147,9 +150,13 @@ class EncodedChunk:
     the log of each column's size, -inf on padding, so a padding column
     weighs nothing; ``index_map`` is the final-distribution id of each
     combined-softmax column (the vocabulary, then the copy columns), one
-    map per passage for P > 1, and ``width`` the final distribution's
-    width: extended ids keep their own passage's numbering, so it is the
-    vocabulary plus the longest OOV list."""
+    map per passage for P > 1, whose first ``prefix`` ids (the
+    vocabulary's) are 0 .. prefix - 1, and ``width`` the final
+    distribution's width: extended ids keep their own passage's
+    numbering, so it is the vocabulary plus the longest OOV list.
+    ``memory_t``, the transposed memory, is taken by the first decoder
+    head that reads the chunk and reused by every later one, so a taped
+    pass records it where it first reads it."""
 
     states: Tensor
     bounds: list[int]
@@ -159,7 +166,9 @@ class EncodedChunk:
     columns: ad.Segments
     log_count: Tensor
     index_map: np.ndarray
+    prefix: int
     width: int
+    memory_t: Tensor | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.bounds[-1]
@@ -170,6 +179,28 @@ def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
     for j, wid in enumerate(ids):
         segments.setdefault(wid, []).append(j)
     return list(segments.values())
+
+
+# positions squared that one (n x n) self-attention array of a passage may
+# hold.  An untaped encode holds two such arrays of a passage at once and
+# a taped step up to about six (the scores and weights on its tape and
+# their gradients), so 2^22 caps each array at 32 MB and a step's at
+# ~200 MB, and admits passages of up to 2,047 tokens
+_ATTEND_BUDGET = 2**22
+
+
+def check_passages(examples: Sequence[Example]) -> None:
+    """Reject, by arithmetic on lengths and before anything is encoded, a
+    passage whose self-attention arrays would outgrow ``_ATTEND_BUDGET``:
+    the encoder reads a passage's n tokens and at most one inserted
+    interrogative word, and attends with (n + 1) x (n + 1) arrays.  The
+    InputError names the first such example and its token count."""
+    for ex in examples:
+        n = len(ex.passage_tokens)
+        if (n + 1) ** 2 > _ATTEND_BUDGET:
+            raise InputError(f"example {ex.id}: its passage has {n} tokens, more than the "
+                             f"{math.isqrt(_ATTEND_BUDGET) - 1} the encoder's self-attention "
+                             "budget admits")
 
 
 def _self_attend(U: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -237,7 +268,7 @@ def encode(
         states=states, bounds=bounds,
         segments=[[first + j for j in seg] for first, segs in zip(bounds, copies) for seg in segs],
         memory=memory, padding=padding, columns=ad.Segments([in_memory[c] for c in cols.flat]),
-        log_count=Tensor(log_count), index_map=index_map,
+        log_count=Tensor(log_count), index_map=index_map, prefix=vocab_size,
         width=vocab_size + max(len(seq.oov_words) for seq in seqs),
     )
 
@@ -284,7 +315,10 @@ def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor]) -
     one passage, or (P x r_max x dh) over a chunk of P (P = 1 included),
     block p reading only passage p.  A row pays for its own passage's
     padded length, copy columns and final ids, not for the chunk's."""
-    raw = ad.matmul(ad.matmul(H, params["att.Wa"]), ad.transpose(encoded.memory))
+    query = ad.matmul(H, params["att.Wa"])
+    if encoded.memory_t is None:
+        encoded.memory_t = ad.transpose(encoded.memory)
+    raw = ad.matmul(query, encoded.memory_t)
     if encoded.padding is not None:
         raw = ad.add(raw, Tensor(encoded.padding))
     attn = ad.softmax(raw, axis=-1)
@@ -294,7 +328,7 @@ def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor]) -
     # c positions of a word copy with c * exp(max) = exp(max + log c)
     copy = ad.add(maxima, encoded.log_count)
     combined = ad.softmax(ad.concat([gen, copy], axis=-1), axis=-1)
-    final = ad.scatter_sum(combined, encoded.index_map, encoded.width)
+    final = ad.scatter_sum(combined, encoded.index_map, encoded.width, encoded.prefix)
     return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
 
@@ -455,8 +489,8 @@ def generate(
 
 
 # decoder rows x final-distribution width a decode chunk may hold.  A step
-# holds seven to nine arrays of that size at once, so the budget caps each
-# array at 4 MB, not the step's peak: 28-36 MB at a vocabulary of ~10k
+# holds five to seven arrays of that size at once, so the budget caps each
+# array at 4 MB, not the step's peak: 21-29 MB at a vocabulary of ~10k
 _DECODE_BUDGET = 2**19
 
 
@@ -536,6 +570,11 @@ def _decode_chunk(
     encoded = encode(seqs, config, params)
     h0, c0 = init_decoder_state(encoded, config, params)
     h, c = h0.data, c0.data
+    # each pair's source length and the ids it may emit: its vocabulary
+    # and its own OOV list's extended ids
+    n_src = [len(seq.surfaces) for seq in seqs]
+    limit = [vocab_size + len(seq.oov_words) for seq in seqs]
+    rank = itemgetter(0, 1)
     # beam: (cost, id sequence, attention rows, state row), the state row
     # None once it has emitted [EOS]; a live beam's previous id is its
     # last id, or [SOS] before its first
@@ -560,20 +599,21 @@ def _decode_chunk(
         # pair's own ids come first among its zero-probability columns
         top = _top_ids(dist, beam_size)
         # each candidate's cost: the cross-entropy of its token
-        nll = -np.log(np.maximum(np.take_along_axis(dist, top, axis=1), ad.PROB_FLOOR))
+        nll = -np.log(np.maximum(dist[np.arange(len(top))[:, None], top], ad.PROB_FLOOR))
         top, nll = top.tolist(), nll.tolist()
-        # an ended beam keeps competing; row r extends live beam r
+        # an ended beam keeps competing; row r extends live beam r, and
+        # its attention row is a view of this step's (live x n_max) array
         candidates = [[b for b in bs if b[3] is None] for bs in beams]
         for r, (_, e, (cost, ids, att, _)) in enumerate(live):
-            row = attention[r, : len(seqs[e].surfaces)].copy()
+            row = attention[r, : n_src[e]]
             candidates[e] += [
                 (cost + step_cost, ids, att, None) if tid == EOS_ID
                 else (cost + step_cost, ids + [tid], att + [row], r)
-                for tid, step_cost in zip(top[r][: vocab_size + len(seqs[e].oov_words)], nll[r])]
-        beams = [sorted(bs, key=lambda b: (b[0], b[1]))[:beam_size] for bs in candidates]
+                for tid, step_cost in zip(top[r][: limit[e]], nll[r])]
+        beams = [sorted(bs, key=rank)[:beam_size] for bs in candidates]
     return [GenerationResult(
         tokens=vocab.decode_extended(ids, seq.oov_words),
-        attention=np.vstack(att) if att else np.zeros((0, len(seq.surfaces))),
+        attention=np.array(att) if att else np.zeros((0, len(seq.surfaces))),
         predicted_iw=predicted_iw,
         source=seq,
     ) for (_, predicted_iw), seq, [(_, ids, att, _), *_] in zip(pairs, seqs, beams)]

@@ -137,19 +137,22 @@ def bleu_n(
 # ROUGE-L
 
 def lcs_length(a: TokenSeq, b: TokenSeq) -> int:
-    """Longest common subsequence length by the classic DP, rolling rows."""
+    """Longest common subsequence length, bit-parallel over ``b``
+    (Allison and Dix 1986; Hyyrö 2004): bit j of ``v`` is clear where
+    the DP row's value steps up at column j, so the length is the count
+    of clear bits.  Each token of ``a`` advances the whole row with a
+    handful of integer operations, and the integers equal the DP's."""
     if not a or not b:
         return 0
-    prev = [0] * (len(b) + 1)
+    masks: dict = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def _rouge_pair(cand: TokenSeq, ref: TokenSeq) -> float:

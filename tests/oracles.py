@@ -62,6 +62,22 @@ def oracle_lcs(a, b):
     return 0
 
 
+def oracle_lcs_dp(a, b):
+    """Longest common subsequence length by the classic DP, rolling rows."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0] * (len(b) + 1)
+        for j, y in enumerate(b, start=1):
+            if x == y:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = max(prev[j], cur[j - 1])
+        prev = cur
+    return prev[-1]
+
+
 def oracle_chunks(pairs):
     if not pairs:
         return 0
@@ -304,3 +320,60 @@ def oracle_adam_step(params, state, lr, weight_decay=0.0):
         if weight_decay:
             update = update + weight_decay * p.data
         p.data -= lr * update
+
+
+# ---------------------------------------------------------------------------
+# Op references: the earlier forms of ops whose fast forms must give the
+# same bits, each able to stand in for its op in ``qgkit.autodiff``
+# (``oracle_scatter_sum`` takes the identity prefix and ignores it).
+# ---------------------------------------------------------------------------
+
+
+def oracle_sigmoid(d):
+    """The logistic function as 1 / (1 + e) for x >= 0 and e / (1 + e)
+    below, e = exp(-|x|), chosen by ``np.where``."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0, e) / (1.0 + e)
+
+
+def oracle_softmax(x, axis=-1):
+    """``softmax`` with a shifted copy, its ``exp`` and a division, each
+    a new array."""
+    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / np.sum(e, axis=axis, keepdims=True)
+    out = ad.Tensor(y)
+
+    def back(g):
+        inner = np.sum(g * y, axis=axis, keepdims=True)
+        return ((g - inner) * y,)
+
+    ad._record("softmax", (x,), (out,), back)
+    return out
+
+
+def oracle_concat(tensors, axis=0):
+    """``concat`` whose backward splits the gradient with ``np.split``
+    at the cumulative sizes."""
+    parts = [t.data for t in tensors]
+    out = ad.Tensor(np.concatenate(parts, axis=axis))
+    splits = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    ad._record("concat", tuple(tensors), (out,),
+               lambda g: tuple(np.split(g, splits, axis=axis)))
+    return out
+
+
+def oracle_scatter_sum(values, index_map, size, prefix=0):
+    """``scatter_sum`` as one ``bincount`` over the whole map, with the
+    rows laid end to end, and a backward that gathers the gradient at
+    every column's target."""
+    shape = values.data.shape
+    idx = np.asarray(index_map, dtype=np.intp)
+    idx = idx[:, None, :] if idx.ndim == 2 else idx
+    lead = shape[:-1]
+    rows = math.prod(lead)
+    flat = (idx + size * np.arange(rows).reshape(lead + (1,))).ravel()
+    acc = np.bincount(flat, weights=values.data.ravel(), minlength=rows * size)
+    out = ad.Tensor(acc.reshape(lead + (size,)))
+    ad._record("scatter_sum", (values,), (out,), lambda g: (g.ravel()[flat].reshape(shape),))
+    return out

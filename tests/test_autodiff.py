@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import oracle_concat, oracle_scatter_sum, oracle_sigmoid, oracle_softmax
 from qgkit import autodiff as ad
 from qgkit.autodiff import (
     AdamState,
@@ -995,3 +996,93 @@ class TestInvariants:
         assert t.shape == t.data.shape == (2, 3, 4)
         assert t.data.dtype == np.float64
         assert t.grad is None
+
+
+def _taped(op, inputs, g):
+    """``op`` on ``inputs`` as one tape entry: its output, and the
+    gradients its backward hands its inputs for ``g``."""
+    with Tape() as tape:
+        out = op(*inputs)
+    [entry] = tape.entries
+    return out.data, list(entry.backward_fn(g))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.strides == b.strides and a.tobytes() == b.tobytes()
+
+
+class TestFastFormsMatchReferences:
+    """The ops' leaner forms against their earlier forms, kept in
+    tests/oracles.py: the same bits, in values and gradients."""
+
+    def test_sigmoid_special_and_random_values(self):
+        rng = np.random.default_rng(31)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.0, -710.0,
+                            745.0, -745.0, 746.0, -746.0, 5e-324, -5e-324])
+        spread = rng.normal(size=2_000_000) * 10.0 ** rng.integers(-4, 4, size=2_000_000)
+        for d in (special, spread, spread.reshape(1000, 2000)[:, ::3]):
+            assert _same_bits(ad._sigmoid(d), oracle_sigmoid(d))
+
+    @pytest.mark.parametrize("shapes,axis", [
+        ([(2, 3), (4, 3), (1, 3)], 0),
+        ([(3, 2), (3, 5), (3, 1)], 1),
+        ([(3, 2), (3, 5)], -1),
+        ([(2, 3, 4), (2, 1, 4)], 1),
+        ([(2, 3, 4), (2, 3, 2), (2, 3, 1)], -1),
+        ([(1, 3, 4), (3, 3, 4)], 0),
+    ])
+    def test_concat_backward_slices_as_split_does(self, shapes, axis):
+        rng = np.random.default_rng(32)
+        parts = [rng.normal(size=s) for s in shapes]
+        g = rng.normal(size=np.concatenate(parts, axis=axis).shape)
+        ours = _taped(lambda *t: concat(list(t), axis=axis), [Tensor(p) for p in parts], g)
+        ref = _taped(lambda *t: oracle_concat(list(t), axis=axis), [Tensor(p) for p in parts], g)
+        assert _same_bits(ours[0], ref[0])
+        assert len(ours[1]) == len(ref[1]) == len(parts)
+        for a, b in zip(ours[1], ref[1]):
+            assert _same_bits(a, b) and np.shares_memory(a, g)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_softmax_in_place(self, axis):
+        rng = np.random.default_rng(33)
+        x = rng.normal(scale=30.0, size=(3, 4, 7))
+        x[..., 5:] = -np.inf  # padding slots, as the decoder masks them
+        x = x if axis == -1 else x[..., :5]
+        g = rng.normal(size=x.shape)
+        ours = _taped(lambda t: softmax(t, axis=axis), [Tensor(x)], g)
+        ref = _taped(lambda t: oracle_softmax(t, axis=axis), [Tensor(x)], g)
+        assert _same_bits(ours[0], ref[0]) and _same_bits(ours[1][0], ref[1][0])
+
+    # the vocabulary's V = 5 columns, then copy columns: out-of-vocabulary
+    # ids, an in-vocabulary id (2) that lands on a vocabulary column, ids
+    # repeated, and last a padding column (value 0) repeating a real one's id
+    V, SIZE = 5, 9
+    MAPS = [list(range(5)) + [6, 2, 5, 8, 2, 6], list(range(5)) + [7, 7, 0, 4, 5, 7]]
+
+    def test_scatter_sum_prefix_is_the_one_bincount_form(self):
+        rng = np.random.default_rng(34)
+        one, blocks = self.MAPS[0], np.array(self.MAPS)
+        for shape, idx in [((11,), one), ((3, 11), one), ((2, 3, 11), blocks),
+                           ((2, 3, 11), one)]:
+            v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+            v[..., -1] = 0.0
+            g = rng.normal(size=shape[:-1] + (self.SIZE,))
+            want = _taped(lambda t: oracle_scatter_sum(t, idx, self.SIZE), [Tensor(v)], g)
+            for prefix in (self.V, 0):
+                ours = _taped(lambda t: scatter_sum(t, idx, self.SIZE, prefix), [Tensor(v)], g)
+                assert _same_bits(ours[0], want[0]) and _same_bits(ours[1][0], want[1][0])
+
+    def test_scatter_sum_prefix_bounds(self):
+        v = Tensor(np.ones(4))
+        with pytest.raises(ValueError, match="identity prefix 5 outside 0..4"):
+            scatter_sum(v, [0, 1, 2, 3], 6, prefix=5)
+        with pytest.raises(ValueError, match="target outside 0..3"):
+            scatter_sum(v, [0, 1, 2, 4], 4, prefix=2)
+
+    def test_segments_out_of_range_message(self):
+        for segs in ([[0], [1, 3]], [[-1, 0], [2]]):
+            with pytest.raises(ValueError, match=r"^a segment indexes outside 0\.\.2$"):
+                segment_max(Tensor(np.zeros(3)), Segments(segs))
+        # a (B x r x n) stack's segments index its B * n positions
+        with pytest.raises(ValueError, match=r"^a segment indexes outside 0\.\.5$"):
+            segment_max(Tensor(np.zeros((2, 1, 3))), Segments([[0], [6]]))

@@ -7,6 +7,7 @@ once."""
 
 import errno
 import json
+import math
 import os
 import struct
 import subprocess
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgkit import autodiff, cli, metrics
+from qgkit import autodiff, cli, generator, metrics
 from qgkit.classifier import oracle_classifier
 from qgkit.cli import main
 from qgkit.data import IWClass, Vocabulary, class_counts, corpus_text, load_corpus, tokenize
@@ -1246,3 +1247,51 @@ def test_every_command_checks_config(ws, tmp_path, capsys, argv, ini, message):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message + "\n"
     assert not (tmp_path / "o").exists()
+
+
+def _one_record_corpus(path, n_tokens: int) -> str:
+    """A corpus of the first overfit10 record, its passage padded with
+    "the" to ``n_tokens`` tokens; returns the record's id."""
+    rec = json.loads((ASSETS / "overfit10.jsonl").read_text().splitlines()[0])
+    rec["passage"] += " the" * (n_tokens - len(tokenize(rec["passage"])))
+    path.write_text(json.dumps(rec) + "\n")
+    return rec["id"]
+
+
+PASSAGE_COMMANDS = {
+    "train-qg": lambda ws: ["train", "--kind", "qg", "--config", ws["ini"]],
+    "generate": lambda ws: ["generate", "--qg", ws["qg"], "--oracle", "1.0"],
+    "sweep": lambda ws: ["sweep", "--qg", ws["qg"], "--grid", "1.0", "--seeds", "0"],
+}
+
+
+@pytest.mark.parametrize("command", list(PASSAGE_COMMANDS))
+def test_passage_over_the_attention_budget_fatal(ws, tmp_path, capsys, command):
+    # one token past the budget's passage length, so the check rejects it
+    # before anything quadratic in it is allocated
+    limit = math.isqrt(generator._ATTEND_BUDGET) - 1
+    data = tmp_path / "long.jsonl"
+    ex_id = _one_record_corpus(data, limit + 1)
+    capsys.readouterr()
+    assert run(*PASSAGE_COMMANDS[command](ws), "--data", data, "--vocab", ws["prep"] / "vocab.txt",
+               "--out", tmp_path / "o") == 1
+    assert assert_one_error_line(capsys) == (
+        f"error: example {ex_id}: its passage has {limit + 1} tokens, more than the {limit} the "
+        "encoder's self-attention budget admits")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", list(PASSAGE_COMMANDS))
+def test_passage_at_the_attention_budget_accepted(ws, tmp_path, capsys, monkeypatch, command):
+    # the budget patched down to a 12-token passage: its tokens and the
+    # inserted word fill it exactly, and one value less rejects it
+    data = tmp_path / "one.jsonl"
+    _one_record_corpus(data, 12)
+    argv = [*PASSAGE_COMMANDS[command](ws), "--data", data, "--vocab", ws["prep"] / "vocab.txt"]
+    monkeypatch.setattr(generator, "_ATTEND_BUDGET", 13**2)
+    assert run(*argv, "--out", tmp_path / "o") == 0
+    monkeypatch.setattr(generator, "_ATTEND_BUDGET", 13**2 - 1)
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "p") == 1
+    assert "its passage has 12 tokens, more than the 11 " in assert_one_error_line(capsys)
+    assert not (tmp_path / "p").exists()

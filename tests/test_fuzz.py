@@ -1,7 +1,8 @@
 """Fuzzed input boundaries of the CLI.
 
-Each test feeds ``cli.main`` a corpus, checkpoint, generation dump or INI
-config that hypothesis derives from a valid one, and accepts exactly two
+Each test feeds ``cli.main`` a corpus, checkpoint, generation dump, INI
+config or vocabulary that hypothesis derives from a valid one, and accepts
+exactly two
 outcomes: exit 0 with the outputs written, or exit 1 or 2 with exactly one
 ``error:`` line on stderr and no ``--out`` directory.  An exception that
 escapes ``main`` fails the test.  The profile is derandomized, so every run
@@ -41,8 +42,9 @@ JUNK = st.just(b"") | st.binary(min_size=1, max_size=4)
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """A prepared tiny corpus, one example of it, and an untrained small
-    generator checkpoint trained against its vocabulary."""
+    """A prepared tiny corpus, one example of it, an untrained small
+    generator checkpoint trained against its vocabulary, and a config
+    that makes that generator's training one short epoch."""
     root = tmp_path_factory.mktemp("fuzz")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["prepare", "--data", str(ASSETS / "overfit10.jsonl"),
@@ -54,7 +56,11 @@ def ws(tmp_path_factory):
     params = init_qg(config, len(vocab), np.random.default_rng(0))
     (root / "qg.ckpt").write_bytes(
         checkpoint_bytes("qg", config.to_dict(), params.tensors, vocab.content_hash()))
-    return {"root": root, "vocab": root / "prep" / "vocab.txt", "one": one, "qg": root / "qg.ckpt"}
+    (root / "tiny.ini").write_text(
+        "[qg]\nword_dim = 4\nmeta_dim = 2\nencoder_hidden = 4\ndecoder_hidden = 4\n"
+        "epochs = 1\n")
+    return {"root": root, "vocab": root / "prep" / "vocab.txt", "one": one, "qg": root / "qg.ckpt",
+            "ini": root / "tiny.ini"}
 
 
 def assert_clean_outcome(root: Path, name: str, payload: bytes, argv) -> None:
@@ -212,3 +218,35 @@ def config_text(draw):
 def test_config_text(ws, text, prefix):
     assert_clean_outcome(ws["root"], "c.ini", prefix + text.encode("utf-8"),
                          ["prepare", "--data", ws["one"], "--config", "{in}"])
+
+
+# -- vocabulary files ------------------------------------------------------------
+
+
+@st.composite
+def vocab_lines(draw, valid: list[str]):
+    """Up to three edits of a valid vocabulary's lines: one dropped, one
+    repeated, one replaced by any text, or a reserved token or an
+    interrogative surface (both already in every vocabulary) inserted."""
+    lines = list(valid)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["drop", "repeat", "replace", "reserved"]))
+        if how == "drop":
+            del lines[i]
+        elif how == "repeat":
+            lines.insert(i, draw(st.sampled_from(lines)))
+        elif how == "replace":
+            lines[i] = draw(st.text(max_size=6))
+        else:
+            lines.insert(i, draw(st.sampled_from(["[UNK]", "[PAD]", "what", "who"])))
+    return lines
+
+
+@FUZZ
+@given(data=st.data(), prefix=JUNK, suffix=JUNK)
+def test_vocab_file(ws, data, prefix, suffix):
+    lines = data.draw(vocab_lines(ws["vocab"].read_text().splitlines()))
+    assert_clean_outcome(ws["root"], "vocab.txt", lines_file(lines, prefix, suffix),
+                         ["train", "--kind", "qg", "--data", ws["one"], "--vocab", "{in}",
+                          "--config", ws["ini"]])

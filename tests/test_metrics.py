@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import (
     oracle_bleu,
     oracle_clipped_counts,
     oracle_lcs,
+    oracle_lcs_dp,
     oracle_meteor_pair,
     random_token_pair,
 )
@@ -169,6 +171,21 @@ class TestRougeL:
         for _ in range(100):
             cand, ref = random_token_pair(rng, max_len=10)
             assert lcs_length(cand, ref) == oracle_lcs(cand, ref)
+
+    def test_lcs_is_the_dp_on_every_short_pair(self):
+        # every pair of sequences of up to 6 tokens over 3, up to renaming
+        # the tokens: the first sequence names them in order of appearance
+        seqs = [list(s) for n in range(7) for s in product("abc", repeat=n)]
+        for a in seqs:
+            if all(t <= "abc"[min(len(set(a[:i])), 2)] for i, t in enumerate(a)):
+                for b in seqs:
+                    assert lcs_length(a, b) == oracle_lcs_dp(a, b), (a, b)
+
+    def test_lcs_is_the_dp_past_one_machine_word(self):
+        rng = np.random.default_rng(24)
+        for _ in range(300):
+            a, b = (rng.integers(0, 4, size=rng.integers(0, 150)).tolist() for _ in range(2))
+            assert lcs_length(a, b) == oracle_lcs_dp(a, b)
 
     def test_lcs_known_values(self):
         assert lcs_length(list("abcde"), list("ace")) == 3

@@ -8,7 +8,15 @@ models' own, and checkpoint by checkpoint over whole training runs."""
 import numpy as np
 import pytest
 
-from oracles import oracle_adam_step, oracle_backward, oracle_lstm_step
+from oracles import (
+    oracle_adam_step,
+    oracle_backward,
+    oracle_concat,
+    oracle_lstm_step,
+    oracle_scatter_sum,
+    oracle_sigmoid,
+    oracle_softmax,
+)
 from qgkit import autodiff as ad
 from qgkit import classifier, generator, layers
 from qgkit.autodiff import AdamState, Tape, Tensor, adam_step, backward, lstm_step
@@ -169,6 +177,11 @@ def patch_oracles(monkeypatch):
         monkeypatch.setattr(mod, "adam_step", oracle_adam_step)
     for mod in (generator, layers):
         monkeypatch.setattr(mod, "lstm_step", oracle_lstm_step)
+    for mod in (ad, layers):
+        monkeypatch.setattr(mod, "concat", oracle_concat)
+    monkeypatch.setattr(ad, "softmax", oracle_softmax)
+    monkeypatch.setattr(ad, "scatter_sum", oracle_scatter_sum)
+    monkeypatch.setattr(ad, "_sigmoid", oracle_sigmoid)
 
 
 @pytest.mark.parametrize("kind", ["classifier", "qg"])
@@ -192,3 +205,30 @@ def test_training_matches_the_reference_step(mini, monkeypatch, kind):
     for t in copy.tensors.values():
         t.data += 1.0
     assert checkpoint_bytes(kind, {}, params.tensors, "") == blob
+
+
+# the ops a taped qg step on one pair records, in order: the encoder's
+# lookups, BiLSTM and self-attention, the fusion gate, the bridge, the
+# decoder's recurrence, then its head (the memory is transposed where
+# the head first reads it) and the loss
+QG_STEP_OPS = [
+    "lookup", "lookup", "concat", "lstm_step", "lstm_step", "concat",
+    "matmul", "transpose", "matmul", "softmax", "matmul",
+    "concat", "matmul", "add", "tanh", "matmul", "add", "sigmoid", "mul", "sub", "mul", "add",
+    "lookup", "matmul", "add", "tanh", "matmul", "add", "tanh",
+    "lookup", "lstm_step",
+    "matmul", "transpose", "matmul", "softmax", "matmul", "concat", "matmul", "add",
+    "segment_max", "add", "concat", "softmax", "scatter_sum", "cross_entropy",
+]
+
+
+def test_qg_step_tape_order(mini):
+    corpus, vocab = mini
+    config = QGConfig()
+    params = init_qg(config, len(vocab), np.random.default_rng(5)).tensors
+    ex = corpus[0]
+    seq = build_qg_input(ex, ex.iw_class, vocab)
+    with Tape() as tape:
+        sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words), config,
+                      params)
+    assert [entry.op for entry in tape.entries] == QG_STEP_OPS
