@@ -3,10 +3,11 @@
 Provides exactly the operator set the classifier and generator need:
 matmul, elementwise arithmetic and activations, stabilized softmax,
 per-segment maxima (for max-capped copy scores), embedding lookup,
-scatter-sum regrouping, cross-entropy, and one fused LSTM op with two
-outputs, ``lstm_step``, which advances k independent states over a whole
+scatter-sum regrouping, cross-entropy, and one fused LSTM op,
+``lstm_step``, which advances k independent states over a whole
 sequence as one tape entry (an encoder pass has one state per sequence
-of its chunk, a decoder step n = 1).  ``matmul``, ``transpose``,
+of its chunk, a decoder step n = 1), in one direction or in both
+directions of a BiLSTM layer at once, one time loop serving both.  ``matmul``, ``transpose``,
 ``segment_max``, ``scatter_sum`` and row broadcasting also take a
 (B x r x n) stack of blocks, one per passage of a decoder chunk, each
 block with its own segments and index map.  Ops executed while a Tape is
@@ -537,8 +538,9 @@ def cross_entropy(pred_dist: Tensor, gold: int | Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
-              reverse: bool = False) -> tuple[Tensor, Tensor]:
+def lstm_step(x: Tensor | Sequence[Tensor], h: Tensor, c: Tensor, W: Tensor | Sequence[Tensor],
+              b: Tensor | Sequence[Tensor], reverse: bool | Sequence[bool] = False
+              ) -> tuple[Tensor, ...]:
     """The LSTM cell advancing k independent states, the rows of ``h``
     and ``c`` (k x d), over n steps, last to first if ``reverse``, as one
     tape entry.  ``x`` (n*k x dim) is step-major: rows t*k .. t*k+k-1
@@ -554,70 +556,132 @@ def lstm_step(x: Tensor, h: Tensor, c: Tensor, W: Tensor, b: Tensor,
     rounding of those reassociated sums.  The backward stacks the values
     the forward saved once, before its loop; a step then writes its four
     gate gradients side by side with three products, each gate's factors
-    multiplied in the order of the cell's own formula."""
-    k, d = h.data.shape
+    multiplied in the order of the cell's own formula.
+
+    Both directions of a layer advance in the same loop when ``x``,
+    ``W``, ``b`` and ``reverse`` are pairs, one entry per direction, and
+    ``h``/``c`` (2k x d) stack the forward states over the reverse ones.
+    Step j of the loop holds forward step j and reverse step n-1-j as one
+    (2 x k x d) state, so the gates and the cell and hidden updates run
+    once for both; only the recurrent product (one batched matmul) and
+    the input and weight GEMMs are taken per direction.  Returns one H
+    per direction, each in the layout of its own ``x``, then the (2k x d)
+    c_last, every value and gradient the bits of one call per direction."""
+    if isinstance(x, Tensor):
+        xs, Ws, bs, revs = (x,), (W,), (b,), (reverse,)
+    else:
+        xs, Ws, bs, revs = x, W, b, reverse
+    (K, d), D = h.data.shape, len(xs)
+    k = K // D
+    N, m = xs[0].data.shape
     if c.data.shape != h.data.shape:
         raise ValueError(f"lstm_step: h and c disagree, {h.data.shape} and {c.data.shape}")
-    if x.data.shape[0] % k:
-        raise ValueError(f"lstm_step: x rows are not a multiple of h rows, "
-                         f"{x.data.shape} and {h.data.shape}")
-    if x.data.shape[1] + d != W.data.shape[0]:
-        raise ValueError(f"lstm_step: x and h widths do not sum to W rows, "
-                         f"{x.data.shape} + {h.data.shape} vs {W.data.shape}")
-    n, m = x.data.shape[0] // k, x.data.shape[1]
-    Wx, Wh = W.data[:m], W.data[m:]
-    Z = x.data @ Wx
-    Z += b.data
-    H, steps = np.empty((n * k, d)), []
-    h_t, c_t = h.data, c.data
-    for t in reversed(range(n)) if reverse else range(n):
-        rows = slice(t * k, t * k + k)
+    Zs = []
+    for xd, Wd, bd in zip(xs, Ws, bs):
+        if K % D or N % k or xd.data.shape != (N, m):
+            raise ValueError(f"lstm_step: x rows are not a multiple of h rows, "
+                             f"{_shapes(xs)} and {h.data.shape}")
+        if m + d != Wd.data.shape[0]:
+            raise ValueError(f"lstm_step: x and h widths do not sum to W rows, "
+                             f"{_shapes(xs)} + {h.data.shape} vs {_shapes(Ws)}")
+        Zs.append(xd.data @ Wd.data[:m])
+        Zs[-1] += bd.data
+    n = N // k
+    if D == 1:
+        # a step's block is its own k rows, in the direction's order
+        (Z,), Wh, h_t, c_t, rev, B = Zs, W.data[m:], h.data, c.data, reverse, k
+    else:
+        # block j is one (D x k x .) state, in loop order
+        Z, Wh, rev, B = _loop_blocks(Zs, revs, k), np.stack([Wd.data[m:] for Wd in Ws]), False, D
+        h_t, c_t = h.data.reshape(D, k, d), c.data.reshape(D, k, d)
+    H, steps = np.empty(Z.shape[:-1] + (d,)), []
+    for t in reversed(range(n)) if rev else range(n):
+        rows = slice(t * B, t * B + B)
         z = h_t @ Wh
         z += Z[rows]
-        s = _sigmoid(z[:, : 3 * d])
-        i, f, o = s[:, :d], s[:, d : 2 * d], s[:, 2 * d :]
-        g = np.tanh(z[:, 3 * d :])
+        s = _sigmoid(z[..., : 3 * d])
+        i, f, o = s[..., :d], s[..., d : 2 * d], s[..., 2 * d :]
+        g = np.tanh(z[..., 3 * d :])
         c_prev, c_t = c_t, f * c_t + i * g
         tc = np.tanh(c_t)
         H[rows] = h_t = o * tc
         steps.append((c_prev, s, g, tc))
+    if D == 1:
+        outs = Tensor(H), Tensor(c_t)
+    else:
+        outs = (*[Tensor(Hd) for Hd in _per_direction(H, revs)], Tensor(c_t.reshape(K, d)))
 
-    def back(dH, dc):
-        # the steps' saved values stacked in step order, step j in rows
-        # j*k .. j*k+k-1, and the three factors of each gate's gradient
-        # side by side: dz = ((a * B1) * B2) * B3, a = [dc, dc, dh, dc]
+    def back(*grads):
+        *dHs, dc = grads
+        # the steps' saved values stacked in step order, step j in block
+        # j, and the three factors of each gate's gradient side by side:
+        # dz = ((a * B1) * B2) * B3, a = [dc, dc, dh, dc]
         c_prev, S, G, TC = (np.concatenate(v) for v in zip(*steps))
-        B1 = np.concatenate((G, c_prev, TC, S[:, :d]), axis=1)
-        B2 = np.concatenate((S, 1.0 - G * G), axis=1)
+        B1 = np.concatenate((G, c_prev, TC, S[..., :d]), axis=-1)
+        B2 = np.concatenate((S, 1.0 - G * G), axis=-1)
         B3 = np.ones_like(B2)
-        np.subtract(1.0, S, out=B3[:, : 3 * d])
-        F, O, T2 = S[:, d : 2 * d], S[:, 2 * d :], 1.0 - TC * TC
-        DZ, dh, a = np.empty((n * k, 4 * d)), np.zeros_like(h.data), np.empty((k, 4 * d))
+        np.subtract(1.0, S, out=B3[..., : 3 * d])
+        F, O, T2 = S[..., d : 2 * d], S[..., 2 * d :], 1.0 - TC * TC
+        if D == 1:
+            (dH,) = dHs
+        else:
+            dH, dc = _loop_blocks(dHs, revs, k), dc.reshape(D, k, d)
+        DZ, dh = np.empty(Z.shape), np.zeros(dc.shape)
+        a, WhT = np.empty(dc.shape[:-1] + (4 * d,)), Wh.swapaxes(-1, -2)
         for j in reversed(range(n)):
-            t = n - 1 - j if reverse else j
-            rows, sj = slice(t * k, t * k + k), slice(j * k, j * k + k)
+            t = n - 1 - j if rev else j
+            rows, sj = slice(t * B, t * B + B), slice(j * B, j * B + B)
             dh = dH[rows] + dh
             dc = dc + dh * O[sj] * T2[sj]
-            np.concatenate((dc, dc, dh, dc), axis=1, out=a)
+            np.concatenate((dc, dc, dh, dc), axis=-1, out=a)
             dz = np.multiply(a, B1[sj], out=DZ[rows])
             dz *= B2[sj]
             dz *= B3[sj]
-            dh = dz @ Wh.T
+            dh = dz @ WhT
             dc = dc * F[sj]
-        # a step's incoming h is h0 at the first step and the output of
-        # the step before it after that: H shifted by one block of k rows
-        if reverse:
-            first, rest, prev = slice((n - 1) * k, None), slice(0, (n - 1) * k), slice(k, None)
-        else:
-            first, rest, prev = slice(0, k), slice(k, None), slice(0, (n - 1) * k)
-        dW = np.empty_like(W.data)
-        dW[:m] = x.data.T @ DZ
-        dW[m:] = h.data.T @ DZ[first] + H[prev].T @ DZ[rest]
-        return DZ @ Wx.T, dh, dc, dW, DZ.sum(0, keepdims=True)
+        dxs, dWs, dbs = [], [], []
+        for j, (xd, Wd, DZd, Hd, r) in enumerate(
+                zip(xs, Ws, (DZ,) if D == 1 else _per_direction(DZ, revs), outs, revs)):
+            # a step's incoming h is h0 at the first step and the output of
+            # the step before it after that: H shifted by one block of k rows
+            if r:
+                first, rest, prev = slice((n - 1) * k, None), slice(0, (n - 1) * k), slice(k, None)
+            else:
+                first, rest, prev = slice(0, k), slice(k, None), slice(0, (n - 1) * k)
+            dW = np.empty_like(Wd.data)
+            dW[:m] = xd.data.T @ DZd
+            dW[m:] = h.data[j * k : j * k + k].T @ DZd[first] + Hd.data[prev].T @ DZd[rest]
+            dxs.append(DZd @ Wd.data[:m].T)
+            dWs.append(dW)
+            dbs.append(DZd.sum(0, keepdims=True))
+        if D > 1:
+            dh, dc = dh.reshape(K, d), dc.reshape(K, d)
+        return (*dxs, dh, dc, *dWs, *dbs)
 
-    out, c_last = Tensor(H), Tensor(c_t)
-    _record("lstm_step", (x, h, c, W, b), (out, c_last), back)
-    return out, c_last
+    _record("lstm_step", (*xs, h, c, *Ws, *bs), outs, back)
+    return outs
+
+
+def _shapes(tensors: Sequence[Tensor]) -> str:
+    return " and ".join(str(t.data.shape) for t in tensors)
+
+
+def _loop_blocks(parts: Sequence[np.ndarray], revs: Sequence[bool], k: int) -> np.ndarray:
+    """One (n*k x w) array per direction as the blocks of a two-direction
+    ``lstm_step`` loop, (n*D x k x w): block j stacks each direction's k
+    rows of the step it takes at j, step j forward and n-1-j in reverse."""
+    n, D = parts[0].shape[0] // k, len(parts)
+    out = np.empty((n, D, k, parts[0].shape[1]))
+    for j, (A, r) in enumerate(zip(parts, revs)):
+        out[:, j] = A.reshape(n, k, -1)[:: -1 if r else 1]
+    return out.reshape(n * D, k, -1)
+
+
+def _per_direction(A: np.ndarray, revs: Sequence[bool]) -> tuple[np.ndarray, ...]:
+    """The blocks of a two-direction loop back as one (n*k x w) array per
+    direction, each in its own step order."""
+    A = A.reshape(-1, len(revs), *A.shape[1:])
+    return tuple(A[:: -1 if r else 1, j].reshape(-1, A.shape[-1]) for j, r in enumerate(revs))
 
 
 # ---------------------------------------------------------------------------

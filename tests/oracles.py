@@ -250,7 +250,15 @@ def oracle_backward(tape, loss):
 
 def oracle_lstm_step(x, h, c, W, b, reverse=False):
     """``lstm_step`` with a backward that computes each gate's gradient
-    on its own, factor by factor, at every step."""
+    on its own, factor by factor, at every step.  Both directions of a
+    layer (pairs of ``x``, ``W``, ``b`` and ``reverse``) are one call per
+    direction, each from its own rows of ``h`` and ``c``."""
+    if not isinstance(x, ad.Tensor):
+        k = h.data.shape[0] // len(x)
+        rows = [list(range(j * k, j * k + k)) for j in range(len(x))]
+        runs = [oracle_lstm_step(xd, ad.lookup(h, r), ad.lookup(c, r), Wd, bd, rev)
+                for xd, r, Wd, bd, rev in zip(x, rows, W, b, reverse)]
+        return (*(H for H, _ in runs), ad.concat([c_last for _, c_last in runs], axis=0))
     k, d = h.data.shape
     n, m = x.data.shape[0] // k, x.data.shape[1]
     Wx, Wh = W.data[:m], W.data[m:]

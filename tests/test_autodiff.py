@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import oracle_concat, oracle_scatter_sum, oracle_sigmoid, oracle_softmax
+from oracles import (oracle_concat, oracle_lstm_step, oracle_scatter_sum, oracle_sigmoid,
+                     oracle_softmax)
 from qgkit import autodiff as ad
 from qgkit.autodiff import (
     AdamState,
@@ -38,7 +39,7 @@ from qgkit.gradcheck import central_difference, check_gradients, relative_error
 from qgkit.classifier import ClassifierConfig, encode_summary, init_classifier
 from qgkit.data import TaggedSequence, Vocabulary
 from qgkit.generator import QGConfig, encode, init_qg
-from qgkit.layers import linear
+from qgkit.layers import _STACK_ROWS, linear, padded
 
 
 def fd(f, tensor, h=1e-4):
@@ -808,7 +809,7 @@ class TestLSTMStep:
         cls_params = init_classifier(cls_cfg, len(vocab), np.random.default_rng(0)).tensors
         with Tape() as tape:
             encode_summary([tokens], [[n - 1]], cls_cfg, cls_params, vocab)
-        assert [e.op for e in tape.entries].count("lstm_step") == 4
+        assert [e.op for e in tape.entries].count("lstm_step") == 2
         qg_cfg = QGConfig(word_dim=4, meta_dim=2, encoder_hidden=3, decoder_hidden=5)
         qg_params = init_qg(qg_cfg, len(vocab), np.random.default_rng(0)).tensors
         ids = vocab.encode(tokens)
@@ -816,7 +817,93 @@ class TestLSTMStep:
                              meta=[k % 3 for k in range(n)], oov_words=[])
         with Tape() as tape:
             encode(seq, qg_cfg, qg_params)
-        assert [e.op for e in tape.entries].count("lstm_step") == 2
+        assert [e.op for e in tape.entries].count("lstm_step") == 1
+
+
+def _layer_inputs(seed, n, k, d_in=3, d=4):
+    """X and a layer's two-direction reading of it as ``run_lstm`` reads
+    it, then each direction's W and b: k sequences of at most n rows
+    packed in X, the first n long; one is read as it is, several through
+    ``padded``, left-aligned forward and right-aligned in reverse."""
+    rng = np.random.default_rng(seed)
+    lengths = [n, *rng.integers(1, n + 1, size=k - 1)]
+    X = Tensor(rng.normal(scale=0.5, size=(sum(lengths), d_in)))
+    rows = [padded(lengths, right=r)[0].T.ravel() for r in (False, True)]
+    read = (lambda X: (X, X)) if k == 1 else (lambda X: tuple(lookup(X, r) for r in rows))
+    Ws = tuple(Tensor(rng.normal(scale=0.5, size=(d_in + d, 4 * d))) for _ in range(2))
+    bs = tuple(Tensor(rng.normal(scale=0.5, size=(1, 4 * d))) for _ in range(2))
+    return X, read, Ws, bs
+
+
+def _pair_loss(Hf, Hb, c_last):
+    return add(add(reduce_sum(mul(Hf, Tensor(np.linspace(-1.0, 1.5, Hf.data.size)
+                                             .reshape(Hf.shape)))),
+                   reduce_sum(mul(Hb, Tensor(np.linspace(1.3, -0.4, Hb.data.size)
+                                             .reshape(Hb.shape))))),
+               reduce_sum(mul(c_last, Tensor(np.linspace(0.7, -1.2, c_last.data.size)
+                                             .reshape(c_last.shape)))))
+
+
+class TestLSTMBothDirections:
+    """lstm_step over both directions of a layer in one loop: the bits of
+    one call per direction, on the rows run_bilstm reads."""
+
+    # k states per direction: one sequence, and the chunks on either
+    # side of run_bilstm's row budget
+    @pytest.mark.parametrize("k", [1, _STACK_ROWS // 2, _STACK_ROWS // 2 + 1])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_bits_of_one_call_per_direction(self, n, k):
+        d = 4
+        results = []
+        for pair in (True, False):
+            X, read, Ws, bs = _layer_inputs(30 + k, n, k, d=d)
+            with Tape() as tape:
+                xs = read(X)
+                if pair:
+                    zeros = [Tensor(np.zeros((2 * k, d)))]  # one tensor as both h and c
+                    Hf, Hb, c_last = lstm_step(xs, zeros[0], zeros[0], Ws, bs, (False, True))
+                else:
+                    zeros = [Tensor(np.zeros((k, d))) for _ in range(2)]
+                    (Hf, cf), (Hb, cb) = (oracle_lstm_step(xd, z, z, Wd, bd, reverse=r)
+                                          for xd, z, Wd, bd, r in zip(xs, zeros, Ws, bs,
+                                                                      (False, True)))
+                    c_last = concat([cf, cb], axis=0)
+                loss = _pair_loss(Hf, Hb, c_last)
+            assert [e.op for e in tape.entries].count("lstm_step") == 2 - pair
+            backward(tape, loss)
+            results.append([Hf.data, Hb.data, c_last.data, X.grad,
+                            np.concatenate([z.grad for z in zeros]),
+                            *(t.grad for t in Ws + bs)])
+        ours, ref = results
+        assert [a.shape for a in ours] == [a.shape for a in ref]
+        assert [a.tobytes() for a in ours] == [a.tobytes() for a in ref]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_gradients_vs_finite_differences(self, n, k):
+        X, read, Ws, bs = _layer_inputs(41, n, k)
+        rng = np.random.default_rng(42)
+        h, c = (Tensor(rng.normal(scale=0.5, size=(2 * k, 4))) for _ in range(2))
+
+        def loss():
+            return _pair_loss(*lstm_step(read(X), h, c, Ws, bs, (False, True)))
+
+        with Tape() as tape:
+            out = loss()
+        backward(tape, out)
+        assert check_gradients(lambda: loss().item(), [X, h, c, *Ws, *bs]) < 1e-6
+
+    @pytest.mark.parametrize("rows,state,message", [
+        ((6, 6), (3, 4), "x rows are not a multiple of h rows"),
+        ((6, 4), (4, 4), "x rows are not a multiple of h rows"),
+        ((5, 5), (4, 4), "x rows are not a multiple of h rows"),
+    ], ids=["odd-state", "unequal-x", "rows"])
+    def test_bad_shapes_rejected(self, rows, state, message):
+        xs = tuple(Tensor(np.zeros((r, 3))) for r in rows)
+        h = Tensor(np.zeros(state))
+        Ws, bs = (Tensor(np.zeros((7, 16))),) * 2, (Tensor(np.zeros((1, 16))),) * 2
+        with pytest.raises(ValueError, match=message):
+            lstm_step(xs, h, h, Ws, bs, (False, True))
 
 
 class TestLSTMCell:

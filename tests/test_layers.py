@@ -4,7 +4,9 @@
 sequence's rows.  ``run_bilstm``, and ``run_lstm`` in each direction
 from non-zero initial states, over several sequences packed end to end
 are checked against the same pass over each sequence alone, and their
-taped forms against central finite differences.
+taped forms against central finite differences; ``run_bilstm``'s one
+call for both directions against its one call per direction, bit for
+bit.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from qgkit.autodiff import Tape, Tensor, backward, concat, mul, reduce_sum
 from qgkit.gradcheck import check_gradients
+from qgkit import layers
 from qgkit.layers import init_bilstm, padded, run_bilstm, run_lstm
 
 IN, HIDDEN = 3, 4
@@ -92,7 +95,27 @@ def test_one_sequence_tapes_no_gather():
     params, X = _setup(1, [5])
     with Tape() as tape:
         run_bilstm(X, [5], params, "enc", HIDDEN)
-    assert [e.op for e in tape.entries] == ["lstm_step", "lstm_step", "concat"]
+    assert [e.op for e in tape.entries] == ["lstm_step", "concat"]
+
+
+@pytest.mark.parametrize("lengths", [[5], [3, 1], [3, 1, 4]], ids=["one", "two", "three"])
+def test_one_call_per_layer_or_per_direction_same_bits(lengths, monkeypatch):
+    # run_bilstm stacks both directions in one call while its 2P state
+    # rows fit the row budget and makes one call per direction above it;
+    # either way gives the same values and gradients, bit for bit
+    results = []
+    for budget, calls in ((10**6, 1), (0, 2)):
+        monkeypatch.setattr(layers, "_STACK_ROWS", budget)
+        params, X = _setup(5, lengths)
+        weights = Tensor(np.linspace(-1.0, 1.2, sum(lengths) * 2 * HIDDEN)
+                         .reshape(sum(lengths), 2 * HIDDEN))
+        with Tape() as tape:
+            states = run_bilstm(X, lengths, params, "enc", HIDDEN)
+            loss = reduce_sum(mul(states, weights))
+        assert [e.op for e in tape.entries].count("lstm_step") == calls
+        backward(tape, loss)
+        results.append([states.data, X.grad, *(p.grad for p in params.values())])
+    assert [a.tobytes() for a in results[0]] == [a.tobytes() for a in results[1]]
 
 
 @pytest.mark.parametrize("lengths", [[0, 2], [2, 2], []], ids=["empty", "short", "none"])

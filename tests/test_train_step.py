@@ -207,12 +207,38 @@ def test_training_matches_the_reference_step(mini, monkeypatch, kind):
     assert checkpoint_bytes(kind, {}, params.tensors, "") == blob
 
 
+def test_reference_step_runs_each_direction_alone(mini, monkeypatch):
+    # the reference cell runs each direction of a BiLSTM layer as its own
+    # entry, so the comparisons above check the two-direction call
+    # against one call per direction, not against itself
+    corpus, vocab = mini
+    ex = corpus[0]
+    qg_cfg, cls_cfg = QGConfig(), ClassifierConfig()
+    qg_params = init_qg(qg_cfg, len(vocab), np.random.default_rng(5)).tensors
+    cls_params = init_classifier(cls_cfg, len(vocab), np.random.default_rng(5)).tensors
+    seq = build_qg_input(ex, ex.iw_class, vocab)
+    counts = []
+    for patched in (False, True):
+        with monkeypatch.context() as m:
+            if patched:
+                patch_oracles(m)
+            with Tape() as qg_tape:
+                sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words),
+                              qg_cfg, qg_params)
+            with Tape() as cls_tape:
+                ad.cross_entropy(_class_distribution([ex], cls_cfg, cls_params, vocab),
+                                 int(ex.iw_class))
+        counts.append([[e.op for e in t.entries].count("lstm_step") for t in (qg_tape, cls_tape)])
+    # one entry per layer and the decoder's, then one per direction
+    assert counts == [[2, 2], [3, 4]]
+
+
 # the ops a taped qg step on one pair records, in order: the encoder's
-# lookups, BiLSTM and self-attention, the fusion gate, the bridge, the
-# decoder's recurrence, then its head (the memory is transposed where
-# the head first reads it) and the loss
+# lookups, BiLSTM (both directions one entry) and self-attention, the
+# fusion gate, the bridge, the decoder's recurrence, then its head (the
+# memory is transposed where the head first reads it) and the loss
 QG_STEP_OPS = [
-    "lookup", "lookup", "concat", "lstm_step", "lstm_step", "concat",
+    "lookup", "lookup", "concat", "lstm_step", "concat",
     "matmul", "transpose", "matmul", "softmax", "matmul",
     "concat", "matmul", "add", "tanh", "matmul", "add", "sigmoid", "mul", "sub", "mul", "add",
     "lookup", "matmul", "add", "tanh", "matmul", "add", "tanh",
