@@ -462,44 +462,43 @@ def lookup(table: Tensor, ids: Sequence[int] | np.ndarray) -> Tensor:
     return out
 
 
-def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int,
-                prefix: int = 0) -> Tensor:
-    """out[..., i] = sum of values[..., j] over all j with index_map[j] == i,
-    along the last axis of a 1-D, 2-D or 3-D tensor.  A 1-D map serves
-    every row; a (B x m) map gives each block of a (B x r x m) stack its
-    own.  The caller vouches that the first ``prefix`` ids of every map
-    are 0 .. prefix - 1 (a generator's vocabulary columns); only the
-    ids after them are read and checked."""
+def scatter_sum(values: Tensor, index_map: Sequence[int] | np.ndarray, size: int) -> Tensor:
+    """out[..., i] = sum of values[..., j] over all columns j that land on
+    id i, along the last axis of a 1-D, 2-D or 3-D tensor of n columns.
+    A map of m ids gives the targets of the last m columns, and each of
+    the n - m columns before them lands on its own id 0 .. n - m - 1 (a
+    generator's vocabulary columns, ahead of its copy columns).  A 1-D
+    map serves every row; a (B x m) map gives each block of a
+    (B x r x n) stack its own."""
     shape = values.data.shape
     if len(shape) not in (1, 2, 3):
         raise ValueError(f"scatter_sum expects a 1-D, 2-D or 3-D tensor, got {values.shape}")
     idx = np.asarray(index_map, dtype=np.intp)
-    if idx.shape != shape[-1:] and not (len(shape) == 3 and idx.shape == (shape[0], shape[2])):
+    if (not (idx.ndim == 1 or idx.ndim == 2 and len(shape) == 3 and idx.shape[0] == shape[0])
+            or idx.shape[-1] > shape[-1]):
         raise ValueError(f"index_map of shape {idx.shape} does not fit values of shape "
                          f"{values.shape}")
-    if not 0 <= prefix <= min(size, shape[-1]):
-        raise ValueError(f"identity prefix {prefix} outside 0..{min(size, shape[-1])}")
-    tail = idx[..., prefix:]
-    if tail.size and (tail.min() < 0 or tail.max() >= size):
+    k = shape[-1] - idx.shape[-1]  # the identity columns
+    if k > size or (idx.size and (idx.min() < 0 or idx.max() >= size)):
         raise ValueError(f"scatter_sum target outside 0..{size - 1}")
     # each block's map, broadcast over the rows of its block, with the
     # rows laid end to end
-    tail = tail[:, None, :] if tail.ndim == 2 else tail
+    idx = idx[:, None, :] if idx.ndim == 2 else idx
     lead = shape[:-1]
-    flat = (tail + size * np.arange(math.prod(lead)).reshape(lead + (1,))).ravel()
-    # each target's values added from 0.0 in index order, as one bincount
-    # over the whole map would: its own prefix column first, then the
-    # tail columns in order, one by one
+    flat = (idx + size * np.arange(math.prod(lead)).reshape(lead + (1,))).ravel()
+    # each target's values added from 0.0 in column order, as one
+    # bincount over the whole map would: its own identity column first,
+    # then the mapped columns in order, one by one
     acc = np.empty(lead + (size,))
-    np.add(values.data[..., :prefix], 0.0, out=acc[..., :prefix])
-    acc[..., prefix:] = 0.0
-    np.add.at(acc.reshape(-1), flat, values.data[..., prefix:].ravel())
+    np.add(values.data[..., :k], 0.0, out=acc[..., :k])
+    acc[..., k:] = 0.0
+    np.add.at(acc.reshape(-1), flat, values.data[..., k:].ravel())
     out = Tensor(acc)
 
     def back(g):
         gv = np.empty(shape)
-        gv[..., :prefix] = g[..., :prefix]
-        gv[..., prefix:] = g.reshape(-1)[flat].reshape(lead + (-1,))
+        gv[..., :k] = g[..., :k]
+        gv[..., k:] = g.reshape(-1)[flat].reshape(lead + (-1,))
         return (gv,)
 
     _record("scatter_sum", (values,), (out,), back)

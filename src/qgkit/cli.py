@@ -170,16 +170,21 @@ def load_config(args) -> tuple[configparser.ConfigParser, dict]:
         given = {key: values[kind, key] for key in CONFIG_SCHEMA[kind]}
         cfg[kind] = _checked(f"config [{kind}]", cls.from_dict, {**given, "seed": seed},
                              cause=True)
-    grid = _split_tokens(values["sweep", "grid"])
-    seed_text = values["sweep", "seeds"]
-    seed_tokens = _split_tokens(seed_text)
+    grid_text, seed_text = values["sweep", "grid"], values["sweep", "seeds"]
+    grid, seed_tokens = _split_tokens(grid_text), _split_tokens(seed_text)
     if not grid or not seed_tokens:
         raise InputError("sweep needs a non-empty accuracy grid and seed list", code=2)
     cfg["seeds"] = _checked(f"bad seed list {seed_text!r}",
                             lambda: [int(t) for t in seed_tokens])
     if any(sd < 0 for sd in cfg["seeds"]):
         raise InputError(f"bad seed list {seed_text!r}: seeds must be non-negative", code=2)
+    # a repeated seed or accuracy would write its rows twice and count
+    # them twice in a mean
+    if len(set(cfg["seeds"])) < len(cfg["seeds"]):
+        raise InputError(f"bad seed list {seed_text!r}: seeds must be distinct", code=2)
     cfg["grid"] = [(token, _accuracy(token)) for token in grid]
+    if len({accuracy for _, accuracy in cfg["grid"]}) < len(grid):
+        raise InputError(f"bad accuracy grid {grid_text!r}: accuracies must be distinct", code=2)
     oracle = getattr(args, "oracle", None)
     cfg["oracle"] = None if oracle is None else _accuracy(oracle)
     return cp, cfg

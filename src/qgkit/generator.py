@@ -148,12 +148,13 @@ class EncodedChunk:
     passage's n_max positions and W_max copy columns, not the chunk's N
     positions and S columns.  ``log_count`` (1 x W, or P x 1 x W_max) is
     the log of each column's size, -inf on padding, so a padding column
-    weighs nothing; ``index_map`` is the final-distribution id of each
-    combined-softmax column (the vocabulary, then the copy columns), one
-    map per passage for P > 1, whose first ``prefix`` ids (the
-    vocabulary's) are 0 .. prefix - 1, and ``width`` the final
-    distribution's width: extended ids keep their own passage's
-    numbering, so it is the vocabulary plus the longest OOV list.
+    weighs nothing; ``index_map`` (W, or P x W_max) is the
+    final-distribution id of each copy column, the word's extended id,
+    while each combined-softmax column before them, the vocabulary's,
+    lands on its own id (as ``scatter_sum`` reads a map narrower than its
+    values); and ``width`` is the final distribution's width: extended
+    ids keep their own passage's numbering, so it is the vocabulary plus
+    the longest OOV list.
     ``memory_t``, the transposed memory, is taken by the first decoder
     head that reads the chunk and reused by every later one, so a taped
     pass records it where it first reads it."""
@@ -166,7 +167,6 @@ class EncodedChunk:
     columns: ad.Segments
     log_count: Tensor
     index_map: np.ndarray
-    prefix: int
     width: int
     memory_t: Tensor | None = field(default=None, repr=False, compare=False)
 
@@ -256,7 +256,7 @@ def encode(
     log_count = np.where(real, np.log([len(seg) for seg in in_memory])[cols], -np.inf)
     # a column's extended id is the id at its first position
     first_ids = np.array([seq.ids[seg[0]] for seq, segs in zip(seqs, copies) for seg in segs])
-    index_map = np.hstack([np.tile(np.arange(vocab_size), (P, 1)), first_ids[cols]])
+    index_map = first_ids[cols]
     if P == 1:
         memory, padding, index_map = states, None, index_map[0]
     else:
@@ -268,14 +268,12 @@ def encode(
         states=states, bounds=bounds,
         segments=[[first + j for j in seg] for first, segs in zip(bounds, copies) for seg in segs],
         memory=memory, padding=padding, columns=ad.Segments([in_memory[c] for c in cols.flat]),
-        log_count=Tensor(log_count), index_map=index_map, prefix=vocab_size,
+        log_count=Tensor(log_count), index_map=index_map,
         width=vocab_size + max(len(seq.oov_words) for seq in seqs),
     )
 
 
-def init_decoder_state(
-    encoded: EncodedChunk, config: QGConfig, params: dict[str, Tensor]
-) -> tuple[Tensor, Tensor]:
+def init_decoder_state(encoded: EncodedChunk, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Learned bridge from each passage's last fused encoder state to
     (h0, c0), one row per passage."""
     last = ad.lookup(encoded.states, [end - 1 for end in encoded.bounds[1:]])
@@ -328,7 +326,7 @@ def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor]) -
     # c positions of a word copy with c * exp(max) = exp(max + log c)
     copy = ad.add(maxima, encoded.log_count)
     combined = ad.softmax(ad.concat([gen, copy], axis=-1), axis=-1)
-    final = ad.scatter_sum(combined, encoded.index_map, encoded.width, encoded.prefix)
+    final = ad.scatter_sum(combined, encoded.index_map, encoded.width)
     return DecodeStep(raw_attention=raw, attention=attn, generate_scores=gen, final_dist=final)
 
 
@@ -383,7 +381,7 @@ def sequence_loss(
     if not all(targets):
         raise ValueError("empty target sequence")
     encoded = encode(seqs, config, params)
-    h0, c0 = init_decoder_state(encoded, config, params)
+    h0, c0 = init_decoder_state(encoded, params)
     lengths = [len(t) for t in targets]
     H = run_lstm(_embed([i for t in targets for i in (SOS_ID, *t[:-1])], params), lengths,
                  h0, c0, params["dec.W"], params["dec.b"])
@@ -568,7 +566,7 @@ def _decode_chunk(
         raise InputError(f"beam_size {beam_size} lays out more decoder rows than numpy "
                          f"can allocate: {e}") from None
     encoded = encode(seqs, config, params)
-    h0, c0 = init_decoder_state(encoded, config, params)
+    h0, c0 = init_decoder_state(encoded, params)
     h, c = h0.data, c0.data
     # each pair's source length and the ids it may emit: its vocabulary
     # and its own OOV list's extended ids

@@ -4,7 +4,8 @@ Everything here trades efficiency for obviousness: explicit loops,
 exhaustive enumeration, no shared code with the library internals beyond
 the stemmer (the alignment oracle checks the search, not the stemmer,
 which has its own direct tests) and, for the training-step references,
-the tape they replay and Adam's constants."""
+the tape they replay, Adam's constants and the names they stand in
+for."""
 
 import math
 from itertools import combinations
@@ -12,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from qgkit import autodiff as ad
+from qgkit import classifier, generator, layers
 from qgkit.metrics import stem
 
 
@@ -332,8 +334,7 @@ def oracle_adam_step(params, state, lr, weight_decay=0.0):
 
 # ---------------------------------------------------------------------------
 # Op references: the earlier forms of ops whose fast forms must give the
-# same bits, each able to stand in for its op in ``qgkit.autodiff``
-# (``oracle_scatter_sum`` takes the identity prefix and ignores it).
+# same bits, each able to stand in for its op in ``qgkit.autodiff``.
 # ---------------------------------------------------------------------------
 
 
@@ -371,12 +372,15 @@ def oracle_concat(tensors, axis=0):
     return out
 
 
-def oracle_scatter_sum(values, index_map, size, prefix=0):
-    """``scatter_sum`` as one ``bincount`` over the whole map, with the
-    rows laid end to end, and a backward that gathers the gradient at
-    every column's target."""
+def oracle_scatter_sum(values, index_map, size):
+    """``scatter_sum`` as one ``bincount`` over the whole map, the ids of
+    the identity columns the map leaves out written ahead of its own,
+    with the rows laid end to end, and a backward that gathers the
+    gradient at every column's target."""
     shape = values.data.shape
     idx = np.asarray(index_map, dtype=np.intp)
+    k = shape[-1] - idx.shape[-1]
+    idx = np.concatenate([np.broadcast_to(np.arange(k), idx.shape[:-1] + (k,)), idx], axis=-1)
     idx = idx[:, None, :] if idx.ndim == 2 else idx
     lead = shape[:-1]
     rows = math.prod(lead)
@@ -385,3 +389,21 @@ def oracle_scatter_sum(values, index_map, size, prefix=0):
     out = ad.Tensor(acc.reshape(lead + (size,)))
     ad._record("scatter_sum", (values,), (out,), lambda g: (g.ravel()[flat].reshape(shape),))
     return out
+
+
+# The reference training step: setting each ``module.name`` to its
+# reference makes both trainers take every step through the references
+# above, each direction of a BiLSTM layer as its own call.
+REFERENCE_PATCHES = [
+    (generator, "backward", oracle_backward),
+    (classifier, "backward", oracle_backward),
+    (generator, "adam_step", oracle_adam_step),
+    (classifier, "adam_step", oracle_adam_step),
+    (generator, "lstm_step", oracle_lstm_step),
+    (layers, "lstm_step", oracle_lstm_step),
+    (ad, "concat", oracle_concat),
+    (layers, "concat", oracle_concat),
+    (ad, "softmax", oracle_softmax),
+    (ad, "scatter_sum", oracle_scatter_sum),
+    (ad, "_sigmoid", oracle_sigmoid),
+]

@@ -273,7 +273,7 @@ def _min_segment_gap(cfg, params, seq, targets):
     """Closest top-two raw-attention race inside any repeated-word group;
     finite differences flip the segment max when this is tiny."""
     enc = encode(seq, cfg, params)
-    state = init_decoder_state(enc, cfg, params)
+    state = init_decoder_state(enc, params)
     prev = SOS_ID
     gaps = [np.inf]
     for tid in targets:
@@ -340,7 +340,7 @@ def test_a2_copy_distribution_oracle(capsys):
         params = init_qg(cfg, vocab_size, rng).tensors
         seq = _random_sequence(rng, vocab_size, int(rng.integers(1, 11)))
         enc = encode(seq, cfg, params)
-        state = init_decoder_state(enc, cfg, params)
+        state = init_decoder_state(enc, params)
         prev = int(rng.integers(0, vocab_size))
         step, _ = decode_step(prev, state, enc, cfg, params)
         want = oracle_final_dist(

@@ -496,7 +496,7 @@ class TestScatterSum:
                          for m in (idx[0], np.tile(idx[0], (2, 1))))
         assert np.array_equal(shared[0].data, tiled[0].data)
         assert np.array_equal(shared[1], tiled[1])
-        for bad in (idx[:1], idx[:, :4]):
+        for bad in (idx[:1], np.hstack([idx, idx[:, :1]])):
             with pytest.raises(ValueError):
                 scatter_sum(Tensor(v), bad, 4)
 
@@ -1140,31 +1140,52 @@ class TestFastFormsMatchReferences:
         ref = _taped(lambda t: oracle_softmax(t, axis=axis), [Tensor(x)], g)
         assert _same_bits(ours[0], ref[0]) and _same_bits(ours[1][0], ref[1][0])
 
-    # the vocabulary's V = 5 columns, then copy columns: out-of-vocabulary
+    # the copy columns after the vocabulary's V = 5: out-of-vocabulary
     # ids, an in-vocabulary id (2) that lands on a vocabulary column, ids
     # repeated, and last a padding column (value 0) repeating a real one's id
     V, SIZE = 5, 9
-    MAPS = [list(range(5)) + [6, 2, 5, 8, 2, 6], list(range(5)) + [7, 7, 0, 4, 5, 7]]
+    COPIES = [[6, 2, 5, 8, 2, 6], [7, 7, 0, 4, 5, 7]]
 
     def test_scatter_sum_prefix_is_the_one_bincount_form(self):
+        # a map of the copy columns alone lands the V columns before them
+        # on their own ids: the bits of one bincount over the full map,
+        # those ids written out.  A full-width map scatters every column,
+        # whatever its first V ids
         rng = np.random.default_rng(34)
-        one, blocks = self.MAPS[0], np.array(self.MAPS)
+        one, blocks = self.COPIES[0], np.array(self.COPIES)
+
+        def ahead(first, idx):
+            idx = np.asarray(idx)
+            return np.concatenate([np.broadcast_to(first, idx.shape[:-1] + (self.V,)), idx],
+                                  axis=-1)
+
         for shape, idx in [((11,), one), ((3, 11), one), ((2, 3, 11), blocks),
                            ((2, 3, 11), one)]:
             v = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
             v[..., -1] = 0.0
             g = rng.normal(size=shape[:-1] + (self.SIZE,))
-            want = _taped(lambda t: oracle_scatter_sum(t, idx, self.SIZE), [Tensor(v)], g)
-            for prefix in (self.V, 0):
-                ours = _taped(lambda t: scatter_sum(t, idx, self.SIZE, prefix), [Tensor(v)], g)
+            full, shuffled = ahead(np.arange(self.V), idx), ahead([3, 0, 4, 4, 1], idx)
+            for ours_map, ref_map in ((idx, full), (full, full), (shuffled, shuffled),
+                                      (idx, idx)):
+                ours = _taped(lambda t: scatter_sum(t, ours_map, self.SIZE), [Tensor(v)], g)
+                want = _taped(lambda t: oracle_scatter_sum(t, ref_map, self.SIZE), [Tensor(v)], g)
                 assert _same_bits(ours[0], want[0]) and _same_bits(ours[1][0], want[1][0])
 
     def test_scatter_sum_prefix_bounds(self):
-        v = Tensor(np.ones(4))
-        with pytest.raises(ValueError, match="identity prefix 5 outside 0..4"):
-            scatter_sum(v, [0, 1, 2, 3], 6, prefix=5)
-        with pytest.raises(ValueError, match="target outside 0..3"):
-            scatter_sum(v, [0, 1, 2, 4], 4, prefix=2)
+        # a map is at most as wide as the values and a (B x m) one gives
+        # each block of a stack its own; every target, the identity
+        # columns' own ids included, lies in 0 .. size - 1
+        v, stack = Tensor(np.ones(4)), Tensor(np.ones((2, 3, 4)))
+        for values, bad in [(v, [0, 1, 2, 3, 0]), (stack, np.zeros((2, 5))), (v, 0),
+                            (stack, np.zeros((3, 2))), (Tensor(np.ones((2, 4))), np.zeros((2, 2)))]:
+            with pytest.raises(ValueError, match="does not fit values"):
+                scatter_sum(values, bad, 4)
+        for width, idx, size in [(8, [0], 6), (4, [0, 1, 2, 4], 4), (4, [-1], 4)]:
+            with pytest.raises(ValueError, match=f"target outside 0..{size - 1}$"):
+                scatter_sum(Tensor(np.ones(width)), idx, size)
+        # identity columns up to the size: ids 0 .. 5, then the map's
+        assert scatter_sum(Tensor(np.ones(7)), [0], 6).data.tolist() == [2.0] + [1.0] * 5
+        assert scatter_sum(Tensor(np.ones(4)), [], 4).data.tolist() == [1.0] * 4
 
     def test_segments_out_of_range_message(self):
         for segs in ([[0], [1, 3]], [[-1, 0], [2]]):

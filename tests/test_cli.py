@@ -746,6 +746,21 @@ def test_sweep_config_seed_list_named_in_error(ws, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "1.0", "--seeds", "0,0,1"], "error: bad seed list '0,0,1': seeds must be distinct"),
+    (["--grid", "1,1.0", "--seeds", "0"],
+     "error: bad accuracy grid '1,1.0': accuracies must be distinct"),
+], ids=["seed", "accuracy"])
+def test_sweep_repeat_fatal(ws, tmp_path, capsys, flags, message):
+    # a repeated seed or accuracy value would write its rows twice and
+    # count a seed twice in a mean row
+    capsys.readouterr()
+    assert run("sweep", "--qg", ws["qg"], "--data", ws["prep"] / "qg_train.jsonl",
+               "--vocab", ws["prep"] / "vocab.txt", *flags, "--out", tmp_path / "o") == 2
+    assert assert_one_error_line(capsys) == message
+    assert not (tmp_path / "o").exists()
+
+
 def test_evaluate_counts_incomplete_meteor_pairs(ws, tmp_path, capsys):
     # 2 words x 17 repeats in two seeded orders, the smallest seeded
     # words x repeats shape whose search runs out of its budget of

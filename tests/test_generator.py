@@ -193,7 +193,7 @@ class TestEncode:
         assert len(enc) == n
         # the decoder bridge reads the last fused state
         last = enc.states.data[n - 1 : n]
-        h0, c0 = init_decoder_state(enc, cfg, params)
+        h0, c0 = init_decoder_state(enc, params)
         for t, gate in ((h0, "bridge.h"), (c0, "bridge.c")):
             want = np.tanh(last @ params[f"{gate}.W"].data + params[f"{gate}.b"].data)
             np.testing.assert_array_equal(t.data, want)
@@ -268,8 +268,8 @@ class TestEncode:
         assert enc.memory.shape == (3, n_max, 2 * cfg.encoder_hidden)
         assert enc.padding.shape == (3, 1, n_max)
         assert enc.log_count.shape == (3, 1, w_max)
-        assert enc.index_map.shape == (3, vocab_size + w_max)
-        for p, (one, n) in enumerate(zip(alone, (5, 2, 7))):
+        assert enc.index_map.shape == (3, w_max)
+        for p, (one, seq, n) in enumerate(zip(alone, seqs, (5, 2, 7))):
             assert one.padding is None and one.memory is one.states
             np.testing.assert_allclose(enc.memory.data[p, :n], one.states.data, rtol=0, atol=1e-12)
             assert not enc.padding[p, 0, :n].any()
@@ -277,7 +277,9 @@ class TestEncode:
             w = len(one.log_count.data[0])
             np.testing.assert_array_equal(enc.log_count.data[p, 0, :w], one.log_count.data[0])
             assert np.all(enc.log_count.data[p, 0, w:] == -np.inf)
-            np.testing.assert_array_equal(enc.index_map[p, : vocab_size + w], one.index_map)
+            # a passage's map holds its copy columns' extended ids, no more
+            assert one.index_map.tolist() == [seq.ids[seg[0]] for seg in _copy_segments(seq.ids)]
+            np.testing.assert_array_equal(enc.index_map[p, :w], one.index_map)
             # block p's copy columns are its own, moved to positions p * n_max + j
             cols = enc.columns.order[enc.columns.owner // w_max == p]
             assert set(cols) == {p * n_max + j for j in range(n)}
@@ -323,7 +325,7 @@ class TestDecodeStep:
         for seed in range(200):
             cfg, params, seq, vocab_size, rng = random_model_and_seq(seed)
             enc = encode(seq, cfg, params)
-            state = init_decoder_state(enc, cfg, params)
+            state = init_decoder_state(enc, params)
             prev = int(rng.integers(0, vocab_size))
             step, _ = decode_step(prev, state, enc, cfg, params)
             want = oracle_final_dist(
@@ -337,7 +339,7 @@ class TestDecodeStep:
         for seed in range(30):
             cfg, params, seq, vocab_size, rng = random_model_and_seq(seed)
             enc = encode(seq, cfg, params)
-            state = init_decoder_state(enc, cfg, params)
+            state = init_decoder_state(enc, params)
             step, _ = decode_step(SOS_ID, state, enc, cfg, params)
             # every position of a word copies with the segment's capped
             # logit, so the word's copy mass is len(seg) * exp(cap) / Z
@@ -383,7 +385,7 @@ class TestDecodeStep:
     def test_copy_scores_cover_source_words(self):
         cfg, params, seq, _, _ = random_model_and_seq(11)
         enc = encode(seq, cfg, params)
-        step, _ = decode_step(SOS_ID, init_decoder_state(enc, cfg, params),
+        step, _ = decode_step(SOS_ID, init_decoder_state(enc, params),
                               enc, cfg, params)
         scored = {seq.surfaces[seg[0]] for seg in enc.segments}
         assert len(scored) == len(enc.segments) == len(capped_scores(step, enc))
@@ -400,7 +402,7 @@ class TestDecodeStep:
         seq = TaggedSequence(surfaces=[f"w{i}" for i in ids], ids=ids,
                              base_ids=ids, meta=[2, 2, 1, 2], oov_words=[])
         enc = encode(seq, cfg, params)
-        step, _ = decode_step(SOS_ID, init_decoder_state(enc, cfg, params),
+        step, _ = decode_step(SOS_ID, init_decoder_state(enc, params),
                               enc, cfg, params)
         z = np.concatenate([step.generate_scores.data, step.raw_attention.data])
         p = np.exp(z - z.max())
@@ -415,7 +417,7 @@ class TestDecodeStep:
         # passage's positions and copy columns
         cfg, params, _, vocab_size, rng = random_model_and_seq(3)
         enc = encode([random_sequence(rng, vocab_size, n) for n in (4, 6, 2)], cfg, params)
-        h0, c0 = init_decoder_state(enc, cfg, params)
+        h0, c0 = init_decoder_state(enc, params)
         with pytest.raises(ValueError, match="chunk of 3"):
             decode_step(SOS_ID, (ad.Tensor(h0.data[:1]), ad.Tensor(c0.data[:1])),
                         enc, cfg, params)
@@ -440,7 +442,7 @@ class TestDecodeStep:
         want = {}
         for p, seq in enumerate(seqs):
             alone = encode(seq, cfg, params)
-            state = init_decoder_state(alone, cfg, params)
+            state = init_decoder_state(alone, params)
             for i, prev in enumerate([SOS_ID, 7, vocab_size][: p + 1]):
                 want[p, i], (h, _) = decode_step(prev, state, alone, cfg, params)
                 H[p, i] = h.data[0]
@@ -465,7 +467,7 @@ class TestDecodeStep:
     def test_extended_prev_token_clamps_to_unk(self):
         cfg, params, seq, vocab_size, _ = random_model_and_seq(9)
         enc = encode(seq, cfg, params)
-        state = init_decoder_state(enc, cfg, params)
+        state = init_decoder_state(enc, params)
         a, _ = decode_step(vocab_size + 1, state, enc, cfg, params)
         b, _ = decode_step(UNK_ID, state, enc, cfg, params)
         np.testing.assert_array_equal(a.final_dist.data, b.final_dist.data)
@@ -488,7 +490,7 @@ def min_segment_gap(cfg, params, seq, targets):
     over the teacher-forced steps; small gaps make the max switch its
     winner under finite-difference probing."""
     enc = encode(seq, cfg, params)
-    state = init_decoder_state(enc, cfg, params)
+    state = init_decoder_state(enc, params)
     prev = SOS_ID
     gaps = [np.inf]
     for tid in targets:
@@ -528,7 +530,7 @@ class TestGradients:
         # the one-pass loss against decode_step stepped through the targets
         def looped(seq, targets, cfg, params):
             enc = encode(seq, cfg, params)
-            state, prev, losses = init_decoder_state(enc, cfg, params), SOS_ID, []
+            state, prev, losses = init_decoder_state(enc, params), SOS_ID, []
             for tid in targets:
                 step, state = decode_step(prev, state, enc, cfg, params)
                 losses.append(ad.cross_entropy(step.final_dist, tid))
@@ -766,7 +768,7 @@ class TestGenerate:
             # greedy reference: argmax over decode_step until [EOS] or the cap
             seq = build_qg_input(ex, ex.iw_class, vocab)
             encoded = encode(seq, cfg, params.tensors)
-            state = init_decoder_state(encoded, cfg, params.tensors)
+            state = init_decoder_state(encoded, params.tensors)
             prev, ids, rows = SOS_ID, [], []
             for _ in range(cfg.max_len):
                 step, state = decode_step(prev, state, encoded, cfg, params.tensors)
@@ -798,7 +800,7 @@ def reference_beam(ex, iw, cfg, params, vocab):
     seq = build_qg_input(ex, iw, vocab)
     encoded = encode(seq, cfg, params)
     # beam: (cost, ids, attention rows, decoder state, or None once ended)
-    beams = [(0.0, [], [], init_decoder_state(encoded, cfg, params))]
+    beams = [(0.0, [], [], init_decoder_state(encoded, params))]
     for _ in range(cfg.max_len):
         candidates = [b for b in beams if b[3] is None]
         for cost, ids, rows, state in beams:
@@ -1059,7 +1061,7 @@ class TestInsertionEffect:
         for iw in (IWClass.Who, IWClass.What):
             seq = build_qg_input(ex, iw, self.vocab)
             enc = encode(seq, self.cfg, self.params)
-            step, _ = decode_step(SOS_ID, init_decoder_state(enc, self.cfg, self.params),
+            step, _ = decode_step(SOS_ID, init_decoder_state(enc, self.params),
                                   enc, self.cfg, self.params)
             steps[iw] = step
             n = len(seq.surfaces)

@@ -125,33 +125,41 @@ def test_lengths_must_split_rows(lengths):
         run_bilstm(X, lengths, params, "enc", HIDDEN)
 
 
-def test_packed_gradients_vs_finite_differences():
-    # the bidirectional pass, then one direction each way from h0/c0
+def test_packed_gradients_vs_finite_differences(monkeypatch):
+    # the bidirectional pass, then one direction each way from h0/c0,
+    # with run_bilstm's three sequences in one call per direction and
+    # stacked in one call
     lengths = [3, 1, 4]
-    params, X = _setup(3, lengths)
-    h0, c0 = _states(13, len(lengths))
-    weights = Tensor(np.linspace(-1.0, 1.2, sum(lengths) * 4 * HIDDEN)
-                     .reshape(sum(lengths), 4 * HIDDEN))
-
-    def loss():
-        states = [run(X, lengths, h0, c0) for run in _passes(params)]
-        return reduce_sum(mul(concat(states, axis=1), weights))
-
-    with Tape() as tape:
-        out = loss()
-    backward(tape, out)
-    inputs = [X, h0, c0, *params.values()]
-    assert check_gradients(lambda: loss().item(), inputs) < 1e-6
-
-    # each direction reads a step-major (n_max * P) input; a sequence's
-    # padding slots follow its last real step, so they get no gradient
     n, k = max(lengths), len(lengths)
-    steps = [e.inputs[0] for e in tape.entries if e.op == "lstm_step"]
-    for fwd_x, bwd_x in (steps[:2], steps[2:]):
-        for t in range(n):
-            for p, length in enumerate(lengths):
-                assert np.any(fwd_x.grad[t * k + p]) == (t < length), (t, p)
-                assert np.any(bwd_x.grad[t * k + p]) == (t >= n - length), (t, p)
+    for budget, entries in ((2 * k - 1, 4), (2 * k, 3)):
+        monkeypatch.setattr(layers, "_STACK_ROWS", budget)
+        params, X = _setup(3, lengths)
+        h0, c0 = _states(13, k)
+        weights = Tensor(np.linspace(-1.0, 1.2, sum(lengths) * 4 * HIDDEN)
+                         .reshape(sum(lengths), 4 * HIDDEN))
+
+        def loss():
+            states = [run(X, lengths, h0, c0) for run in _passes(params)]
+            return reduce_sum(mul(concat(states, axis=1), weights))
+
+        with Tape() as tape:
+            out = loss()
+        backward(tape, out)
+        inputs = [X, h0, c0, *params.values()]
+        assert check_gradients(lambda: loss().item(), inputs) < 1e-6
+
+        # each direction reads a step-major (n_max * P) input; a
+        # sequence's padding slots follow its last real step, so they get
+        # no gradient.  An entry of D directions has the 3D + 2 inputs
+        # (x..., h, c, W..., b...), its D inputs x first, forward first
+        steps = [e for e in tape.entries if e.op == "lstm_step"]
+        assert len(steps) == entries
+        xs = [x for e in steps for x in e.inputs[: (len(e.inputs) - 2) // 3]]
+        for fwd_x, bwd_x in (xs[:2], xs[2:]):
+            for t in range(n):
+                for p, length in enumerate(lengths):
+                    assert np.any(fwd_x.grad[t * k + p]) == (t < length), (t, p)
+                    assert np.any(bwd_x.grad[t * k + p]) == (t >= n - length), (t, p)
 
 
 def test_padding_values_do_not_reach_real_rows():

@@ -8,17 +8,8 @@ models' own, and checkpoint by checkpoint over whole training runs."""
 import numpy as np
 import pytest
 
-from oracles import (
-    oracle_adam_step,
-    oracle_backward,
-    oracle_concat,
-    oracle_lstm_step,
-    oracle_scatter_sum,
-    oracle_sigmoid,
-    oracle_softmax,
-)
+from oracles import REFERENCE_PATCHES, oracle_adam_step, oracle_backward, oracle_lstm_step
 from qgkit import autodiff as ad
-from qgkit import classifier, generator, layers
 from qgkit.autodiff import AdamState, Tape, Tensor, adam_step, backward, lstm_step
 from qgkit.classifier import ClassifierConfig, _class_distribution, init_classifier, train_classifier
 from qgkit.data import Vocabulary, build_qg_input, tokenize
@@ -172,16 +163,8 @@ def test_flat_adam_is_per_parameter_adam(weight_decay):
 
 
 def patch_oracles(monkeypatch):
-    for mod in (generator, classifier):
-        monkeypatch.setattr(mod, "backward", oracle_backward)
-        monkeypatch.setattr(mod, "adam_step", oracle_adam_step)
-    for mod in (generator, layers):
-        monkeypatch.setattr(mod, "lstm_step", oracle_lstm_step)
-    for mod in (ad, layers):
-        monkeypatch.setattr(mod, "concat", oracle_concat)
-    monkeypatch.setattr(ad, "softmax", oracle_softmax)
-    monkeypatch.setattr(ad, "scatter_sum", oracle_scatter_sum)
-    monkeypatch.setattr(ad, "_sigmoid", oracle_sigmoid)
+    for mod, name, ref in REFERENCE_PATCHES:
+        monkeypatch.setattr(mod, name, ref)
 
 
 @pytest.mark.parametrize("kind", ["classifier", "qg"])
