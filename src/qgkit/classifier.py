@@ -104,14 +104,15 @@ def encode_summary(
     vocab: Vocabulary,
 ) -> Tensor:
     """Summary vectors (P x summary_dim), one row per tagged token
-    sequence of ``tokens``, all encoded in one packed pass."""
+    sequence of ``tokens``, all encoded in one packed pass.  ``config``
+    gives only the AE switch; every width is the tensors'."""
     if not tokens or not all(tokens):
         raise ValueError("empty classifier input")
     lengths = [len(seq) for seq in tokens]
     starts = list(accumulate(lengths[:-1], initial=0))
     rows = ad.lookup(params["embed"], [i for seq in tokens for i in vocab.encode(seq)])
-    h = config.encoder_hidden
-    layer2 = run_bilstm(run_bilstm(rows, lengths, params, "enc1", h), lengths, params, "enc2", h)
+    layer2 = run_bilstm(run_bilstm(rows, lengths, params, "enc1"), lengths, params, "enc2")
+    h = layer2.shape[1] // 2
     # final state [forward at end-1; backward at start]: rows 2*end-2 and
     # 2*start+1 of the (2N x h) view
     n2 = 2 * layer2.shape[0]

@@ -543,12 +543,11 @@ class MetaTag(IntEnum):
 class TaggedSequence:
     """Generator source: surfaces, ids, and per-token roles.
 
-    ``ids`` may contain extended ids (>= vocabulary size) for OOV words;
-    ``base_ids`` clamps those to [UNK] for embedding lookup."""
+    ``ids`` may contain extended ids (>= vocabulary size) for OOV words,
+    which the generator embeds as [UNK]."""
 
     surfaces: list[str]
     ids: list[int]
-    base_ids: list[int]
     meta: list[int]
     oov_words: list[str]
 
@@ -576,11 +575,9 @@ def build_qg_input(
         surfaces.append(tok)
         meta.append(MetaTag.Answer if lo <= i < hi else MetaTag.Context)
     ids, oov_words = vocab.encode_extended(surfaces)
-    base_ids = [i if i < len(vocab) else UNK_ID for i in ids]
     return TaggedSequence(
         surfaces=surfaces,
         ids=ids,
-        base_ids=base_ids,
         meta=meta,
         oov_words=oov_words,
     )

@@ -136,32 +136,30 @@ class EncodedChunk:
     decoder row reads besides them.
 
     Passage p is at rows ``bounds[p]:bounds[p + 1]`` of the (N x 2h)
-    ``states``, packed end to end, and ``segments`` groups each
-    passage's positions by extended word id (passages in order, words in
-    first occurrence order), in packed positions.  The decoder reads the
+    ``states``, packed end to end.  The decoder reads the
     ``layers.padded`` layout of the passages and of their copy columns,
-    one per distinct word: for one passage, ``memory`` is ``states``; for
-    P > 1, it is (P x n_max x 2h), and the (P x 1 x n_max) ``padding``
-    holds 0 over the real slots and -inf over the rest.  ``columns``
-    gives ``segment_max`` the W_max copy columns of each passage in
-    positions p * n_max + j of the memory.  So a decoder row costs its
-    passage's n_max positions and W_max copy columns, not the chunk's N
-    positions and S columns.  ``log_count`` (1 x W, or P x 1 x W_max) is
-    the log of each column's size, -inf on padding, so a padding column
-    weighs nothing; ``index_map`` (W, or P x W_max) is the
-    final-distribution id of each copy column, the word's extended id,
-    while each combined-softmax column before them, the vocabulary's,
-    lands on its own id (as ``scatter_sum`` reads a map narrower than its
-    values); and ``width`` is the final distribution's width: extended
-    ids keep their own passage's numbering, so it is the vocabulary plus
-    the longest OOV list.
+    one per distinct extended word id of a passage, in first occurrence
+    order: for one passage, ``memory`` is ``states``; for P > 1, it is
+    (P x n_max x 2h), and the (P x 1 x n_max) ``padding`` holds 0 over
+    the real slots and -inf over the rest.  ``columns`` gives
+    ``segment_max`` the W_max copy columns of each passage, each the
+    positions p * n_max + j of its word in the memory.  So a decoder row
+    costs its passage's n_max positions and W_max copy columns, not the
+    chunk's N positions and S columns.  ``log_count`` (1 x W, or
+    P x 1 x W_max) is the log of each column's size, -inf on padding, so
+    a padding column weighs nothing; ``index_map`` (W, or P x W_max) is
+    the final-distribution id of each copy column, the word's extended
+    id, while each combined-softmax column before them, the
+    vocabulary's, lands on its own id (as ``scatter_sum`` reads a map
+    narrower than its values); and ``width`` is the final distribution's
+    width: extended ids keep their own passage's numbering, so it is the
+    vocabulary plus the longest OOV list.
     ``memory_t``, the transposed memory, is taken by the first decoder
     head that reads the chunk and reused by every later one, so a taped
     pass records it where it first reads it."""
 
     states: Tensor
     bounds: list[int]
-    segments: list[list[int]]
     memory: Tensor
     padding: np.ndarray | None
     columns: ad.Segments
@@ -169,9 +167,6 @@ class EncodedChunk:
     index_map: np.ndarray
     width: int
     memory_t: Tensor | None = field(default=None, repr=False, compare=False)
-
-    def __len__(self) -> int:
-        return self.bounds[-1]
 
 
 def _copy_segments(ids: Sequence[int]) -> list[list[int]]:
@@ -209,14 +204,16 @@ def _self_attend(U: Tensor, params: dict[str, Tensor]) -> Tensor:
                                 axis=1), U)
 
 
-def encode(
-    seqs: TaggedSequence | Sequence[TaggedSequence],
-    config: QGConfig,
-    params: dict[str, Tensor],
-) -> EncodedChunk:
-    """Fused states (N x 2h) of one passage, or of a chunk of passages
-    packed end to end, with the padded memory, copy columns and final-id
-    maps every decoder row reads.
+def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
+    """Word embedding rows; extended ids read [UNK]'s embedding."""
+    vocab_size = params["embed"].shape[0]
+    return ad.lookup(params["embed"], [t if t < vocab_size else UNK_ID for t in tokens])
+
+
+def encode(seqs: Sequence[TaggedSequence], params: dict[str, Tensor]) -> EncodedChunk:
+    """Fused states (N x 2h) of a chunk of passages packed end to end, a
+    chunk of one included, with the padded memory, copy columns and
+    final-id maps every decoder row reads.
 
     u = bidirectional pass over [word; meta] rows; A = softmax over
     rows of U (U Ws)', so a_tj is the softmax over j of u_j' Ws u_t,
@@ -226,17 +223,14 @@ def encode(
     per passage, over its own rows of U, and S is one concat of them.
     One passage is its own memory; a chunk's is one gather of the
     states in the ``layers.padded`` layout, as are its copy columns'
-    log counts, final-id maps and segments."""
-    if isinstance(seqs, TaggedSequence):
-        seqs = [seqs]
+    log counts and final-id maps."""
     if not seqs or not all(seq.surfaces for seq in seqs):
         raise ValueError("empty generator input")
     lengths = [len(seq.surfaces) for seq in seqs]
     bounds = list(accumulate(lengths, initial=0))
-    words = ad.lookup(params["embed"], [i for seq in seqs for i in seq.base_ids])
+    words = _embed([i for seq in seqs for i in seq.ids], params)
     meta = ad.lookup(params["meta_embed"], [m for seq in seqs for m in seq.meta])
-    U = run_bilstm(ad.concat([words, meta], axis=1), lengths, params, "enc",
-                   config.encoder_hidden)
+    U = run_bilstm(ad.concat([words, meta], axis=1), lengths, params, "enc")
     if len(seqs) == 1:
         S = _self_attend(U, params)
     else:
@@ -265,9 +259,8 @@ def encode(
         padding = np.where(real, 0.0, -np.inf)[:, None, :]
         log_count = log_count[:, None, :]
     return EncodedChunk(
-        states=states, bounds=bounds,
-        segments=[[first + j for j in seg] for first, segs in zip(bounds, copies) for seg in segs],
-        memory=memory, padding=padding, columns=ad.Segments([in_memory[c] for c in cols.flat]),
+        states=states, bounds=bounds, memory=memory, padding=padding,
+        columns=ad.Segments([in_memory[c] for c in cols.flat]),
         log_count=Tensor(log_count), index_map=index_map,
         width=vocab_size + max(len(seq.oov_words) for seq in seqs),
     )
@@ -301,12 +294,6 @@ class DecodeStep:
     final_dist: Tensor
 
 
-def _embed(tokens: Sequence[int], params: dict[str, Tensor]) -> Tensor:
-    """Decoder input rows; extended ids read [UNK]'s embedding."""
-    vocab_size = params["embed"].shape[0]
-    return ad.lookup(params["embed"], [t if t < vocab_size else UNK_ID for t in tokens])
-
-
 def _decoder_head(H: Tensor, encoded: EncodedChunk, params: dict[str, Tensor]) -> DecodeStep:
     """Attention, generate + maxout copy scores and the regrouped final
     distribution for each row of the decoder states ``H``: (R x dh) over
@@ -334,7 +321,6 @@ def decode_step(
     prev_token: int,
     state: tuple[Tensor, Tensor],
     encoded: EncodedChunk,
-    config: QGConfig,
     params: dict[str, Tensor],
 ) -> tuple[DecodeStep, tuple[Tensor, Tensor]]:
     """Recurrent update, bilinear attention, generate + maxout copy,
@@ -362,25 +348,22 @@ def target_ids(question_tokens: Sequence[str], vocab: Vocabulary,
 
 
 def sequence_loss(
-    seqs: TaggedSequence | Sequence[TaggedSequence],
-    targets: Sequence[int] | Sequence[Sequence[int]],
-    config: QGConfig,
+    seqs: Sequence[TaggedSequence],
+    targets: Sequence[Sequence[int]],
     params: dict[str, Tensor],
 ) -> Tensor:
-    """Mean per-token cross-entropy of a teacher-forced pass over one
-    source and its targets, or over a chunk of sources, ``targets[p]``
-    being passage p's, every target of the chunk weighing the same.
+    """Mean per-token cross-entropy of a teacher-forced pass over a chunk
+    of sources, a chunk of one included, ``targets[p]`` being passage
+    p's, every target of the chunk weighing the same.
     Every decoder input is a gold token, so the recurrence is one
     ``run_lstm`` over each pair's [SOS] + targets[:-1], packed as
     ``encode`` packs the passages, and the head scores all targets at
     once.  For a chunk, the rows are gathered into the ``layers.padded``
     layout of the targets, (P x r_max), and the real slots gathered back
     out of the final distributions."""
-    if isinstance(seqs, TaggedSequence):
-        seqs, targets = [seqs], [targets]
     if not all(targets):
         raise ValueError("empty target sequence")
-    encoded = encode(seqs, config, params)
+    encoded = encode(seqs, params)
     h0, c0 = init_decoder_state(encoded, params)
     lengths = [len(t) for t in targets]
     H = run_lstm(_embed([i for t in targets for i in (SOS_ID, *t[:-1])], params), lengths,
@@ -396,7 +379,6 @@ def sequence_loss(
 
 def qg_loss(
     pairs: Sequence[tuple[TaggedSequence, Sequence[int]]],
-    config: QGConfig,
     params: dict[str, Tensor],
 ) -> float:
     """Per-token loss (total cross-entropy / total target tokens) of
@@ -405,7 +387,7 @@ def qg_loss(
     total = 0.0
     for start in range(0, len(pairs), _CHUNK):
         seqs, targets = zip(*pairs[start : start + _CHUNK])
-        total += sequence_loss(seqs, targets, config, params).item() * sum(map(len, targets))
+        total += sequence_loss(seqs, targets, params).item() * sum(map(len, targets))
     count = sum(len(targets) for _, targets in pairs)
     return total / count if count else 0.0
 
@@ -433,13 +415,13 @@ def train_qg(
     for ex in dataset:
         seq = build_qg_input(ex, ex.iw_class, vocab, insert_iw=config.insert_iw)
         prepared.append((seq, target_ids(ex.question_tokens, vocab, seq.oov_words)))
-    log = [{"epoch": 0, "per_token_loss": qg_loss(prepared, config, params.tensors)}]
+    log = [{"epoch": 0, "per_token_loss": qg_loss(prepared, params.tensors)}]
     for epoch in range(1, config.epochs + 1):
         total, count = 0.0, 0
         for i in order_rng.permutation(len(prepared)):
             seq, targets = prepared[i]
             with Tape() as tape:
-                loss = sequence_loss(seq, targets, config, params.tensors)
+                loss = sequence_loss([seq], [targets], params.tensors)
             if not np.isfinite(loss.item()):
                 raise InputError(f"non-finite loss {loss.item()} at epoch {epoch}")
             backward(tape, loss)
@@ -547,8 +529,9 @@ def _decode_chunk(
     vocab: Vocabulary,
 ) -> list[GenerationResult]:
     """Beam search for every pair at once, ``seqs`` holding their tagged
-    sources.  The (P x beam_size x dh) decoder rows are allocated first,
-    so a ``beam_size`` too wide for numpy fails before any work.  The
+    sources.  The (P x beam_size x dh) decoder rows, dh read off the
+    decoder's (1 x 4dh) gate bias, are allocated first, so a
+    ``beam_size`` too wide for numpy fails before any work.  The
     passages are encoded in one pass, packed end to end, and bridged to
     their first decoder states in one call.  Each step writes its live
     beams into their slots, one row in its pair's block, and the head
@@ -561,11 +544,11 @@ def _decode_chunk(
     vocab_size = params["embed"].shape[0]
     beam_size = config.beam_size
     try:
-        H = np.zeros((len(pairs), beam_size, config.decoder_hidden))
+        H = np.zeros((len(pairs), beam_size, params["dec.b"].shape[1] // 4))
     except (MemoryError, ValueError) as e:
         raise InputError(f"beam_size {beam_size} lays out more decoder rows than numpy "
                          f"can allocate: {e}") from None
-    encoded = encode(seqs, config, params)
+    encoded = encode(seqs, params)
     h0, c0 = init_decoder_state(encoded, params)
     h, c = h0.data, c0.data
     # each pair's source length and the ids it may emit: its vocabulary

@@ -111,20 +111,16 @@ def run_lstm(X: Tensor, lengths: Sequence[int], h0: Tensor, c0: Tensor,
 _STACK_ROWS = 4
 
 
-def run_bilstm(
-    X: Tensor,
-    lengths: Sequence[int],
-    params: dict[str, Tensor],
-    prefix: str,
-    hidden: int,
-) -> Tensor:
+def run_bilstm(X: Tensor, lengths: Sequence[int], params: dict[str, Tensor], prefix: str) -> Tensor:
     """Bidirectional pass over sequences packed end to end in the rows
     of ``X`` (N x in), sequence p being the next ``lengths[p]`` rows,
     from zero states: one ``run_lstm`` over both directions while their
     2P stacked state rows fit ``_STACK_ROWS``, one per direction above.
-    Returns the (N x 2*hidden) states in the same packed layout, the row
-    of each position holding [forward; backward]."""
+    Returns the (N x 2h) states in the same packed layout, the row of
+    each position holding [forward; backward]; h is the width of the
+    ``prefix`` layer's (1 x 4h) gate bias."""
     pair = 2 * len(lengths) <= _STACK_ROWS
+    hidden = params[f"{prefix}.fwd.b"].shape[1] // 4
     zeros = Tensor(np.zeros(((1 + pair) * len(lengths), hidden)))
     dirs = ((params[f"{prefix}.fwd.W"], params[f"{prefix}.bwd.W"]),
             (params[f"{prefix}.fwd.b"], params[f"{prefix}.bwd.b"]), (False, True))

@@ -14,6 +14,7 @@ import numpy as np
 
 from qgkit import autodiff as ad
 from qgkit import classifier, generator, layers
+from qgkit.data import UNK_ID
 from qgkit.metrics import stem
 
 
@@ -174,11 +175,14 @@ def _np_lstm(rows, W, b, hidden, reverse=False):
     return outs, h
 
 
-def oracle_encode(base_ids, meta, P, hidden):
-    """Encoder forward in plain numpy; returns (U, S, F, G, states)."""
+def oracle_encode(ids, meta, P, hidden):
+    """Encoder forward in plain numpy; returns (U, S, F, G, states).
+    ``ids`` may hold extended ids, which read [UNK]'s embedding."""
+    vocab_size = len(P["embed"])
     rows = [
-        np.concatenate([P["embed"][[b]], P["meta_embed"][[m]]], axis=1)
-        for b, m in zip(base_ids, meta)
+        np.concatenate([P["embed"][[i if i < vocab_size else UNK_ID]], P["meta_embed"][[m]]],
+                       axis=1)
+        for i, m in zip(ids, meta)
     ]
     fwd, _ = _np_lstm(rows, P["enc.fwd.W"], P["enc.fwd.b"], hidden)
     bwd, _ = _np_lstm(rows, P["enc.bwd.W"], P["enc.bwd.b"], hidden, reverse=True)

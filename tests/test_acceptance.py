@@ -49,7 +49,6 @@ from qgkit.cli import main as cli_main
 from qgkit.data import (
     EOS_ID,
     SOS_ID,
-    UNK_ID,
     IWClass,
     MetaTag,
     TaggedSequence,
@@ -62,6 +61,7 @@ from qgkit.data import (
 from qgkit.gradcheck import check_gradients
 from qgkit.generator import (
     QGConfig,
+    _copy_segments,
     decode_step,
     encode,
     generate,
@@ -252,34 +252,31 @@ def _random_sequence(rng, vocab_size, n, max_oov=2):
     if n >= 2 and len(set(ids)) == len(ids):
         ids[n - 1] = ids[0]
     surfaces = [f"w{i}" if i < vocab_size else oov_words[i - vocab_size] for i in ids]
-    base_ids = [i if i < vocab_size else UNK_ID for i in ids]
     meta = [int(rng.integers(0, 3)) for _ in range(n)]
-    return TaggedSequence(surfaces=surfaces, ids=ids, base_ids=base_ids,
-                          meta=meta, oov_words=oov_words)
+    return TaggedSequence(surfaces=surfaces, ids=ids, meta=meta, oov_words=oov_words)
 
 
 def _graph_instance(seed):
-    cfg = _tiny_qg_config()
     rng = np.random.default_rng(seed)
     vocab_size = 16
-    params = init_qg(cfg, vocab_size, rng).tensors
+    params = init_qg(_tiny_qg_config(), vocab_size, rng).tensors
     seq = _random_sequence(rng, vocab_size, 6)
     targets = [int(rng.integers(0, vocab_size + len(seq.oov_words)))
                for _ in range(3)] + [EOS_ID]
-    return cfg, params, seq, targets
+    return params, seq, targets
 
 
-def _min_segment_gap(cfg, params, seq, targets):
+def _min_segment_gap(params, seq, targets):
     """Closest top-two raw-attention race inside any repeated-word group;
     finite differences flip the segment max when this is tiny."""
-    enc = encode(seq, cfg, params)
+    enc = encode([seq], params)
     state = init_decoder_state(enc, params)
     prev = SOS_ID
     gaps = [np.inf]
     for tid in targets:
-        step, state = decode_step(prev, state, enc, cfg, params)
+        step, state = decode_step(prev, state, enc, params)
         raw = step.raw_attention.data
-        for seg in enc.segments:
+        for seg in _copy_segments(seq.ids):
             if len(seg) >= 2:
                 vals = np.sort(raw[list(seg)])
                 gaps.append(float(vals[-1] - vals[-2]))
@@ -305,16 +302,16 @@ def test_a1_gradient_suite(capsys):
     checked = 0
     seed = 0
     while checked < 10:
-        cfg, params, seq, targets = _graph_instance(seed)
+        params, seq, targets = _graph_instance(seed)
         seed += 1
-        if _min_segment_gap(cfg, params, seq, targets) < 5e-3:
+        if _min_segment_gap(params, seq, targets) < 5e-3:
             continue
         with Tape() as tape:
-            loss = sequence_loss(seq, targets, cfg, params)
+            loss = sequence_loss([seq], [targets], params)
         backward(tape, loss)
         rng = np.random.default_rng(5000 + seed)
         err = check_gradients(
-            lambda: sequence_loss(seq, targets, cfg, params).item(),
+            lambda: sequence_loss([seq], [targets], params).item(),
             list(params.values()), coords_per_tensor=2, rng=rng,
         )
         worst = max(worst, err)
@@ -336,13 +333,12 @@ def test_a2_copy_distribution_oracle(capsys):
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         vocab_size = int(rng.integers(15, 21))
-        cfg = _tiny_qg_config()
-        params = init_qg(cfg, vocab_size, rng).tensors
+        params = init_qg(_tiny_qg_config(), vocab_size, rng).tensors
         seq = _random_sequence(rng, vocab_size, int(rng.integers(1, 11)))
-        enc = encode(seq, cfg, params)
+        enc = encode([seq], params)
         state = init_decoder_state(enc, params)
         prev = int(rng.integers(0, vocab_size))
-        step, _ = decode_step(prev, state, enc, cfg, params)
+        step, _ = decode_step(prev, state, enc, params)
         want = oracle_final_dist(
             step.generate_scores.data, step.raw_attention.data,
             seq.ids, vocab_size, len(seq.oov_words),

@@ -813,10 +813,10 @@ class TestLSTMStep:
         qg_cfg = QGConfig(word_dim=4, meta_dim=2, encoder_hidden=3, decoder_hidden=5)
         qg_params = init_qg(qg_cfg, len(vocab), np.random.default_rng(0)).tensors
         ids = vocab.encode(tokens)
-        seq = TaggedSequence(surfaces=tokens, ids=ids, base_ids=ids,
-                             meta=[k % 3 for k in range(n)], oov_words=[])
+        seq = TaggedSequence(surfaces=tokens, ids=ids, meta=[k % 3 for k in range(n)],
+                             oov_words=[])
         with Tape() as tape:
-            encode(seq, qg_cfg, qg_params)
+            encode([seq], qg_params)
         assert [e.op for e in tape.entries].count("lstm_step") == 1
 
 

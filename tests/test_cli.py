@@ -1250,7 +1250,14 @@ def test_beam_layout_numpy_cannot_allocate_fatal(ws, tmp_path, capsys, argv):
     (["sweep", "--seed=-1", "--grid", "1.0", "--seeds", "0"], None, FLAG_SEED),
     (["prepare", "--print-config"], "[run]\nseed = {x}\n",
      "error: config value [run] seed = '{x}' is not a valid int"),
-], ids=["print-config-seed", "print-config-epochs", "sweep-seed", "value-with-braces"])
+    # every section is range-checked whichever command runs, so one
+    # config file that any command accepts is good for every command
+    (["prepare", "--data", ASSETS / "overfit10.jsonl"], "[sweep]\nseeds = 0,-1\n",
+     "error: bad seed list '0,-1': seeds must be non-negative"),
+    (["prepare", "--data", ASSETS / "overfit10.jsonl"], "[qg]\nepochs = 0\n",
+     "error: config [qg]: epochs must be positive"),
+], ids=["print-config-seed", "print-config-epochs", "sweep-seed", "value-with-braces",
+        "prepare-sweep-seeds", "prepare-qg-epochs"])
 def test_every_command_checks_config(ws, tmp_path, capsys, argv, ini, message):
     extra = ["--qg", ws["qg"], "--data", ws["tiny"] / "qg_train.jsonl",
              "--vocab", ws["prep"] / "vocab.txt"] if argv[0] == "sweep" else []

@@ -76,10 +76,8 @@ def random_sequence(rng, vocab_size, n, max_oov=2):
     if n >= 2 and len(set(ids)) == len(ids):
         ids[n - 1] = ids[0]
     surfaces = [f"w{i}" if i < vocab_size else oov_words[i - vocab_size] for i in ids]
-    base_ids = [i if i < vocab_size else UNK_ID for i in ids]
     meta = [int(rng.integers(0, 3)) for _ in range(n)]
-    return TaggedSequence(surfaces=surfaces, ids=ids, base_ids=base_ids,
-                          meta=meta, oov_words=oov_words)
+    return TaggedSequence(surfaces=surfaces, ids=ids, meta=meta, oov_words=oov_words)
 
 
 def gold_pairs(examples, vocab):
@@ -99,8 +97,7 @@ def tiled(seq, n=110):
     """``seq`` repeated and cut to ``n`` tokens, OOV list unchanged."""
     def cut(xs):
         return (list(xs) * -(-n // len(xs)))[:n]
-    return TaggedSequence(surfaces=cut(seq.surfaces), ids=cut(seq.ids),
-                          base_ids=cut(seq.base_ids), meta=cut(seq.meta),
+    return TaggedSequence(surfaces=cut(seq.surfaces), ids=cut(seq.ids), meta=cut(seq.meta),
                           oov_words=seq.oov_words)
 
 
@@ -126,11 +123,11 @@ def widened(vocab, params, extra, rng):
                   "out.b": ad.Tensor(np.hstack([b, np.full((1, extra), b.min() - 8.0)]))}
 
 
-def capped_scores(step, enc):
-    """Each copy segment's score: the maximum raw attention over its
-    positions, in segment order."""
+def capped_scores(step, seq):
+    """Each copy segment of ``seq``'s one-passage step: the maximum raw
+    attention over its positions, in segment order."""
     raw = step.raw_attention.data
-    return np.array([max(raw[j] for j in seg) for seg in enc.segments])
+    return np.array([max(raw[j] for j in seg) for seg in _copy_segments(seq.ids)])
 
 
 def random_model_and_seq(seed, vocab_max=20, len_max=10):
@@ -180,17 +177,17 @@ class TestEncode:
     def test_matches_numpy_forward(self):
         for seed in range(20):
             cfg, params, seq, _, _ = random_model_and_seq(seed)
-            enc = encode(seq, cfg, params)
+            enc = encode([seq], params)
             P = {k: t.data for k, t in params.items()}
-            *_, states = oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)
+            *_, states = oracle_encode(seq.ids, seq.meta, P, cfg.encoder_hidden)
             np.testing.assert_allclose(enc.states.data, states, rtol=0, atol=1e-12)
 
     def test_shapes_and_final_state(self):
         cfg, params, seq, _, _ = random_model_and_seq(3)
-        enc = encode(seq, cfg, params)
+        enc = encode([seq], params)
         n = len(seq.surfaces)
         assert enc.states.shape == (n, 2 * cfg.encoder_hidden)
-        assert len(enc) == n
+        assert enc.bounds == [0, n]
         # the decoder bridge reads the last fused state
         last = enc.states.data[n - 1 : n]
         h0, c0 = init_decoder_state(enc, params)
@@ -202,9 +199,9 @@ class TestEncode:
         # each fused coordinate lies between its raw and candidate value
         for seed in range(10):
             cfg, params, seq, _, _ = random_model_and_seq(seed)
-            enc = encode(seq, cfg, params)
+            enc = encode([seq], params)
             P = {k: t.data for k, t in params.items()}
-            U, _, F, _, _ = oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)
+            U, _, F, _, _ = oracle_encode(seq.ids, seq.meta, P, cfg.encoder_hidden)
             lo = np.minimum(F, U) - 1e-12
             hi = np.maximum(F, U) + 1e-12
             assert np.all(enc.states.data >= lo)
@@ -215,46 +212,49 @@ class TestEncode:
         cfg, params, seq, _, _ = random_model_and_seq(5)
         params["fuse.g.W"].data[:] = 0.0
         params["fuse.g.b"].data[:] = -50.0
-        enc = encode(seq, cfg, params)
+        enc = encode([seq], params)
         P = {k: t.data for k, t in params.items()}
-        U, *_ = oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)
+        U, *_ = oracle_encode(seq.ids, seq.meta, P, cfg.encoder_hidden)
         np.testing.assert_allclose(enc.states.data, U, rtol=0, atol=1e-12)
 
     def test_single_token_attends_to_itself(self):
         cfg, params, _, vocab_size, _ = random_model_and_seq(7)
-        seq = TaggedSequence(surfaces=["w9"], ids=[9], base_ids=[9],
-                             meta=[int(MetaTag.Context)], oov_words=[])
+        seq = TaggedSequence(surfaces=["w9"], ids=[9], meta=[int(MetaTag.Context)], oov_words=[])
         P = {k: t.data for k, t in params.items()}
-        U, S, *_ = oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)
+        U, S, *_ = oracle_encode(seq.ids, seq.meta, P, cfg.encoder_hidden)
         np.testing.assert_allclose(S, U, rtol=0, atol=1e-15)
-        enc = encode(seq, cfg, params)
+        enc = encode([seq], params)
         np.testing.assert_allclose(
             enc.states.data,
-            oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)[4],
+            oracle_encode(seq.ids, seq.meta, P, cfg.encoder_hidden)[4],
             rtol=0, atol=1e-12,
         )
 
     def test_empty_input_rejected(self):
         cfg, params, _, _, _ = random_model_and_seq(0)
-        empty = TaggedSequence(surfaces=[], ids=[], base_ids=[], meta=[], oov_words=[])
+        empty = TaggedSequence(surfaces=[], ids=[], meta=[], oov_words=[])
         with pytest.raises(ValueError):
-            encode(empty, cfg, params)
+            encode([empty], params)
 
     def test_chunk_rows_match_numpy_forward(self):
         # passages of mixed lengths, one of them a single token, encoded
         # in one pass: each passage's rows are its solo oracle states
         cfg, params, _, vocab_size, rng = random_model_and_seq(4)
         seqs = [random_sequence(rng, vocab_size, n) for n in (6, 1, 9, 3, 6)]
-        enc = encode(seqs, cfg, params)
+        enc = encode(seqs, params)
         P = {k: t.data for k, t in params.items()}
-        assert enc.bounds == [0, 6, 7, 16, 19, 25] and len(enc) == 25
+        assert enc.bounds == [0, 6, 7, 16, 19, 25]
         for seq, start, end in zip(seqs, enc.bounds, enc.bounds[1:]):
-            *_, states = oracle_encode(seq.base_ids, seq.meta, P, cfg.encoder_hidden)
+            *_, states = oracle_encode(seq.ids, seq.meta, P, cfg.encoder_hidden)
             np.testing.assert_allclose(enc.states.data[start:end], states, rtol=0, atol=1e-12)
-        # segments are each passage's own, in packed positions
-        assert enc.segments == [[start + j for j in seg]
-                                for seq, start in zip(seqs, enc.bounds)
-                                for seg in _copy_segments(seq.ids)]
+        # each passage's copy columns group its own positions: block p's
+        # real columns, at memory slots p * n_max + j, are its segments
+        n_max, w_max = 9, enc.index_map.shape[1]
+        cols = np.split(enc.columns.order, enc.columns.starts[1:])
+        for p, seq in enumerate(seqs):
+            segments = _copy_segments(seq.ids)
+            assert [(col - p * n_max).tolist()
+                    for col in cols[p * w_max : p * w_max + len(segments)]] == segments
 
     def test_chunk_layout_is_each_passage_layout_padded(self):
         # the decoder's memory, copy columns, final-id maps and widths for
@@ -262,8 +262,8 @@ class TestEncode:
         # longest passage and its largest distinct-word count
         cfg, params, _, vocab_size, rng = random_model_and_seq(6)
         seqs = [random_sequence(rng, vocab_size, n, max_oov=3) for n in (5, 2, 7)]
-        enc = encode(seqs, cfg, params)
-        alone = [encode(seq, cfg, params) for seq in seqs]
+        enc = encode(seqs, params)
+        alone = [encode([seq], params) for seq in seqs]
         n_max, w_max = 7, max(len(one.log_count.data[0]) for one in alone)
         assert enc.memory.shape == (3, n_max, 2 * cfg.encoder_hidden)
         assert enc.padding.shape == (3, 1, n_max)
@@ -293,10 +293,9 @@ class TestEncode:
     def test_empty_passage_in_chunk_rejected(self, where):
         cfg, params, _, vocab_size, rng = random_model_and_seq(0)
         seqs = [random_sequence(rng, vocab_size, 4) for _ in range(2)]
-        seqs.insert(where, TaggedSequence(surfaces=[], ids=[], base_ids=[], meta=[],
-                                          oov_words=[]))
+        seqs.insert(where, TaggedSequence(surfaces=[], ids=[], meta=[], oov_words=[]))
         with pytest.raises(ValueError, match="empty generator input"):
-            encode(seqs, cfg, params)
+            encode(seqs, params)
 
     def test_chunk_memory_grows_with_its_passages(self):
         # a chunk of mini200 passages tiled to 110 tokens each.  A chunk
@@ -310,7 +309,7 @@ class TestEncode:
         cfg = QGConfig()
         params = init_qg(cfg, len(vocab), np.random.default_rng(0)).tensors
         seqs = [tiled(seq) for seq, _ in gold_pairs(corpus[:_CHUNK], vocab)]
-        chunk, one = (peak_bytes(encode, s, cfg, params) for s in (seqs, seqs[0]))
+        chunk, one = (peak_bytes(encode, s, params) for s in (seqs, seqs[:1]))
         assert chunk < len(seqs) * one, (chunk, one)
 
     def test_copy_segment_grouping(self):
@@ -324,10 +323,10 @@ class TestDecodeStep:
     def test_final_dist_matches_enumeration(self):
         for seed in range(200):
             cfg, params, seq, vocab_size, rng = random_model_and_seq(seed)
-            enc = encode(seq, cfg, params)
+            enc = encode([seq], params)
             state = init_decoder_state(enc, params)
             prev = int(rng.integers(0, vocab_size))
-            step, _ = decode_step(prev, state, enc, cfg, params)
+            step, _ = decode_step(prev, state, enc, params)
             want = oracle_final_dist(
                 step.generate_scores.data, step.raw_attention.data,
                 seq.ids, vocab_size, len(seq.oov_words),
@@ -338,19 +337,20 @@ class TestDecodeStep:
     def test_maxout_dominance_exact(self):
         for seed in range(30):
             cfg, params, seq, vocab_size, rng = random_model_and_seq(seed)
-            enc = encode(seq, cfg, params)
+            enc = encode([seq], params)
             state = init_decoder_state(enc, params)
-            step, _ = decode_step(SOS_ID, state, enc, cfg, params)
+            step, _ = decode_step(SOS_ID, state, enc, params)
             # every position of a word copies with the segment's capped
             # logit, so the word's copy mass is len(seg) * exp(cap) / Z
-            capped = capped_scores(step, enc)
+            segments = _copy_segments(seq.ids)
+            capped = capped_scores(step, seq)
             gen = step.generate_scores.data
-            sizes = np.array([len(seg) for seg in enc.segments])
+            sizes = np.array([len(seg) for seg in segments])
             shift = max(gen.max(), capped.max())
             z = np.exp(gen - shift).sum() + (sizes * np.exp(capped - shift)).sum()
             gen_share = np.zeros(step.final_dist.shape[0])
             gen_share[:vocab_size] = np.exp(gen - shift) / z
-            for k, seg in enumerate(enc.segments):
+            for k, seg in enumerate(segments):
                 wid = seq.ids[seg[0]]
                 copy_mass = sizes[k] * np.exp(capped[k] - shift) / z
                 assert step.final_dist.data[wid] == pytest.approx(
@@ -366,9 +366,8 @@ class TestDecodeStep:
                    ([10, 7, 18, 10, 11], ["other0"])]
         enc = encode([TaggedSequence(
             surfaces=[f"w{i}" if i < vocab_size else oov[i - vocab_size] for i in ids],
-            ids=ids, base_ids=[i if i < vocab_size else UNK_ID for i in ids],
-            meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
-            for ids, oov in sources], cfg, params)
+            ids=ids, meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
+            for ids, oov in sources], params)
         H = ad.Tensor(rng.standard_normal((2, 3, cfg.decoder_hidden)))
         step = _decoder_head(H, enc, params)
         dist = step.final_dist.data
@@ -384,11 +383,13 @@ class TestDecodeStep:
 
     def test_copy_scores_cover_source_words(self):
         cfg, params, seq, _, _ = random_model_and_seq(11)
-        enc = encode(seq, cfg, params)
+        enc = encode([seq], params)
         step, _ = decode_step(SOS_ID, init_decoder_state(enc, params),
-                              enc, cfg, params)
-        scored = {seq.surfaces[seg[0]] for seg in enc.segments}
-        assert len(scored) == len(enc.segments) == len(capped_scores(step, enc))
+                              enc, params)
+        segments = _copy_segments(seq.ids)
+        scored = {seq.surfaces[seg[0]] for seg in segments}
+        assert len(scored) == len(segments) == len(enc.columns.starts) \
+            == len(capped_scores(step, seq))
         assert scored == set(seq.surfaces)
 
     def test_singleton_word_gets_plain_pointer_share(self):
@@ -400,10 +401,10 @@ class TestDecodeStep:
         params = init_qg(cfg, vocab_size, rng).tensors
         ids = [7, 8, 9, 10]
         seq = TaggedSequence(surfaces=[f"w{i}" for i in ids], ids=ids,
-                             base_ids=ids, meta=[2, 2, 1, 2], oov_words=[])
-        enc = encode(seq, cfg, params)
+                             meta=[2, 2, 1, 2], oov_words=[])
+        enc = encode([seq], params)
         step, _ = decode_step(SOS_ID, init_decoder_state(enc, params),
-                              enc, cfg, params)
+                              enc, params)
         z = np.concatenate([step.generate_scores.data, step.raw_attention.data])
         p = np.exp(z - z.max())
         p /= p.sum()
@@ -416,11 +417,11 @@ class TestDecodeStep:
         # one state row over several passages would score every
         # passage's positions and copy columns
         cfg, params, _, vocab_size, rng = random_model_and_seq(3)
-        enc = encode([random_sequence(rng, vocab_size, n) for n in (4, 6, 2)], cfg, params)
+        enc = encode([random_sequence(rng, vocab_size, n) for n in (4, 6, 2)], params)
         h0, c0 = init_decoder_state(enc, params)
         with pytest.raises(ValueError, match="chunk of 3"):
             decode_step(SOS_ID, (ad.Tensor(h0.data[:1]), ad.Tensor(c0.data[:1])),
-                        enc, cfg, params)
+                        enc, params)
 
     def test_padded_head_on_ragged_chunk(self):
         # passages of 1, 4 and n_max = 9 tokens, with 1, 2 and 8
@@ -434,17 +435,16 @@ class TestDecodeStep:
                    ([7, 18, 9, 10, 19, 18, 11, 12, 20], ["x0", "x1", "x2"])]
         seqs = [TaggedSequence(
             surfaces=[f"w{i}" if i < vocab_size else oov[i - vocab_size] for i in ids],
-            ids=ids, base_ids=[i if i < vocab_size else UNK_ID for i in ids],
-            meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
+            ids=ids, meta=[int(rng.integers(0, 3)) for _ in ids], oov_words=oov)
             for ids, oov in sources]
-        enc = encode(seqs, cfg, params)
+        enc = encode(seqs, params)
         H = np.zeros((3, 3, cfg.decoder_hidden))
         want = {}
         for p, seq in enumerate(seqs):
-            alone = encode(seq, cfg, params)
+            alone = encode([seq], params)
             state = init_decoder_state(alone, params)
             for i, prev in enumerate([SOS_ID, 7, vocab_size][: p + 1]):
-                want[p, i], (h, _) = decode_step(prev, state, alone, cfg, params)
+                want[p, i], (h, _) = decode_step(prev, state, alone, params)
                 H[p, i] = h.data[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -466,37 +466,36 @@ class TestDecodeStep:
 
     def test_extended_prev_token_clamps_to_unk(self):
         cfg, params, seq, vocab_size, _ = random_model_and_seq(9)
-        enc = encode(seq, cfg, params)
+        enc = encode([seq], params)
         state = init_decoder_state(enc, params)
-        a, _ = decode_step(vocab_size + 1, state, enc, cfg, params)
-        b, _ = decode_step(UNK_ID, state, enc, cfg, params)
+        a, _ = decode_step(vocab_size + 1, state, enc, params)
+        b, _ = decode_step(UNK_ID, state, enc, params)
         np.testing.assert_array_equal(a.final_dist.data, b.final_dist.data)
 
 
 def fd_instance(seed):
     """6-token source, 4 target steps, small dims."""
-    cfg = tiny_config()
     rng = np.random.default_rng(seed)
     vocab_size = 16
-    params = init_qg(cfg, vocab_size, rng).tensors
+    params = init_qg(tiny_config(), vocab_size, rng).tensors
     seq = random_sequence(rng, vocab_size, 6)
     targets = [int(rng.integers(0, vocab_size + len(seq.oov_words)))
                for _ in range(3)] + [EOS_ID]
-    return cfg, params, seq, targets
+    return params, seq, targets
 
 
-def min_segment_gap(cfg, params, seq, targets):
+def min_segment_gap(params, seq, targets):
     """Smallest top-two raw-score gap inside any repeated-word group
     over the teacher-forced steps; small gaps make the max switch its
     winner under finite-difference probing."""
-    enc = encode(seq, cfg, params)
+    enc = encode([seq], params)
     state = init_decoder_state(enc, params)
     prev = SOS_ID
     gaps = [np.inf]
     for tid in targets:
-        step, state = decode_step(prev, state, enc, cfg, params)
+        step, state = decode_step(prev, state, enc, params)
         raw = step.raw_attention.data
-        for seg in enc.segments:
+        for seg in _copy_segments(seq.ids):
             if len(seg) >= 2:
                 vals = np.sort(raw[list(seg)])
                 gaps.append(float(vals[-1] - vals[-2]))
@@ -510,16 +509,16 @@ class TestGradients:
         seed = 0
         worst = 0.0
         while checked < 4:
-            cfg, params, seq, targets = fd_instance(seed)
+            params, seq, targets = fd_instance(seed)
             seed += 1
-            if min_segment_gap(cfg, params, seq, targets) < 5e-3:
+            if min_segment_gap(params, seq, targets) < 5e-3:
                 continue
             with Tape() as tape:
-                loss = sequence_loss(seq, targets, cfg, params)
+                loss = sequence_loss([seq], [targets], params)
             backward(tape, loss)
             rng = np.random.default_rng(1000 + seed)
             err = check_gradients(
-                lambda: sequence_loss(seq, targets, cfg, params).item(),
+                lambda: sequence_loss([seq], [targets], params).item(),
                 list(params.values()), coords_per_tensor=3, rng=rng,
             )
             worst = max(worst, err)
@@ -528,11 +527,11 @@ class TestGradients:
 
     def test_matches_decode_step_loop(self):
         # the one-pass loss against decode_step stepped through the targets
-        def looped(seq, targets, cfg, params):
-            enc = encode(seq, cfg, params)
+        def looped(seq, targets, params):
+            enc = encode([seq], params)
             state, prev, losses = init_decoder_state(enc, params), SOS_ID, []
             for tid in targets:
-                step, state = decode_step(prev, state, enc, cfg, params)
+                step, state = decode_step(prev, state, enc, params)
                 losses.append(ad.cross_entropy(step.final_dist, tid))
                 prev = tid
             return ad.mul(reduce(ad.add, losses), 1.0 / len(targets))
@@ -540,12 +539,13 @@ class TestGradients:
         extended_inputs = 0
         for seed in range(12):
             results = []
-            for loss_fn in (sequence_loss, looped):
+            for one_pass in (True, False):
                 cfg, params, seq, vocab_size, rng = random_model_and_seq(seed)
                 targets = [int(rng.integers(0, vocab_size + len(seq.oov_words)))
                            for _ in range(int(rng.integers(1, 13)))]
                 with Tape() as tape:
-                    loss = loss_fn(seq, targets, cfg, params)
+                    loss = (sequence_loss([seq], [targets], params) if one_pass
+                            else looped(seq, targets, params))
                 backward(tape, loss)
                 results.append((loss.item(), {k: t.grad for k, t in params.items()}))
             (value, grads), (want, want_grads) = results
@@ -568,12 +568,12 @@ class TestGradients:
         want = {k: np.zeros_like(t.data) for k, t in params.items()}
         for seq, tgt in zip(seqs, targets):
             with Tape() as tape:
-                loss = sequence_loss(seq, tgt, cfg, params)
+                loss = sequence_loss([seq], [tgt], params)
             backward(tape, loss)
             for k, t in params.items():
                 want[k] += t.grad * (len(tgt) / total)
         with Tape() as tape:
-            loss = sequence_loss(seqs, targets, cfg, params)
+            loss = sequence_loss(seqs, targets, params)
         backward(tape, loss)
         for k, t in params.items():
             np.testing.assert_allclose(t.grad, want[k], rtol=0,
@@ -581,9 +581,9 @@ class TestGradients:
 
     def test_every_tensor_reached(self):
         # the loss must touch all parameters, else updates silently no-op
-        cfg, params, seq, targets = fd_instance(2)
+        params, seq, targets = fd_instance(2)
         with Tape() as tape:
-            loss = sequence_loss(seq, targets, cfg, params)
+            loss = sequence_loss([seq], [targets], params)
         backward(tape, loss)
         for name, t in params.items():
             assert t.grad is not None, name
@@ -601,8 +601,8 @@ def test_training_tapes_stay_small():
     for ex in corpus[:20]:
         seq = build_qg_input(ex, ex.iw_class, vocab)
         with Tape() as tape:
-            sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words),
-                          qg_cfg, qg_params)
+            sequence_loss([seq], [target_ids(tokenize(ex.question), vocab, seq.oov_words)],
+                          qg_params)
         ops = [e.op for e in tape.entries]
         assert len(ops) <= 44 and ops.count("lstm_step") == 2
         with Tape() as tape:
@@ -622,17 +622,17 @@ class TestTargets:
         assert ids[-1] == EOS_ID
 
     def test_empty_targets_rejected(self):
-        cfg, params, seq, _ = fd_instance(0)
+        params, seq, _ = fd_instance(0)
         with pytest.raises(ValueError):
-            sequence_loss(seq, [], cfg, params)
+            sequence_loss([seq], [[]], params)
 
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_empty_targets_in_chunk_rejected(self, where):
-        cfg, params, seq, targets = fd_instance(0)
+        params, seq, targets = fd_instance(0)
         chunk = [targets, targets]
         chunk.insert(where, [])
         with pytest.raises(ValueError, match="empty target sequence"):
-            sequence_loss([seq] * 3, chunk, cfg, params)
+            sequence_loss([seq] * 3, chunk, params)
 
 
 @pytest.fixture(scope="module")
@@ -653,7 +653,7 @@ class TestTraining:
         cfg = QGConfig(seed=0)
         params = init_qg(cfg, len(vocab), np.random.default_rng(0))
         pairs = gold_pairs(corpus, vocab)
-        loss0 = qg_loss(pairs, cfg, params.tensors)
+        loss0 = qg_loss(pairs, params.tensors)
         expected = np.mean([np.log(len(vocab) + len(seq.oov_words)) for seq, _ in pairs])
         assert abs(loss0 - expected) < 0.5
 
@@ -681,9 +681,9 @@ class TestTraining:
 
         cfg = QGConfig()
         params = init_qg(cfg, len(vocab), np.random.default_rng(3)).tensors
-        total = sum(sequence_loss(seq, targets, cfg, params).item() * len(targets)
+        total = sum(sequence_loss([seq], [targets], params).item() * len(targets)
                     for seq, targets in pairs)
-        assert qg_loss(pairs, cfg, params) == pytest.approx(
+        assert qg_loss(pairs, params) == pytest.approx(
             total / sum(len(targets) for _, targets in pairs), rel=1e-12, abs=0)
 
     def test_loss_decreases(self, corpus, vocab):
@@ -767,11 +767,11 @@ class TestGenerate:
         for ex in corpus[:4]:
             # greedy reference: argmax over decode_step until [EOS] or the cap
             seq = build_qg_input(ex, ex.iw_class, vocab)
-            encoded = encode(seq, cfg, params.tensors)
+            encoded = encode([seq], params.tensors)
             state = init_decoder_state(encoded, params.tensors)
             prev, ids, rows = SOS_ID, [], []
             for _ in range(cfg.max_len):
-                step, state = decode_step(prev, state, encoded, cfg, params.tensors)
+                step, state = decode_step(prev, state, encoded, params.tensors)
                 prev = int(np.argmax(step.final_dist.data))
                 if prev == EOS_ID:
                     break
@@ -798,7 +798,7 @@ def reference_beam(ex, iw, cfg, params, vocab):
     -log p, the beams kept are the best candidates by (cost, ids), and a
     beam that emitted [EOS] keeps competing until ``cfg.max_len``."""
     seq = build_qg_input(ex, iw, vocab)
-    encoded = encode(seq, cfg, params)
+    encoded = encode([seq], params)
     # beam: (cost, ids, attention rows, decoder state, or None once ended)
     beams = [(0.0, [], [], init_decoder_state(encoded, params))]
     for _ in range(cfg.max_len):
@@ -806,7 +806,7 @@ def reference_beam(ex, iw, cfg, params, vocab):
         for cost, ids, rows, state in beams:
             if state is None:
                 continue
-            step, state = decode_step(ids[-1] if ids else SOS_ID, state, encoded, cfg, params)
+            step, state = decode_step(ids[-1] if ids else SOS_ID, state, encoded, params)
             p = step.final_dist.data
             for tid in sorted(range(len(p)), key=lambda i: (-p[i], i))[: cfg.beam_size]:
                 new_cost = cost + float(-np.log(max(p[tid], ad.PROB_FLOOR)))
@@ -1022,8 +1022,8 @@ class TestDecoderMemory:
         corpus, vocab, cfg, params = mini
         pairs = [(tiled(seq), targets) for seq, targets in gold_pairs(corpus, vocab)]
         seqs, targets = zip(*pairs)
-        chunk, one = (peak_bytes(sequence_loss, s, t, cfg, params)
-                      for s, t in ((seqs, targets), (seqs[0], targets[0])))
+        chunk, one = (peak_bytes(sequence_loss, s, t, params)
+                      for s, t in ((seqs, targets), (seqs[:1], targets[:1])))
         assert chunk < len(pairs) * one, (chunk, one)
 
 
@@ -1060,15 +1060,15 @@ class TestInsertionEffect:
         steps = {}
         for iw in (IWClass.Who, IWClass.What):
             seq = build_qg_input(ex, iw, self.vocab)
-            enc = encode(seq, self.cfg, self.params)
+            enc = encode([seq], self.params)
             step, _ = decode_step(SOS_ID, init_decoder_state(enc, self.params),
-                                  enc, self.cfg, self.params)
+                                  enc, self.params)
             steps[iw] = step
             n = len(seq.surfaces)
             np.testing.assert_array_equal(step.raw_attention.data, np.zeros(n))
             np.testing.assert_allclose(step.attention.data, np.full(n, 1.0 / n),
                                        atol=1e-12)
-            assert all(v == 0.0 for v in capped_scores(step, enc))
+            assert all(v == 0.0 for v in capped_scores(step, seq))
         np.testing.assert_array_equal(
             steps[IWClass.Who].raw_attention.data,
             steps[IWClass.What].raw_attention.data,

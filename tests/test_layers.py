@@ -34,7 +34,7 @@ def _passes(params):
     def lstm(reverse):
         return lambda X, lengths, h0, c0: run_lstm(X, lengths, h0, c0, params["enc.fwd.W"],
                                                    params["enc.fwd.b"], reverse=reverse)
-    return [lambda X, lengths, h0, c0: run_bilstm(X, lengths, params, "enc", HIDDEN),
+    return [lambda X, lengths, h0, c0: run_bilstm(X, lengths, params, "enc"),
             lstm(False), lstm(True)]
 
 
@@ -94,7 +94,7 @@ def test_packed_matches_one_sequence_at_a_time(lengths):
 def test_one_sequence_tapes_no_gather():
     params, X = _setup(1, [5])
     with Tape() as tape:
-        run_bilstm(X, [5], params, "enc", HIDDEN)
+        run_bilstm(X, [5], params, "enc")
     assert [e.op for e in tape.entries] == ["lstm_step", "concat"]
 
 
@@ -110,7 +110,7 @@ def test_one_call_per_layer_or_per_direction_same_bits(lengths, monkeypatch):
         weights = Tensor(np.linspace(-1.0, 1.2, sum(lengths) * 2 * HIDDEN)
                          .reshape(sum(lengths), 2 * HIDDEN))
         with Tape() as tape:
-            states = run_bilstm(X, lengths, params, "enc", HIDDEN)
+            states = run_bilstm(X, lengths, params, "enc")
             loss = reduce_sum(mul(states, weights))
         assert [e.op for e in tape.entries].count("lstm_step") == calls
         backward(tape, loss)
@@ -122,7 +122,7 @@ def test_one_call_per_layer_or_per_direction_same_bits(lengths, monkeypatch):
 def test_lengths_must_split_rows(lengths):
     params, X = _setup(2, [3])
     with pytest.raises(ValueError, match="do not split"):
-        run_bilstm(X, lengths, params, "enc", HIDDEN)
+        run_bilstm(X, lengths, params, "enc")
 
 
 def test_packed_gradients_vs_finite_differences(monkeypatch):
@@ -166,7 +166,7 @@ def test_padding_values_do_not_reach_real_rows():
     # the real rows' states are the same whatever the other sequences hold
     lengths = [2, 5]
     params, X = _setup(4, lengths)
-    before = run_bilstm(X, lengths, params, "enc", HIDDEN).data[:2]
+    before = run_bilstm(X, lengths, params, "enc").data[:2]
     X.data[2:] += 3.0
-    after = run_bilstm(X, lengths, params, "enc", HIDDEN).data[:2]
+    after = run_bilstm(X, lengths, params, "enc").data[:2]
     np.testing.assert_allclose(before, after, rtol=1e-12, atol=0)

@@ -53,9 +53,9 @@ def test_generator_graph_one_pair_and_a_chunk(mini):
         seq = build_qg_input(ex, ex.iw_class, vocab)
         pairs.append((seq, target_ids(tokenize(ex.question), vocab, seq.oov_words)))
     seqs, targets = zip(*pairs)
-    for source, gold in [(seqs[0], targets[0]), (seqs, targets)]:
+    for source, gold in [(seqs[:1], targets[:1]), (seqs, targets)]:
         with Tape() as tape:
-            loss = sequence_loss(source, gold, config, params)
+            loss = sequence_loss(source, gold, params)
         on_tape = {id(t) for t in assert_backward_matches_oracle(tape, loss)}
         assert on_tape >= {id(p) for p in params.values()}
 
@@ -206,8 +206,8 @@ def test_reference_step_runs_each_direction_alone(mini, monkeypatch):
             if patched:
                 patch_oracles(m)
             with Tape() as qg_tape:
-                sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words),
-                              qg_cfg, qg_params)
+                sequence_loss([seq], [target_ids(tokenize(ex.question), vocab, seq.oov_words)],
+                              qg_params)
             with Tape() as cls_tape:
                 ad.cross_entropy(_class_distribution([ex], cls_cfg, cls_params, vocab),
                                  int(ex.iw_class))
@@ -238,6 +238,5 @@ def test_qg_step_tape_order(mini):
     ex = corpus[0]
     seq = build_qg_input(ex, ex.iw_class, vocab)
     with Tape() as tape:
-        sequence_loss(seq, target_ids(tokenize(ex.question), vocab, seq.oov_words), config,
-                      params)
+        sequence_loss([seq], [target_ids(tokenize(ex.question), vocab, seq.oov_words)], params)
     assert [entry.op for entry in tape.entries] == QG_STEP_OPS
