@@ -8,8 +8,9 @@ Several passages are classified in one pass: they are packed end to end,
 each layer's recurrence advances all of them at once, and each gets its
 own row of summaries and probabilities.  Only the taped training step
 classifies one example at a time; the untrained loss over the train
-split and each dev pass go through ``classify``.  Also provides a
-noise-controlled oracle predictor for accuracy sweeps.
+split and each dev pass go through ``classify``.  Also provides the
+noise-controlled oracle that draws a class from the gold one, for
+accuracy sweeps.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 Six subcommands cover the full loop: ``prepare`` balances and splits a
 corpus, ``train`` fits either model, ``generate`` runs the two-stage
-pipeline (model classifier or accuracy-controlled oracle), ``evaluate``
-scores a generation dump, ``sweep`` traces metric-vs-classifier-accuracy
-curves, and ``ablate`` trains the five classifier feature variants.
+pipeline on a trained classifier's classes or an accuracy-controlled
+oracle's draws, ``evaluate`` scores a generation dump, ``sweep`` traces
+metric-vs-classifier-accuracy curves, and ``ablate`` trains the five
+classifier feature variants.
 
 Each subcommand declares its required flags in ``build_parser``, and
 each ``cmd_*`` only computes: it reads its inputs and returns its staged
@@ -368,6 +369,16 @@ def cmd_train(args, cfg) -> tuple:
     return f"train:{kind}", files, config.to_dict(), [seed]
 
 
+def _oracle_draws(examples: list[Example], accuracy: float, seed: int) -> list[IWClass]:
+    """The accuracy-controlled oracle's class for each of ``examples``, in
+    order, from one stream seeded with ``seed``: ``oracle_classifier``
+    takes two draws per example, so one seed gives the same noise at
+    every accuracy.  ``generate --oracle a --seed s`` and sweep cell
+    (a, s) decode the same classes."""
+    rng = np.random.default_rng(seed)
+    return [oracle_classifier(ex.iw_class, accuracy, rng) for ex in examples]
+
+
 def _dump_line(example: Example, result, provenance: str) -> str:
     return json.dumps(
         {
@@ -392,18 +403,11 @@ def cmd_generate(args, cfg) -> tuple:
     examples = _load_examples(args.data)
     check_passages(examples)
     if args.classifier is not None:
-        predictor = _load_model_checkpoint(args.classifier, "classifier", vocab)
-        provenance = "model"
+        classifier = _load_model_checkpoint(args.classifier, "classifier", vocab)
+        predicted, provenance = predict_iw(examples, classifier, vocab), "model"
     else:
-        accuracy = cfg["oracle"]
-        rng = np.random.default_rng(seed)
+        predicted = _oracle_draws(examples, cfg["oracle"], seed)
         provenance = f"oracle@{args.oracle}"
-
-        def predictor(ex, _rng=rng, _a=accuracy):
-            return oracle_classifier(ex.iw_class, _a, _rng)
-
-    # every prediction (and oracle draw) in example order, then the decodes
-    predicted = predict_iw(examples, predictor, vocab)
     results = generate_batch(list(zip(examples, predicted)), qg.config, qg.tensors, vocab)
     lines = [_dump_line(ex, res, provenance) for ex, res in zip(examples, results)]
     config = {"provenance": provenance, "seed": seed, "qg": qg.config.to_dict()}
@@ -456,14 +460,8 @@ def cmd_sweep(args, cfg) -> tuple:
     examples = _load_examples(args.data)
     check_passages(examples)
     references = [ex.question_tokens for ex in examples]
-    # one stream per seed, two draws per example: identical seeds reuse
-    # identical noise across accuracy levels
-    drawn: dict[tuple[float, int], list[IWClass]] = {}
-    for _, accuracy in cfg["grid"]:
-        for sd in seeds:
-            rng = np.random.default_rng(sd)
-            drawn[accuracy, sd] = [oracle_classifier(ex.iw_class, accuracy, rng)
-                                   for ex in examples]
+    drawn = {(accuracy, sd): _oracle_draws(examples, accuracy, sd)
+             for _, accuracy in cfg["grid"] for sd in seeds}
     # generate is a pure function of (example, class, params), and the
     # paired draws give each example under one seed either its gold class
     # or one fixed alternative whatever the accuracy, so each distinct
@@ -473,29 +471,18 @@ def cmd_sweep(args, cfg) -> tuple:
     results = generate_batch([(examples[i], p) for i, p in pairs], qg.config, qg.tensors, vocab)
     scored = {(i, p): score_pair(res.tokens, references[i])
               for (i, p), res in zip(pairs, results)}
-    metric_names = None
-    rows = []
-    incomplete = 0
+    cells = {cell: pool_scores([scored[i, p] for i, p in enumerate(classes)])
+             for cell, classes in drawn.items()}
+    _warn_incomplete(sum(r.incomplete_pairs for r in cells.values()), len(cells) * len(examples))
+    columns = {cell: r.metric_columns() for cell, r in cells.items()}
+    rows = [["accuracy", "seed"] + [name for name, _ in next(iter(columns.values()))]]
     for acc_token, accuracy in cfg["grid"]:
-        seed_reports = []
-        for sd in seeds:
-            report = pool_scores([scored[i, p] for i, p in enumerate(drawn[accuracy, sd])])
-            incomplete += report.incomplete_pairs
-            cols = report.metric_columns()
-            if metric_names is None:
-                metric_names = [n for n, _ in cols]
-            rows.append([acc_token, str(sd)] + [_fmt(v) for _, v in cols])
-            seed_reports.append(cols)
-        means = [
-            sum(cols[i][1] for cols in seed_reports) / len(seed_reports)
-            for i in range(len(seed_reports[0]))
-        ]
-        rows.append([acc_token, "mean"] + [_fmt(v) for v in means])
-    _warn_incomplete(incomplete, len(cfg["grid"]) * len(seeds) * len(examples))
-    csv_rows = [["accuracy", "seed"] + metric_names] + rows
+        values = [[v for _, v in columns[accuracy, sd]] for sd in seeds]
+        rows += [[acc_token, str(sd)] + [_fmt(v) for v in vs] for sd, vs in zip(seeds, values)]
+        rows.append([acc_token, "mean"] + [_fmt(sum(col) / len(seeds)) for col in zip(*values)])
     config = {"grid": [token for token, _ in cfg["grid"]], "seeds": seeds,
               "qg": qg.config.to_dict()}
-    return "sweep", {"sweep.csv": _csv(csv_rows)}, config, seeds
+    return "sweep", {"sweep.csv": _csv(rows)}, config, seeds
 
 
 # flag order: answer tagging, answer embedding, entity type

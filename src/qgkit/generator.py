@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -602,28 +602,24 @@ def _decode_chunk(
 
 def predict_iw(
     examples: Sequence[Example],
-    classifier: ModelParams | Callable[[Example], IWClass],
+    classifier: ModelParams,
     vocab: Vocabulary,
 ) -> list[IWClass]:
-    """The interrogative class predicted for each of ``examples``, in
-    order.  ``classifier`` is either trained classifier parameters (their
-    argmax class, from one ``classify`` call) or any ``example ->
-    IWClass`` predictor (for accuracy-controlled oracles), called once
-    per example in order."""
-    if isinstance(classifier, ModelParams):
-        probs = classify(examples, classifier.config, classifier.tensors, vocab)
-        return [IWClass(int(c)) for c in np.argmax(probs, axis=1)]
-    return [classifier(ex) for ex in examples]
+    """The interrogative class that trained ``classifier`` parameters
+    predict for each of ``examples``, in order: their argmax class, from
+    one ``classify`` call."""
+    probs = classify(examples, classifier.config, classifier.tensors, vocab)
+    return [IWClass(int(c)) for c in np.argmax(probs, axis=1)]
 
 
 def pipeline_generate(
     example: Example,
-    classifier: ModelParams | Callable[[Example], IWClass],
+    classifier: ModelParams,
     qg_params: ModelParams,
     vocab: Vocabulary,
 ) -> GenerationResult:
-    """Two-stage inference: predict the interrogative class with
-    ``predict_iw``, then decode with that class inserted; the prediction
-    is recorded on the result."""
+    """Two-stage inference: the class that trained ``classifier``
+    parameters predict (``predict_iw``), then a decode with that class
+    inserted; the prediction is recorded on the result."""
     [predicted] = predict_iw([example], classifier, vocab)
     return generate(example, predicted, qg_params.config, qg_params.tensors, vocab)

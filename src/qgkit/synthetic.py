@@ -16,7 +16,6 @@ Two generators plus loaders for the two bundled corpora:
 from __future__ import annotations
 
 from importlib import resources
-from typing import Sequence
 
 import numpy as np
 

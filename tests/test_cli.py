@@ -523,6 +523,19 @@ class TestSweep:
         lines = (sweep_dir / "sweep.csv").read_text().splitlines()
         assert lines[4].split(",")[2:] == lines[5].split(",")[2:]
 
+    def test_generate_oracle_scores_its_cell(self, ws, sweep_dir, tmp_path):
+        # generate --oracle a --seed s decodes the classes of sweep cell
+        # (a, s), so evaluating its dump gives that cell's row
+        gen, scores = tmp_path / "gen", tmp_path / "eval"
+        assert run("generate", "--qg", ws["qg"], "--oracle", "0.60", "--seed", 1,
+                   "--data", ws["prep"] / "qg_train.jsonl",
+                   "--vocab", ws["prep"] / "vocab.txt", "--out", gen) == 0
+        assert run("evaluate", "--dump", gen / "dump.jsonl", "--out", scores) == 0
+        header, *rows = (sweep_dir / "sweep.csv").read_text().splitlines()
+        [cell] = [row for row in rows if row.startswith("0.60,1,")]
+        assert (scores / "report.csv").read_text().splitlines() == [
+            header.split(",", 2)[2], cell.split(",", 2)[2]]
+
     def test_empty_grid_rejected(self, ws, tmp_path):
         assert run("sweep", "--qg", ws["qg"], "--data", ws["prep"] / "qg_train.jsonl",
                    "--vocab", ws["prep"] / "vocab.txt", "--grid", "",

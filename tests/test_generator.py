@@ -20,6 +20,7 @@ from qgkit.autodiff import Tape, backward
 from qgkit.classifier import (
     ClassifierConfig,
     _class_distribution,
+    classify,
     init_classifier,
     oracle_classifier,
 )
@@ -50,6 +51,7 @@ from qgkit.generator import (
     init_decoder_state,
     init_qg,
     pipeline_generate,
+    predict_iw,
     qg_loss,
     sequence_loss,
     target_ids,
@@ -1082,17 +1084,40 @@ class TestPipeline:
         self.cfg = tiny_config()
         self.qg = init_qg(self.cfg, len(self.vocab), np.random.default_rng(6))
 
+    def biased_classifier(self, iw: IWClass):
+        """Classifier parameters whose output bias makes ``iw`` the argmax
+        class for every input."""
+        cls = init_classifier(ClassifierConfig(word_dim=8, encoder_hidden=6),
+                              len(self.vocab), np.random.default_rng(0))
+        cls.tensors["ff.b"].data[0, int(iw)] += 100.0
+        return cls
+
     def test_gold_predictor_matches_direct_generation(self):
         ex = self.corpus[3]
-        via_pipeline = pipeline_generate(ex, lambda e: e.iw_class, self.qg, self.vocab)
+        cls = self.biased_classifier(ex.iw_class)
+        via_pipeline = pipeline_generate(ex, cls, self.qg, self.vocab)
         direct = generate(ex, ex.iw_class, self.cfg, self.qg.tensors, self.vocab)
         assert via_pipeline.tokens == direct.tokens
         assert via_pipeline.predicted_iw == ex.iw_class
 
     def test_predicted_class_recorded(self):
         ex = self.corpus[3]
-        res = pipeline_generate(ex, lambda e: IWClass.Why, self.qg, self.vocab)
+        assert ex.iw_class != IWClass.Why
+        res = pipeline_generate(ex, self.biased_classifier(IWClass.Why), self.qg, self.vocab)
         assert res.predicted_iw == IWClass.Why
+
+    def test_classifier_class_decoded_and_recorded(self):
+        ex = self.corpus[3]
+        cls = init_classifier(ClassifierConfig(word_dim=8, encoder_hidden=6),
+                              len(self.vocab), np.random.default_rng(0))
+        [predicted] = predict_iw([ex], cls, self.vocab)
+        [probs] = classify([ex], cls.config, cls.tensors, self.vocab)
+        # not the gold class: the decode inserts the prediction
+        assert predicted == IWClass(int(np.argmax(probs))) != ex.iw_class
+        via_pipeline = pipeline_generate(ex, cls, self.qg, self.vocab)
+        direct = generate(ex, predicted, self.cfg, self.qg.tensors, self.vocab)
+        assert via_pipeline.tokens == direct.tokens
+        assert via_pipeline.predicted_iw == predicted
 
     def test_classifier_params_accepted(self):
         ex = self.corpus[0]
