@@ -5,7 +5,9 @@ corpus, ``train`` fits either model, ``generate`` runs the two-stage
 pipeline on a trained classifier's classes or an accuracy-controlled
 oracle's draws, ``evaluate`` scores a generation dump, ``sweep`` traces
 metric-vs-classifier-accuracy curves, and ``ablate`` trains the five
-classifier feature variants.
+classifier feature variants.  ``evaluate`` keeps only each dump line's
+``generated`` and ``gold`` token lists: the rest of a line, its attention
+matrix included, is checked as JSON, and its numbers are never converted.
 
 Each subcommand declares its required flags in ``build_parser``, and
 each ``cmd_*`` only computes: it reads its inputs and returns its staged
@@ -418,29 +420,39 @@ def _is_token_list(value) -> bool:
     return isinstance(value, list) and all(isinstance(t, str) for t in value)
 
 
-def _read_dump(path: str) -> list[dict]:
-    records = []
+# every number on a dump line, the attention matrix's included, is
+# scanned, so a malformed one still fails the line, but none is
+# converted: each reads as None, which is never a token, and an integer
+# of any length is accepted
+_DUMP_DECODER = json.JSONDecoder(parse_float=lambda _: None, parse_int=lambda _: None)
+
+
+def _read_dump(path: str) -> tuple[list[list[str]], list[list[str]]]:
+    """The ``generated`` and ``gold`` token lists of each line of the dump
+    at ``path``, in order.  Each line must be valid JSON and an object
+    whose two lists hold only strings; nothing else of it is read or
+    kept, so no record or attention matrix outlives its line."""
+    candidates, references = [], []
     for i, line in enumerate(read_input(path, "dump").split("\n"), 1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = _DUMP_DECODER.decode(line)
         except (json.JSONDecodeError, RecursionError):
             raise InputError(f"{path}: line {i} is not valid JSON") from None
         if not (isinstance(rec, dict) and _is_token_list(rec.get("generated"))
                 and _is_token_list(rec.get("gold"))):
             raise InputError(f"{path}: line {i}: generated and gold must be lists of strings")
-        records.append(rec)
-    if not records:
+        candidates.append(rec["generated"])
+        references.append(rec["gold"])
+    if not candidates:
         raise InputError(f"empty generation dump: {path}")
-    return records
+    return candidates, references
 
 
 def cmd_evaluate(args, cfg) -> tuple:
     seed = cfg["seed"]
-    records = _read_dump(args.dump)
-    candidates = [r["generated"] for r in records]
-    references = [r["gold"] for r in records]
+    candidates, references = _read_dump(args.dump)
     report = evaluate_generation(candidates, references)
     header = [name for name, _ in report.metric_columns()]
     values = [_fmt(v) for _, v in report.metric_columns()]

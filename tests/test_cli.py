@@ -956,16 +956,93 @@ def test_duplicate_vocab_token_fatal(ws, tmp_path, capsys, command):
     {"generated": "what is it ?", "gold": ["what", "is", "it", "?"]},
     {"generated": ["what"], "gold": 5},
     {"generated": ["what", 1], "gold": ["what"]},
+    {"generated": [1], "gold": ["what"]},
+    {"generated": ["what"], "gold": [1.5]},
+    {"generated": [math.nan], "gold": ["what"]},
     ["what"],
-], ids=["generated-string", "gold-number", "non-string-token", "not-an-object"])
+], ids=["generated-string", "gold-number", "non-string-token", "integer-token", "float-token",
+        "nan-token", "not-an-object"])
 def test_bad_dump_record_fatal(tmp_path, capsys, record):
+    # a number is never a token, whatever its form
     dump = tmp_path / "dump.jsonl"
     dump.write_text(json.dumps({"generated": ["what"], "gold": ["what"]}) + "\n"
                     + json.dumps(record) + "\n")
     capsys.readouterr()
     assert run("evaluate", "--dump", dump, "--out", tmp_path / "o") == 1
-    assert assert_one_error_line(capsys).startswith(f"error: {dump}: line 2")
+    assert assert_one_error_line(capsys) == (
+        f"error: {dump}: line 2: generated and gold must be lists of strings")
     assert not (tmp_path / "o").exists()
+
+
+def reference_report(dump: Path) -> dict[str, str]:
+    """The ``report.json`` and ``report.csv`` of ``dump`` built as
+    ``evaluate`` built them when it read every line with ``json.loads``:
+    each line's token lists scored by ``evaluate_generation``."""
+    records = [json.loads(line) for line in dump.read_text(encoding="utf-8").split("\n")
+               if line.strip()]
+    report = evaluate_generation([r["generated"] for r in records], [r["gold"] for r in records])
+    columns = report.metric_columns()
+    return {
+        "report.json": json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
+        "report.csv": ",".join(name for name, _ in columns) + "\n"
+                      + ",".join(repr(float(v)) for _, v in columns) + "\n",
+    }
+
+
+def evaluated(dump: Path, out: Path) -> dict[str, str]:
+    assert run("evaluate", "--dump", dump, "--out", out) == 0
+    return {name: (out / name).read_text(encoding="utf-8") for name in ("report.json", "report.csv")}
+
+
+# a plain two-line dump, which the dump-number tests extend
+PLAIN_DUMP = [{"generated": ["what", "is", "it", "?"], "gold": ["what", "is", "that", "?"]},
+              {"generated": ["who", "won", "?"], "gold": ["who", "won", "the", "race", "?"]}]
+
+
+@pytest.mark.parametrize("number", [
+    "1" * 5000, "NaN", "Infinity", "-Infinity", "1e999", "5e-324", "-0.0",
+], ids=["huge-integer", "nan", "infinity", "minus-infinity", "overflow", "subnormal",
+        "minus-zero"])
+def test_dump_numbers_outside_the_token_lists_are_accepted(tmp_path, number):
+    # a number past Python's 4,300-digit int-conversion limit, or one
+    # that float conversion would make non-finite, subnormal or negative
+    # zero, scores the dump it would without that field
+    plain, odd = tmp_path / "plain.jsonl", tmp_path / "odd.jsonl"
+    plain.write_text("".join(json.dumps(rec) + "\n" for rec in PLAIN_DUMP))
+    odd.write_text("".join(json.dumps(rec)[:-1] + f', "id": {number}, "attention": [[{number}]]}}\n'
+                           for rec in PLAIN_DUMP))
+    assert evaluated(odd, tmp_path / "odd") == evaluated(plain, tmp_path / "plain")
+
+
+@pytest.mark.parametrize("number", ["1.2.3", "01", "-", ".5", "1e"])
+def test_malformed_dump_number_fatal(tmp_path, capsys, number):
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text(json.dumps(PLAIN_DUMP[0]) + "\n"
+                    + json.dumps(PLAIN_DUMP[1])[:-1] + f', "attention": [[0.5, {number}]]}}\n')
+    capsys.readouterr()
+    assert run("evaluate", "--dump", dump, "--out", tmp_path / "o") == 1
+    assert assert_one_error_line(capsys) == f"error: {dump}: line 2 is not valid JSON"
+    assert not (tmp_path / "o").exists()
+
+
+def test_evaluate_reports_what_reading_every_number_gave(ws, tmp_path):
+    # the workspace dump, and a hand-built one: empty and one-token
+    # lists, non-ASCII tokens, blank lines, and numbers of every JSON
+    # form in fields evaluate never reads
+    hand = tmp_path / "hand.jsonl"
+    hand.write_text("\n".join([
+        json.dumps({"generated": [], "gold": ["where", "is", "it", "?"], "attention": []}),
+        "",
+        json.dumps({"generated": ["caf\u00e9", "?"], "gold": ["caf\u00e9", "?"], "id": -7,
+                    "attention": [[0.25, 0.75], [1e-300, 1.0]]}, ensure_ascii=False),
+        json.dumps({"generated": ["when", "?"], "gold": ["when", "did", "it", "open", "?"],
+                    "attention": [[1, 0, 0.0, -0.0, 2.5e10, 123456789012345678901234567890]],
+                    "nested": {"a": [True, False, None, {"b": 1.5}]}}),
+        "   ",
+        json.dumps({"gold": ["who", "?"], "generated": ["who", "?"], "predicted_iw": "who"}),
+    ]) + "\n", encoding="utf-8")
+    for dump in (Path(ws["dump"]), hand):
+        assert evaluated(dump, tmp_path / dump.stem) == reference_report(dump), dump
 
 
 @pytest.mark.parametrize("command", [
